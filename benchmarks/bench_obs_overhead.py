@@ -14,7 +14,7 @@ from conftest import print_table
 
 from repro.hypercube.graph import Hypercube
 from repro.obs import LinkRecorder
-from repro.routing.fast_simulator import FastStoreForward
+from repro.routing.batched import BatchedStoreForward
 from repro.routing.permutation import dimension_order_path, random_permutation
 from repro.routing.simulator import StoreForwardSimulator
 
@@ -38,7 +38,7 @@ def test_disabled_recorder_overhead():
     host = Hypercube(8)
     work = _workload()
     rows = []
-    for engine in (StoreForwardSimulator, FastStoreForward):
+    for engine in (StoreForwardSimulator, BatchedStoreForward):
         base = _best_of(lambda: engine(host).run(work))
         off = _best_of(lambda: engine(host).run(work, recorder=None))
         on = _best_of(

@@ -128,7 +128,7 @@ def test_scale_verification_q20():
 def test_scale_wormhole_q12(benchmark):
     """Q_12 Section-7 wormhole traffic: both flit engines, same makespan."""
     from repro.hypercube.graph import Hypercube
-    from repro.routing.fast_wormhole import FastWormhole
+    from repro.routing.batched import BatchedWormhole
     from repro.routing.permutation import dimension_order_path, random_permutation
     from repro.routing.wormhole import WormholeSimulator
 
@@ -142,22 +142,27 @@ def test_scale_wormhole_q12(benchmark):
             if u != v
         ]
 
-    def run(engine_cls):
-        sim = engine_cls(Hypercube(n))
+    def run_reference():
+        sim = WormholeSimulator(Hypercube(n))
         for path, flits, release in work:
             sim.inject(path, flits, release)
         t0 = time.perf_counter()
         makespan = sim.run()
         return makespan, time.perf_counter() - t0
 
-    ref_makespan, t_ref = run(WormholeSimulator)
-    fast_makespan, t_fast = run(FastWormhole)
+    def run_batched():
+        t0 = time.perf_counter()
+        makespan = BatchedWormhole(Hypercube(n)).run(work).makespan
+        return makespan, time.perf_counter() - t0
+
+    ref_makespan, t_ref = run_reference()
+    fast_makespan, t_fast = run_batched()
     assert ref_makespan == fast_makespan
     print_table(
-        "scale: Q_12 wormhole, flit-loop reference vs vectorized frontiers",
+        "scale: Q_12 wormhole, flit-loop reference vs batched frontiers",
         [(n, len(work), num_flits, ref_makespan, f"{t_ref:.2f}s",
           f"{t_fast:.2f}s", f"{t_ref / t_fast:.1f}x")],
         ["n", "worms", "M", "makespan", "reference", "fast", "speedup"],
     )
 
-    benchmark(lambda: run(FastWormhole)[0])
+    benchmark(lambda: run_batched()[0])

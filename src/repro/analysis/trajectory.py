@@ -1,9 +1,10 @@
 """Recorded performance trajectory: fast engines timed against their references.
 
 The repo carries five fast/reference pairs — vectorized verification vs
-the scalar ``verify_reference`` walk, :class:`FastStoreForward` vs
-:class:`StoreForwardSimulator`, :class:`FastWormhole` vs
-:class:`WormholeSimulator`, the service's batched
+the scalar ``verify_reference`` walk, :class:`BatchedStoreForward` vs
+:class:`StoreForwardSimulator`, :class:`BatchedWormhole` vs
+:class:`WormholeSimulator` (single schedules, and 100-lane batches
+against the scalar loop), the service's batched
 ``route_batch()`` vs its per-call ``route()``, and the cold start of a
 fresh service over a memmapped store artifact vs a full rebuild of the
 same embedding.  This module times both sides of each pair on
@@ -110,9 +111,11 @@ def _worm_work(n: int, num_flits: int, overlays: int) -> tuple:
     return Hypercube(n), work
 
 
-def _run_worms(engine_cls, ctx) -> int:
+def _run_reference_worms(ctx) -> int:
+    from repro.routing.wormhole import WormholeSimulator
+
     host, work = ctx
-    sim = engine_cls(host)
+    sim = WormholeSimulator(host)
     for path, flits, release in work:
         sim.inject(path, flits, release)
     return sim.run()
@@ -120,8 +123,7 @@ def _run_worms(engine_cls, ctx) -> int:
 
 def _wormhole_workload(name: str, n: int, num_flits: int, overlays: int,
                        quick: bool) -> Workload:
-    from repro.routing.fast_wormhole import FastWormhole
-    from repro.routing.wormhole import WormholeSimulator
+    from repro.routing.batched import BatchedWormhole
 
     return Workload(
         name=name,
@@ -130,8 +132,8 @@ def _wormhole_workload(name: str, n: int, num_flits: int, overlays: int,
             f"random permutations, M={num_flits} flits, e-cube routes"
         ),
         build=lambda: _worm_work(n, num_flits, overlays),
-        fast=lambda ctx: _run_worms(FastWormhole, ctx),
-        reference=lambda ctx: _run_worms(WormholeSimulator, ctx),
+        fast=lambda ctx: BatchedWormhole(ctx[0]).run(ctx[1]).makespan,
+        reference=_run_reference_worms,
         agree=lambda ref, fast: ref == fast,
         quick=quick,
     )
@@ -209,7 +211,7 @@ def _batched_wormhole_workload(name: str, n: int, lanes: int, worms: int,
 
 def _storeforward_workload(name: str, n: int, reps: int, quick: bool) -> Workload:
     from repro.hypercube.graph import Hypercube
-    from repro.routing.fast_simulator import FastStoreForward
+    from repro.routing.batched import BatchedStoreForward
     from repro.routing.permutation import dimension_order_path, random_permutation
     from repro.routing.simulator import StoreForwardSimulator
 
@@ -228,7 +230,7 @@ def _storeforward_workload(name: str, n: int, reps: int, quick: bool) -> Workloa
             f"{reps} staggered waves (priority tie-break on both engines)"
         ),
         build=build,
-        fast=lambda ctx: FastStoreForward(ctx[0]).run(ctx[1]).makespan,
+        fast=lambda ctx: BatchedStoreForward(ctx[0]).run(ctx[1]).makespan,
         reference=lambda ctx: StoreForwardSimulator(
             ctx[0], tie_break="priority"
         ).run(ctx[1]).makespan,

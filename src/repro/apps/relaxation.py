@@ -114,7 +114,7 @@ def _measured_interleaved_block_steps(
     """
     from repro.hypercube.graph import Hypercube
     from repro.hypercube.graycode import gray_node_sequence
-    from repro.routing.fast_simulator import FastStoreForward
+    from repro.routing.batched import BatchedStoreForward
 
     a = N.bit_length() - 1
     host = Hypercube(2 * a)
@@ -134,7 +134,7 @@ def _measured_interleaved_block_steps(
                 for t in range(boundary_packets):
                     schedule.append(([here, there], t + 1))
                     schedule.append(([there, here], t + 1))
-    return FastStoreForward(host).run(schedule).makespan
+    return BatchedStoreForward(host).run(schedule).makespan
 
 
 def relaxation_strategy_comparison(M: int, N: int) -> Dict[str, Dict[str, float]]:

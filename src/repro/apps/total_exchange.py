@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.hypercube.graph import Hypercube
-from repro.routing.fast_simulator import FastStoreForward
+from repro.routing.batched import BatchedStoreForward
 from repro.routing.permutation import dimension_order_path
 
 __all__ = [
@@ -79,7 +79,7 @@ def all_port_exchange_steps(n: int) -> int:
         for t in range(host.num_nodes)
         if s != t
     ]
-    return FastStoreForward(host).run(schedule).makespan
+    return BatchedStoreForward(host).run(schedule).makespan
 
 
 def total_exchange_comparison(n: int) -> Dict[str, int]:

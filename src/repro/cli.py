@@ -108,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--pieces", type=int, default=None)
         p.add_argument("--seed", default="0")
         p.add_argument(
-            "--engine", choices=["fast", "reference", "batched"],
-            default="fast",
+            "--engine", choices=["batched", "reference"], default="batched",
         )
 
     fig = sub.add_parser("figures", help="print the paper's Figures 1-4")
@@ -155,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sr.add_argument("--horizon", type=int, default=8)
     sr.add_argument("--seed", default="0")
     sr.add_argument(
-        "--engine", choices=["fast", "reference", "batched"], default="fast"
+        "--engine", choices=["batched", "reference"], default="batched"
     )
     sc = scn_sub.add_parser(
         "campaign", help="kill links/nodes, compare with vs without IDA"
@@ -175,10 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--horizon", type=int, default=32)
     sw.add_argument("--seed", default="0")
     sw.add_argument(
-        "--engine", choices=["fast", "reference", "batched"], default="fast"
+        "--engine", choices=["batched", "reference"], default="batched"
     )
     sm = scn_sub.add_parser(
-        "smoke", help="every generator builds and routes on both engines"
+        "smoke",
+        help="every generator builds and routes identically on the "
+        "reference and batched engines",
     )
     sm.add_argument("--n", type=int, default=6)
 
@@ -359,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="automorphism images per point (metamorphic stage)",
     )
     qd = qa_sub.add_parser(
-        "diff", help="differential-test the two simulator engines"
+        "diff",
+        help="differential-test the batched store-and-forward engine "
+        "against the reference engine",
     )
     qd.add_argument("--seeds", type=int, default=50, help="random schedules")
     qd.add_argument("--n", type=int, default=6, help="hypercube dimension")
@@ -368,7 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--packets", type=int, default=40, help="max packets per schedule"
     )
     qb = qa_sub.add_parser(
-        "batched", help="differential-test the batched tensor engines"
+        "batched",
+        help="differential-test multi-lane batched runs against the "
+        "reference engines, lane by lane",
     )
     qb.add_argument("--seeds", type=int, default=100, help="random batches")
     qb.add_argument("--n", type=int, default=4, help="hypercube dimension")
@@ -573,7 +578,7 @@ def _cmd_scenarios(args) -> int:
     if args.scenarios_command == "run":
         from repro.hypercube.graph import Hypercube
         from repro.obs import LinkRecorder
-        from repro.routing.fast_simulator import FastStoreForward
+        from repro.routing.batched import BatchedStoreForward
         from repro.routing.simulator import StoreForwardSimulator
 
         host = Hypercube(args.n)
@@ -582,19 +587,12 @@ def _cmd_scenarios(args) -> int:
             seed=args.seed,
         )
         recorder = LinkRecorder(host)
-        if args.engine == "batched":
-            from repro.routing.batched import BatchedStoreForward
-
-            [result] = BatchedStoreForward(host).run_many(
-                [schedule], recorders=[recorder]
-            )
-        else:
-            sim = (
-                StoreForwardSimulator(host, tie_break="priority")
-                if args.engine == "reference"
-                else FastStoreForward(host)
-            )
-            result = sim.run(schedule, recorder=recorder)
+        sim = (
+            StoreForwardSimulator(host, tie_break="priority")
+            if args.engine == "reference"
+            else BatchedStoreForward(host)
+        )
+        result = sim.run(schedule, recorder=recorder)
         print(
             f"{args.scenario} on Q_{args.n}: load {args.load}, horizon "
             f"{args.horizon}, digest {schedule_digest(schedule)}"
@@ -629,9 +627,10 @@ def _cmd_scenarios(args) -> int:
         print(format_sweep_rows(rows))
         return 0
 
-    # smoke: every registered generator builds and routes on both engines
+    # smoke: every registered generator builds and routes identically on
+    # the reference and batched engines
     from repro.hypercube.graph import Hypercube
-    from repro.routing.fast_simulator import FastStoreForward
+    from repro.routing.batched import BatchedStoreForward
     from repro.routing.simulator import StoreForwardSimulator
 
     host = Hypercube(args.n)
@@ -644,15 +643,20 @@ def _cmd_scenarios(args) -> int:
             name, host, load=0.5, horizon=4, seed=f"smoke:{name}"
         )
         ref = StoreForwardSimulator(host, tie_break="priority").run(schedule)
-        fast = FastStoreForward(host).run(schedule)
+        batched = BatchedStoreForward(host).run(schedule)
         ok = (
             schedule_digest(schedule) == schedule_digest(rebuilt)
-            and ref.measured() == fast.measured()
+            and ref.measured() == batched.measured()
         )
         failures += not ok
         print(
             f"{'ok' if ok else 'FAIL':<5} {name:<14} "
-            f"{len(schedule):>4} packet(s)  makespan {fast.makespan}"
+            f"{len(schedule):>4} packet(s)  makespan {batched.makespan}"
+        )
+    if not failures:
+        print(
+            f"{len(scenario_names())} generator(s) on Q_{args.n}: reference "
+            f"and batched engines agree field-for-field"
         )
     return 1 if failures else 0
 
@@ -1100,8 +1104,8 @@ def _cmd_qa(args) -> int:
                     print(f"    release {release}: {' -> '.join(map(str, path))}")
                 return 1
         print(
-            f"{args.seeds} random schedule(s) on Q_{args.n}: engines agree "
-            f"field-for-field"
+            f"{args.seeds} random schedule(s) on Q_{args.n}: reference and "
+            f"batched engines agree field-for-field"
         )
         return 0
 
@@ -1146,7 +1150,7 @@ def _cmd_qa(args) -> int:
                 return 1
         print(
             f"{args.seeds} random batch(es) on Q_{args.n}: batched engines "
-            f"match the scalar engines lane-for-lane"
+            f"match the reference engines lane-for-lane"
         )
         return 0
 

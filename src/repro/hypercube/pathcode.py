@@ -1,8 +1,8 @@
 """Vectorized host-path encoding kernels shared by the hot-path engines.
 
-Every numpy engine in the package — the vectorized store-and-forward
-simulator, the vectorized wormhole engine, and the vectorized verification
-kernels — needs the same first move: turn a batch of host paths (tuples of
+Every numpy engine in the package — the batched store-and-forward and
+wormhole engines and the vectorized verification kernels — needs the same
+first move: turn a batch of host paths (tuples of
 node ids) into dense integer arrays keyed by the packed directed-edge id
 ``u * n + dimension`` (see :class:`repro.hypercube.graph.Hypercube`).  This
 module is that shared encoding, kept at the bottom of the dependency graph
@@ -11,8 +11,8 @@ so both ``repro.core`` and ``repro.routing`` can import it.
 Two layouts are provided:
 
 * :func:`path_edge_matrix` — the padded ``(num_paths, max_hops)`` edge-id
-  matrix with ``-1`` fill that :class:`~repro.routing.fast_simulator.FastStoreForward`
-  introduced (one row per packet, one column per hop);
+  matrix with ``-1`` fill the batched simulation engines run on (one row
+  per packet or worm, one column per hop);
 * :func:`flatten_paths` + :func:`hop_edge_ids` — the flat CSR-style layout
   (one concatenated node vector plus path offsets) the verification kernels
   use, where per-path quantities come from offset arithmetic instead of
@@ -216,9 +216,8 @@ def path_edge_matrix(
     Returns ``(edges, lengths)``: ``edges`` is ``(len(paths), max_hops)``
     int64 with row ``i`` holding the directed edge ids of path ``i``'s hops
     and ``-1`` padding; ``lengths[i]`` is path ``i``'s hop count.  This is
-    the encoding :class:`~repro.routing.fast_simulator.FastStoreForward`
-    runs on, factored out so the wormhole engine and the verification
-    kernels build it the same way.
+    the encoding both :mod:`repro.routing.batched` engines run on, shared
+    so the verification kernels build it the same way.
     """
     nodes, offsets = flatten_paths(paths)
     lengths = np.diff(offsets) - 1

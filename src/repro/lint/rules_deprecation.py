@@ -7,10 +7,10 @@ runtime; this rule stops *new* code from adopting them, at review time:
   metrics layer moved to :class:`repro.obs.metrics.MetricsRegistry`.
   These findings carry an autofix (``repro lint --fix`` rewrites the
   import); renaming the uses is left to the author.
-* the pre-obs ``sim.inject(...); sim.run() -> int`` style on the two
-  store-and-forward engines — pass a schedule to ``run()`` instead.
-  (The wormhole engines' ``inject`` is their current flit API, not a
-  shim, and is not flagged.)
+* the pre-obs ``sim.inject(...); sim.run() -> int`` style on the
+  reference store-and-forward engine — pass a schedule to ``run()``
+  instead.  (The reference wormhole engine's ``inject`` is its current
+  flit API, not a shim, and is not flagged.)
 * imports of the retired ``FaultSet`` alias from the service layer — the
   fault model's one true home is :class:`repro.fault.faults.FaultModel`.
   The plain single-name import form carries an autofix.
@@ -35,7 +35,7 @@ _FAULTSET_NAME = "FaultSet"
 # modules whose FaultSet attribute is the deprecated alias
 _FAULTSET_MODULES = frozenset({"repro", "repro.service", "repro.service.api"})
 # constructors whose inject() is the deprecated pre-obs surface
-_SHIMMED_SIMULATORS = frozenset({"StoreForwardSimulator", "FastStoreForward"})
+_SHIMMED_SIMULATORS = frozenset({"StoreForwardSimulator"})
 
 
 @register_rule("R2", "deprecation")

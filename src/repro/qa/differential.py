@@ -1,21 +1,26 @@
 """Differential testing: two engines, one answer — plus a max-flow referee.
 
-The reference :class:`~repro.routing.simulator.StoreForwardSimulator`
-(run with the ``"priority"`` tie-break) and the vectorized
-:class:`~repro.routing.fast_simulator.FastStoreForward` implement the
-same synchronous link-bound model with the same winner rule (lowest
-injection index per link per step), so on any unit-service schedule they
-must return *field-for-field identical* :class:`~repro.routing.api.SimResult`s.
-:func:`differential_check` asserts exactly that and, on divergence,
-shrinks the schedule to a minimal reproducer before reporting.
+Each simulation semantics has one reference engine, the referee, and one
+fast engine from :mod:`repro.routing.batched`.  The reference
+:class:`~repro.routing.simulator.StoreForwardSimulator` (run with the
+``"priority"`` tie-break) and
+:class:`~repro.routing.batched.BatchedStoreForward` implement the same
+synchronous link-bound model with the same winner rule (lowest injection
+index per link per step), so on any unit-service schedule they must
+return *field-for-field identical* :class:`~repro.routing.api.SimResult`s.
+:func:`differential_check` asserts exactly that for a batch of one and, on
+divergence, shrinks the schedule to a minimal reproducer before
+reporting; :func:`batched_differential_check` does the same lane by lane
+for multi-lane batches with per-lane fault models.
 
 The same contract holds at flit granularity: the reference
-:class:`~repro.routing.wormhole.WormholeSimulator` and the vectorized
-:class:`~repro.routing.fast_wormhole.FastWormhole` implement identical
-two-phase step semantics, so :func:`wormhole_differential_check` demands
-identical makespans, per-worm final states, link ownership *and* recorder
-snapshots — and identical deadlocks, since a schedule that deadlocks one
-engine must deadlock the other at the same step.
+:class:`~repro.routing.wormhole.WormholeSimulator` and
+:class:`~repro.routing.batched.BatchedWormhole` implement identical
+two-phase step semantics, so :func:`wormhole_differential_check` and
+:func:`batched_wormhole_differential_check` demand identical makespans,
+per-worm final states, link ownership *and* recorder snapshots — and
+identical deadlocks, since a schedule that deadlocks one engine must
+deadlock the other at the same step.
 
 :func:`verification_differential` referees the third fast/reference pair:
 the vectorized ``verify()`` kernels against the scalar
@@ -56,8 +61,6 @@ from repro.qa.schedules import (
 )
 from repro.routing.api import SimResult
 from repro.routing.batched import BatchedStoreForward, BatchedWormhole
-from repro.routing.fast_simulator import FastStoreForward
-from repro.routing.fast_wormhole import FastWormhole
 from repro.routing.simulator import StoreForwardSimulator
 from repro.routing.wormhole import WormholeDeadlock, WormholeSimulator
 
@@ -93,14 +96,15 @@ class Divergence:
         fst = {f: getattr(self.fast, f) for f in self.fields}
         return (
             f"engines diverge on Q_{self.host_n} with {len(self.schedule)} "
-            f"packet(s): reference {ref} vs fast {fst}"
+            f"packet(s): reference {ref} vs batched {fst}"
         )
 
 
 def run_pair(host: Any, schedule: Schedule) -> Tuple[SimResult, SimResult]:
-    """Run ``schedule`` through both engines under the shared winner rule."""
+    """Run ``schedule`` through the reference and batched engines under the
+    shared winner rule."""
     reference = StoreForwardSimulator(host, tie_break="priority").run(schedule)
-    fast = FastStoreForward(host).run(schedule)
+    fast = BatchedStoreForward(host).run(schedule)
     return reference, fast
 
 
@@ -155,21 +159,21 @@ class WormDivergence:
         return (
             f"wormhole engines diverge on Q_{self.host_n} "
             f"(buffers={self.buffer_capacity}) with {len(self.schedule)} "
-            f"worm(s): reference {ref} vs fast {fst}"
+            f"worm(s): reference {ref} vs batched {fst}"
         )
 
 
-def _run_worm_engine(
-    engine_cls, host: Any, schedule: WormSchedule, buffer_capacity: int
+def _reference_worm_outcome(
+    host: Any, schedule: WormSchedule, buffer_capacity: int
 ) -> Dict[str, Any]:
-    """One engine's complete observable outcome on a worm schedule.
+    """The reference engine's complete observable outcome on a worm schedule.
 
     Covers every surface the engines share: the returned makespan (or the
     deadlock message), each worm's final ``(done_step, head_link,
     flits_crossed)``, the surviving link-ownership map, and the recorder
     snapshot (per-link flit counts + delivery histogram).
     """
-    sim = engine_cls(host, buffer_capacity=buffer_capacity)
+    sim = WormholeSimulator(host, buffer_capacity=buffer_capacity)
     worms = [
         sim.inject(tuple(path), int(flits), int(release))
         for path, flits, release in schedule
@@ -192,14 +196,35 @@ def _run_worm_engine(
     }
 
 
+def _batched_worm_outcomes(
+    host: Any, batch: List[WormSchedule], buffer_capacity: int
+) -> List[Dict[str, Any]]:
+    """:func:`_reference_worm_outcome`'s observable for every batched lane."""
+    recs = [LinkRecorder(host=host) for _ in batch]
+    outs = BatchedWormhole(host, buffer_capacity=buffer_capacity).run_many(
+        batch, recorders=recs
+    )
+    return [
+        {
+            "makespan": None if out.deadlocked else out.makespan,
+            "deadlock": out.deadlock,
+            "worms": tuple(
+                (w.done_step, w.head_link, tuple(w.flits_crossed))
+                for w in out.worms
+            ),
+            "owner": out.owner,
+            "recorder": rec.snapshot(),
+        }
+        for out, rec in zip(outs, recs)
+    ]
+
+
 def run_wormhole_pair(
     host: Any, schedule: WormSchedule, buffer_capacity: int = 1
 ) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Run a worm schedule through both wormhole engines."""
-    reference = _run_worm_engine(
-        WormholeSimulator, host, schedule, buffer_capacity
-    )
-    fast = _run_worm_engine(FastWormhole, host, schedule, buffer_capacity)
+    """Run a worm schedule through the reference and batched engines."""
+    reference = _reference_worm_outcome(host, schedule, buffer_capacity)
+    [fast] = _batched_worm_outcomes(host, [schedule], buffer_capacity)
     return reference, fast
 
 
@@ -214,7 +239,8 @@ def _worm_diverging_fields(
 def wormhole_differential_check(
     host: Any, schedule: WormSchedule, buffer_capacity: int = 1
 ) -> Optional[WormDivergence]:
-    """None when the wormhole engines agree; else a shrunken divergence.
+    """None when the reference and batched wormhole engines agree on a
+    batch of one; else a shrunken divergence.
 
     Agreement is total: makespan, deadlock-or-not (and the deadlock
     message's step), per-worm final state, link ownership and recorder
@@ -244,7 +270,7 @@ def wormhole_differential_check(
 
 @dataclass
 class BatchDivergence:
-    """A batch on which the batched engine disagrees with the scalar one.
+    """A batch on which the batched engine disagrees with the reference.
 
     ``lane`` is the index of the first diverging lane in the (already
     minimized) ``schedules``; ``reference``/``fast`` are that lane's two
@@ -278,11 +304,13 @@ def _batch_diverging_lane(
     faults: Optional[List[Any]],
     batched_cls: Optional[type] = None,
 ) -> Optional[Tuple[int, Tuple[str, ...], SimResult, SimResult]]:
-    """First lane where run_many() differs from per-lane FastStoreForward.
+    """First lane where run_many() differs from the per-lane reference.
 
     Identity is total per lane: every ``SimResult`` measured field
     (makespan, delivered, injected, steps, ``done_steps`` including the
-    ``-1`` fault-drop sentinel) plus the recorder snapshot.
+    ``-1`` fault-drop sentinel) plus the recorder's congestion snapshot
+    (the reference's per-link queue peaks have no batched counterpart and
+    are left out).
     """
     if batched_cls is None:
         # resolved at call time so tests can swap in a sabotaged engine
@@ -292,17 +320,18 @@ def _batch_diverging_lane(
         batch, recorders=batch_recs, faults=faults
     )
     for i, schedule in enumerate(batch):
-        scalar_rec = LinkRecorder(host=host)
-        scalar = FastStoreForward(host).run(
+        ref_rec = LinkRecorder(host=host)
+        reference = StoreForwardSimulator(host, tie_break="priority").run(
             schedule,
-            recorder=scalar_rec,
+            recorder=ref_rec,
             faults=faults[i] if faults else None,
         )
-        fields = scalar.diff_fields(results[i])
+        fields = reference.diff_fields(results[i])
         if fields:
-            return i, fields, scalar, results[i]
-        if scalar_rec.snapshot() != batch_recs[i].snapshot():
-            return i, ("recorder",), scalar, results[i]
+            return i, fields, reference, results[i]
+        ref_rec.queue_peak.clear()
+        if ref_rec.snapshot() != batch_recs[i].snapshot():
+            return i, ("recorder",), reference, results[i]
     return None
 
 
@@ -312,7 +341,7 @@ def batched_differential_check(
     faults: Optional[List[Any]] = None,
     batched_cls: Optional[type] = None,
 ) -> Optional[BatchDivergence]:
-    """None when every lane matches the scalar engine; else a minimized
+    """None when every lane matches the reference engine; else a minimized
     :class:`BatchDivergence`.
 
     Shrinking is greedy over :func:`repro.qa.schedules.shrink_batch`
@@ -383,39 +412,26 @@ def batched_differential_check(
 def _batched_worm_lane(
     host: Any, batch: List[WormSchedule], buffer_capacity: int
 ) -> Optional[Tuple[int, Tuple[str, ...], Dict[str, Any], Dict[str, Any]]]:
-    """First lane where BatchedWormhole differs from FastWormhole."""
-    recs = [LinkRecorder(host=host) for _ in batch]
-    outs = BatchedWormhole(host, buffer_capacity=buffer_capacity).run_many(
-        batch, recorders=recs
-    )
-    for i, schedule in enumerate(batch):
-        scalar = _run_worm_engine(FastWormhole, host, schedule, buffer_capacity)
-        out = outs[i]
-        got = {
-            "makespan": None if out.deadlocked else out.makespan,
-            "deadlock": out.deadlock,
-            "worms": tuple(
-                (w.done_step, w.head_link, tuple(w.flits_crossed))
-                for w in out.worms
-            ),
-            "owner": out.owner,
-            "recorder": recs[i].snapshot(),
-        }
-        fields = tuple(k for k in scalar if scalar[k] != got[k])
+    """First lane where BatchedWormhole differs from WormholeSimulator."""
+    outcomes = _batched_worm_outcomes(host, batch, buffer_capacity)
+    for i, (schedule, got) in enumerate(zip(batch, outcomes)):
+        reference = _reference_worm_outcome(host, schedule, buffer_capacity)
+        fields = tuple(k for k in reference if reference[k] != got[k])
         if fields:
-            return i, fields, scalar, got
+            return i, fields, reference, got
     return None
 
 
 def batched_wormhole_differential_check(
     host: Any, batch: List[WormSchedule], buffer_capacity: int = 1
 ) -> Optional[BatchDivergence]:
-    """None when every wormhole lane matches FastWormhole; else minimized.
+    """None when every wormhole lane matches WormholeSimulator; else
+    minimized.
 
     Agreement is the full wormhole observable per lane — makespan or the
     deadlock message (same step, same worm count), per-worm final state,
     surviving link ownership, recorder snapshot.  A deadlocked lane must
-    freeze in the batched engine exactly where the scalar engine raised.
+    freeze in the batched engine exactly where the reference raised.
     """
     if _batched_worm_lane(host, batch, buffer_capacity) is None:
         return None

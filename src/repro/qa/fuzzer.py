@@ -12,17 +12,17 @@ For each point the fuzzer runs, in order:
    (:mod:`repro.qa.oracles` via :mod:`repro.core.verification`);
 4. **metamorphic** — random automorphism images must preserve the
    verification report and simulated metrics (:mod:`repro.qa.metamorphic`);
-5. **differential** — both store-and-forward engines must agree
-   field-for-field on a schedule drawn from the embedding's paths
-   (:mod:`repro.qa.differential`), which also shrinks any divergence,
-   the wormhole pair (reference vs :class:`FastWormhole`) must agree on
-   a random e-cube worm schedule
+5. **differential** — the reference and batched store-and-forward
+   engines must agree field-for-field on a schedule drawn from the
+   embedding's paths (:mod:`repro.qa.differential`), which also shrinks
+   any divergence, the wormhole pair (:class:`WormholeSimulator` vs
+   :class:`BatchedWormhole`) must agree on a random worm schedule
    (:func:`repro.qa.differential.wormhole_differential_check`),
    and the serving layer's batched CSR gather must be field-identical
    to per-call routing on a fuzzed request batch
    (:func:`repro.qa.differential.route_batch_differential`);
 6. **batched_differential** — the batched tensor engines
-   (:mod:`repro.routing.batched`) must reproduce the scalar fast
+   (:mod:`repro.routing.batched`) must reproduce the reference
    engines lane-for-lane on fuzzed schedule batches: every ``SimResult``
    field (including ``done_steps=-1`` fault drops under per-lane
    ``FaultModel``s) and the full wormhole observable (including

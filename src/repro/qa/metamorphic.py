@@ -13,7 +13,7 @@ embedding through random automorphisms and demand
   :class:`~repro.routing.api.SimResult` and the same measured link
   congestion.
 
-The simulation side uses :class:`~repro.routing.fast_simulator.FastStoreForward`,
+The simulation side uses :class:`~repro.routing.batched.BatchedStoreForward`,
 whose static-priority tie-break depends only on packet order — never on
 link *labels* — so its outcome is exactly isomorphism-invariant (the
 reference engine's FIFO tie-break is not: same-step re-enqueue order
@@ -29,7 +29,7 @@ from repro.core.verification import InvariantCheck, VerificationReport
 from repro.hypercube.automorphisms import HypercubeAutomorphism, relabel_embedding
 from repro.obs.recorder import LinkRecorder
 from repro.qa.schedules import Schedule, embedding_schedule
-from repro.routing.fast_simulator import FastStoreForward
+from repro.routing.batched import BatchedStoreForward
 
 __all__ = ["metamorphic_check", "map_schedule"]
 
@@ -71,7 +71,9 @@ def metamorphic_check(
     if simulate:
         schedule = embedding_schedule(emb, rng, max_packets=max_packets)
         recorder = LinkRecorder(host=emb.host)
-        base_sim = FastStoreForward(emb.host).run(schedule, recorder=recorder)
+        base_sim = BatchedStoreForward(emb.host).run(
+            schedule, recorder=recorder
+        )
         base_congestion = recorder.congestion
 
     for i in range(images):
@@ -100,7 +102,7 @@ def metamorphic_check(
         if not simulate or sig != base_sig:
             continue
         recorder = LinkRecorder(host=emb.host)
-        image_sim = FastStoreForward(emb.host).run(
+        image_sim = BatchedStoreForward(emb.host).run(
             map_schedule(schedule, auto), recorder=recorder
         )
         diff = base_sim.diff_fields(image_sim)

@@ -159,7 +159,7 @@ def random_schedule_batch(
     """A batch of independent random schedules — one lane per simulation.
 
     The batched engines advance every lane in the same tensor step loop;
-    the batched differential replays each lane through the scalar fast
+    the batched differential replays each lane through the reference
     engine and demands identical results, so a batch is the natural fuzz
     subject for cross-lane interference bugs (a lane's packets leaking
     into another lane's arbitration).

@@ -30,8 +30,6 @@ from repro.routing.batched import (
     BatchedWormhole,
     WormLaneOutcome,
 )
-from repro.routing.fast_simulator import FastStoreForward
-from repro.routing.fast_wormhole import FastWormhole
 from repro.routing.schedule import (
     PacketSchedule,
     ScheduledPacket,
@@ -45,8 +43,6 @@ __all__ = [
     "BatchedStoreForward",
     "BatchedWormhole",
     "WormLaneOutcome",
-    "FastStoreForward",
-    "FastWormhole",
     "Worm",
     "WormholeDeadlock",
     "WormholeSimulator",

@@ -1,10 +1,9 @@
 """The unified simulator API: one protocol, one schedule shape, one result.
 
 Every packet-level engine in this package — the reference FIFO
-:class:`~repro.routing.simulator.StoreForwardSimulator`, the vectorized
-:class:`~repro.routing.fast_simulator.FastStoreForward`, and (for flit
-traffic) :class:`~repro.routing.wormhole.WormholeSimulator` — accepts the
-same call::
+:class:`~repro.routing.simulator.StoreForwardSimulator` and the batched
+:class:`~repro.routing.batched.BatchedStoreForward` (whose ``run`` is a
+batch of one) — accepts the same call::
 
     result = sim.run(schedule, max_steps=..., recorder=...)
 
@@ -15,8 +14,9 @@ where ``schedule`` is any iterable of packet descriptions (see
 code can swap engines freely (``isinstance(sim, Simulator)`` checks
 conformance at runtime).
 
-The pre-obs mutate-then-run style (``sim.inject(path); sim.run() -> int``)
-still works but emits :class:`repro._compat.ReproDeprecationWarning`.
+On the reference engine the pre-obs mutate-then-run style
+(``sim.inject(path); sim.run() -> int``) still works but emits
+:class:`repro._compat.ReproDeprecationWarning`.
 """
 
 from __future__ import annotations

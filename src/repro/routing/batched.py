@@ -1,37 +1,43 @@
 """Batched tensor simulation: B independent runs advance in one kernel.
 
-``FastStoreForward``/``FastWormhole`` vectorize *within* one schedule; fleet
-experiments (scenario campaigns, saturation sweeps, nightly QA fuzz) replay
-thousands of independent schedules and still pay one Python step loop per
-run.  The engines here stack B runs — *lanes* — into flat tensors and
-arbitrate + advance every lane per tick in a few numpy ops, so the Python
-overhead of a step is amortized over the whole fleet.
+These are the fast engines of the repo, one per semantics, each refereed
+by a reference engine (:class:`~repro.routing.simulator.StoreForwardSimulator`
+with the ``"priority"`` tie-break, and
+:class:`~repro.routing.wormhole.WormholeSimulator`).  A single schedule is
+a batch of one (``run``, the scalar ``Simulator`` protocol); fleet
+experiments (scenario campaigns, saturation sweeps, nightly QA fuzz) stack
+B runs — *lanes* — into flat tensors with ``run_many`` and arbitrate +
+advance every lane per tick in a few numpy ops, so the Python overhead of
+a step is amortized over the whole fleet.
 
 The trick is a **lane offset**: packet/worm rows carry a lane id, and every
 requested link id is shifted by ``lane * num_links`` before arbitration.
-Lanes can never collide on a shifted link, so the scalar engines' winner
-kernels (the ``lexsort`` group-head pick of ``FastStoreForward``, the
-``np.unique`` lowest-ident pick of ``FastWormhole``) arbitrate all lanes at
-once and per-lane semantics are untouched.  Global injection order is
-lane-major, so a global priority array preserves each lane's local
-injection order; the global idle-jump only fires when *no* lane has a
-ready packet, and an idle step is a per-lane no-op, so every lane sees
-exactly the step numbers the scalar engine would have simulated.
+Lanes can never collide on a shifted link, so one winner kernel (a
+``lexsort`` group-head pick for packets, an ``np.unique`` lowest-ident
+pick for worm heads) arbitrates all lanes at once and per-lane semantics
+are untouched.  Global injection order is lane-major, so a global
+priority array preserves each lane's local injection order; the global
+idle-jump only fires when *no* lane has a ready packet, and an idle step
+is a per-lane no-op, so every lane sees exactly the step numbers the
+reference engine would have simulated.
 
-Per-lane semantics are bit-identical to the scalar fast engines (which are
-themselves differentially tested against the reference engines):
+Per-lane semantics are bit-identical to the reference engines:
 
 * store-and-forward: priority tie-break, fail-stop ``FaultModel`` drops
   (``done_steps`` of ``-1``) including ``active_from`` mid-run activation,
   with an independent fault model per lane;
 * wormhole: two-phase head-acquisition/flit-advance steps, per-lane
-  deadlock detection — a deadlocked lane freezes with the scalar engines'
-  message while the other lanes keep running.
+  deadlock detection — a deadlocked lane freezes with the reference
+  engine's message while the other lanes keep running.  Once fewer than
+  half the worm rows are live, the working arrays shrink to the live rows
+  (above a floor of ``_COMPACT_FLOOR`` rows), so late ticks of a run whose
+  worms mostly arrived stop paying for the finished ones.
 
 ``repro.qa`` referees the identity on fuzzed batches
 (:func:`repro.qa.differential.batched_differential_check`) with shrinking
-to a minimal failing batch; ``repro bench`` gates the aggregate speedup
-(workload ``batched:q12:wormhole-x100`` in ``BENCH_perf.json``).
+to a minimal failing batch; ``repro bench`` gates the speedups over the
+reference engines (``storeforward:*``, ``wormhole:*`` and
+``batched:q12:wormhole-x100`` in ``BENCH_perf.json``).
 """
 
 from __future__ import annotations
@@ -50,6 +56,11 @@ from repro.routing.wormhole import Worm, WormholeDeadlock
 __all__ = ["BatchedStoreForward", "BatchedWormhole", "WormLaneOutcome"]
 
 _NEVER = np.iinfo(np.int64).max
+
+# BatchedWormhole compacts its working rows to the live ones once fewer
+# than half are live, but never below this many rows: under it a compaction
+# costs more than the whole-array passes it would save
+_COMPACT_FLOOR = 256
 
 
 def _per_lane_faults(faults: Any, lanes: int) -> List[Any]:
@@ -137,8 +148,9 @@ class BatchedStoreForward:
         optional ``recorder`` sink, its own optional ``FaultModel`` (pass a
         single model to apply the same faults to every lane, or a per-lane
         sequence).  Results are field-identical to running each lane through
-        :class:`~repro.routing.fast_simulator.FastStoreForward` —
-        ``measured()`` equality is asserted by the QA batched differential.
+        the reference :class:`~repro.routing.simulator.StoreForwardSimulator`
+        with ``tie_break="priority"`` — ``measured()`` equality is asserted
+        by the QA batched differential.
         """
         lanes = [normalize_schedule(s) for s in schedules]
         for reqs in lanes:
@@ -161,7 +173,7 @@ class BatchedStoreForward:
         """Packet arbitration priorities: lower wins its link.
 
         Global injection order — lane-major, so within a lane it is exactly
-        the scalar engines' injection-order priority.  This is the
+        the reference engine's injection-order priority.  This is the
         arbitration-policy seam the QA mutation tests sabotage.
         """
         return np.arange(total, dtype=np.int64)
@@ -238,7 +250,7 @@ class BatchedStoreForward:
                 if idx.size == 0:
                     # no lane has a ready packet: jump to the next release
                     # (idle steps are per-lane no-ops, so lane-local step
-                    # numbers stay identical to the scalar engines)
+                    # numbers stay identical to the reference engine)
                     step = int(release[active].min()) - 1
                     continue
                 # lane-shifted link ids: lanes never collide, so one
@@ -260,7 +272,7 @@ class BatchedStoreForward:
                         if idx.size == 0:
                             continue
                 # one winner per (lane, link): sort by (link, priority),
-                # take group heads — the scalar winner rule per lane
+                # take group heads — the reference winner rule per lane
                 order = np.lexsort((priority[idx], want))
                 sorted_links = want[order]
                 head = np.empty(order.size, dtype=bool)
@@ -317,9 +329,9 @@ class WormLaneOutcome:
     """One lane's complete wormhole outcome.
 
     ``makespan`` is the lane's last arrival step, or ``None`` when the lane
-    deadlocked (``deadlock`` then carries the scalar engines' message,
+    deadlocked (``deadlock`` then carries the reference engine's message,
     ``"<k> worms deadlocked at step <s>"``).  ``worms`` holds the final
-    per-worm state exactly as the scalar engines would leave it — including
+    per-worm state exactly as the reference engine would leave it — including
     the partial ``flits_crossed``/``head_link`` of a stuck worm — and
     ``owner`` maps still-held link ids to lane-local worm idents.
     """
@@ -357,7 +369,7 @@ class BatchedWormhole:
         Unlike the packet engines, schedule items are
         ``(path, num_flits, release_step)`` worm triples.  Raises
         :class:`~repro.routing.wormhole.WormholeDeadlock` exactly when the
-        scalar wormhole engines would; otherwise returns a
+        reference wormhole engine would; otherwise returns a
         :class:`~repro.routing.api.SimResult` with one delivery per worm.
         """
         if schedule is None:
@@ -392,7 +404,7 @@ class BatchedWormhole:
         """Run every worm schedule; one :class:`WormLaneOutcome` per lane.
 
         A lane that deadlocks freezes at its deadlock step — its outcome
-        records the scalar engines' deadlock message and partial state —
+        records the reference engine's deadlock message and partial state —
         while every other lane keeps running to completion.
         """
         lanes: List[List[Worm]] = []
@@ -438,9 +450,9 @@ class BatchedWormhole:
         # int32 everywhere the arrays are wide: the step loop is a fixed
         # sequence of whole-array passes, so halving element width halves
         # memory traffic (flit counts and link columns fit easily)
-        flits = np.zeros((num, max_links), dtype=np.int32)
-        head = np.full(num, -1, dtype=np.int64)
-        done = np.full(num, -1, dtype=np.int64)
+        flits_all = np.zeros((num, max_links), dtype=np.int32)
+        head_all = np.full(num, -1, dtype=np.int64)
+        done_all = np.full(num, -1, dtype=np.int64)
         num_flits = np.fromiter(
             (w.num_flits for w in worms), dtype=np.int32, count=num
         )
@@ -448,9 +460,10 @@ class BatchedWormhole:
             (w.release_step for w in worms), dtype=np.int64, count=num
         )
         links = self.host.num_edges
+        # owner holds *global* row ids, so it survives row compaction
         owner = np.full(num_lanes * links, -1, dtype=np.int32)
         # lane-shifted link ids, gathered instead of recomputed per step
-        eids_flat = lane[:, None] * links + eids
+        eids_all = lane[:, None] * links + eids
 
         cap = self.buffer_capacity
         cols = np.arange(max_links, dtype=np.int32)[None, :]
@@ -487,11 +500,43 @@ class BatchedWormhole:
             if hi > lo:
                 lane_max_release[b] = int(release[lo:hi].max())
 
+        # the step loop works on a compacted set of rows: ``rows`` holds
+        # their global ids, and every per-row array below is indexed by
+        # working row; the full-size ``*_all`` arrays keep final states
+        rows = np.arange(num, dtype=np.int32)
+        flits, head, done, eids_flat = flits_all, head_all, done_all, eids_all
 
         step = 0
         while bool(np.any((lane_remaining > 0) & ~lane_dead)):
             live = ~lane_dead[lane]
             undone = (done < 0) & live
+            kept = rows.size
+            if rows.size > _COMPACT_FLOOR:
+                kept = int(np.count_nonzero(undone))
+            if 2 * kept < rows.size:
+                # most rows are delivered or frozen in a deadlocked lane:
+                # write their final state back, then shrink every working
+                # array to the live rows so the passes below skip them
+                with profile_span(
+                    "sim.batched_wormhole.compact",
+                    step=step, rows=rows.size, kept=kept,
+                ):
+                    gone = ~undone
+                    flits_all[rows[gone]] = flits[gone]
+                    head_all[rows[gone]] = head[gone]
+                    done_all[rows[gone]] = done[gone]
+                    rows = rows[undone]
+                    flits, head, done = flits[undone], head[undone], done[undone]
+                    head_mask = head_mask[undone]
+                    eids_flat = eids_flat[undone]
+                    last_col, is_last = last_col[undone], is_last[undone]
+                    release, num_flits = release[undone], num_flits[undone]
+                    lane = lane[undone]
+                    gaps, base, free = gaps[:kept], base[:kept], free[:kept]
+                    seed, block = seed[:kept], block[:kept]
+                    moved_rev, tails = moved_rev[:kept], tails[:kept]
+                    row_ids = row_ids[:kept]
+                    undone = np.ones(kept, dtype=bool)
             if not bool(np.any(undone & (release <= step + 1))):
                 # every live lane is between releases: jump ahead (a lane
                 # with released undone worms blocks this jump, so per-lane
@@ -508,7 +553,7 @@ class BatchedWormhole:
             # Phase 1: head acquisitions — lowest lane-local ident wins
             # each free link (global order is lane-major, so the global
             # lowest index per shifted link is the lane's lowest ident)
-            elig = act & (head < lengths - 1)
+            elig = act & (head < last_col)
             pipe = np.nonzero(elig & (head >= 0))[0]
             if pipe.size:
                 stalled = pipe[flits[pipe, head[pipe]] == 0]
@@ -521,14 +566,19 @@ class BatchedWormhole:
                 if cand.size:
                     won_links, first = np.unique(want, return_index=True)
                     winners = cand[first]
-                    owner[won_links] = winners
+                    owner[won_links] = rows[winners]
                     head[winners] += 1
                     head_mask[winners, head[winners]] = True
                     lane_prog[lane[winners]] = True
 
-            # Phase 2: flit movement — the same recurrence as FastWormhole
-            # (moved[i] = base[i] & (free[i] | moved[i+1]), solved by running
-            # maxima over the reversed link axis), reformulated over the flit
+            # Phase 2: flit movement.  The reference walks each worm's links
+            # head-to-tail so a flit cannot cascade across two links in one
+            # step: link i moves iff a flit waits upstream and the
+            # downstream node has slack *after* link i+1's same-step move.
+            # Slack never exceeds the buffer capacity, so a downstream move
+            # always frees exactly enough — the linear recurrence
+            # moved[i] = base[i] & (free[i] | moved[i+1]), solved by running
+            # maxima over the reversed link axis.  It runs over the flit
             # *gap* array g[i] = flits[i-1] - flits[i] (g[0] counts against
             # the source's M flits): a link can move iff a flit waits
             # upstream (g[i] >= 1, which also implies the tail is not past),
@@ -580,7 +630,7 @@ class BatchedWormhole:
             # will ever release already out, and no progress this step is
             # permanently stuck (releases only add contention; a stalled
             # configuration is a fixed point) — same condition, same step,
-            # same message as the scalar engines
+            # same message as the reference engine
             stuck = (
                 ~lane_prog
                 & ~lane_dead
@@ -596,13 +646,17 @@ class BatchedWormhole:
                     )
                 head_mask[stuck[lane]] = False
 
+        flits_all[rows] = flits
+        head_all[rows] = head
+        done_all[rows] = done
+
         link_counts = None
         if any(bool(r) for r in recorders):
             # per-link crossing totals, recovered from the final flit
             # profile in one pass: flits[i, j] counts every crossing of
             # link j by worm i (partial rows of deadlocked lanes included)
             link_counts = np.zeros(num_lanes * links, dtype=np.int64)
-            np.add.at(link_counts, eids_flat[valid], flits[valid])
+            np.add.at(link_counts, eids_all[valid], flits_all[valid])
 
         outcomes: List[WormLaneOutcome] = []
         for b in range(num_lanes):
@@ -610,10 +664,12 @@ class BatchedWormhole:
             for i in range(lo, hi):
                 worm = worms[i]
                 worm.flits_crossed = [
-                    int(c) for c in flits[i, : lengths[i]]
+                    int(c) for c in flits_all[i, : lengths[i]]
                 ]
-                worm.head_link = int(head[i])
-                worm.done_step = None if done[i] < 0 else int(done[i])
+                worm.head_link = int(head_all[i])
+                worm.done_step = (
+                    None if done_all[i] < 0 else int(done_all[i])
+                )
             row = owner[b * links:(b + 1) * links]
             held = np.nonzero(row >= 0)[0]
             lane_owner = {int(lid): int(row[lid] - lo) for lid in held}
@@ -623,7 +679,7 @@ class BatchedWormhole:
                 used = np.nonzero(cnt)[0]
                 rec.add_link_counts(used, cnt[used])
                 rec.add_deliveries(
-                    int(done[i]) for i in range(lo, hi) if done[i] >= 0
+                    int(done_all[i]) for i in range(lo, hi) if done_all[i] >= 0
                 )
             outcomes.append(
                 WormLaneOutcome(

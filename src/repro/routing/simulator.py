@@ -60,9 +60,9 @@ class StoreForwardSimulator:
     ``tie_break`` picks which queued packet an idle link serves first:
     ``"fifo"`` (the default, the historical behavior) serves in arrival
     order; ``"priority"`` serves the lowest injection index — the *same*
-    policy the vectorized :class:`~repro.routing.fast_simulator.FastStoreForward`
-    implements, which is what makes exact differential testing of the two
-    engines possible (see :mod:`repro.qa.differential`).  Both policies are
+    policy :class:`~repro.routing.batched.BatchedStoreForward` implements,
+    which is what makes exact differential testing of the two engines
+    possible (see :mod:`repro.qa.differential`).  Both policies are
     work-conserving, so congestion/makespan envelopes are unaffected.
     """
 

@@ -28,7 +28,6 @@ from repro.fault.faults import FaultModel
 from repro.fault.ida import disperse, reconstruct
 from repro.hypercube.graph import Hypercube
 from repro.routing.batched import BatchedStoreForward
-from repro.routing.fast_simulator import FastStoreForward
 from repro.routing.pathutils import edge_disjoint_paths
 from repro.routing.permutation import dimension_order_path
 from repro.routing.simulator import StoreForwardSimulator
@@ -55,16 +54,15 @@ class CampaignConfig:
     width: Optional[int] = None  # disjoint paths per message (default n)
     pieces: Optional[int] = None  # IDA threshold m (default ceil(w/2))
     seed: Any = 0
-    engine: str = "fast"  # "fast" | "reference" | "batched"
+    engine: str = "batched"  # "batched" | "reference"
     payload: bytes = b"routing multiple paths in hypercubes"
     payload_checks: int = 64  # real IDA reconstructions per run (cap)
     scenario_params: Tuple[Tuple[str, Any], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.engine not in ("fast", "reference", "batched"):
+        if self.engine not in ("batched", "reference"):
             raise ValueError(
-                "engine must be 'fast', 'reference' or 'batched', "
-                f"got {self.engine!r}"
+                f"engine must be 'batched' or 'reference', got {self.engine!r}"
             )
         if self.kill_links < 0 or self.kill_nodes < 0:
             raise ValueError("kill counts must be >= 0")
@@ -181,24 +179,20 @@ class CampaignReport:
         return "\n".join(lines)
 
 
-def _simulator(config: CampaignConfig, host: Hypercube):
-    if config.engine == "reference":
-        return StoreForwardSimulator(host, tie_break="priority")
-    return FastStoreForward(host)
-
-
 def _run_arms(config: CampaignConfig, host: Hypercube, schedules, faults=None):
     """Run both arms' schedules — one batched call, or a per-arm loop.
 
     With ``engine="batched"`` the single-path and IDA arms advance as two
     lanes of one :class:`~repro.routing.batched.BatchedStoreForward` step
     loop (a shared fault model broadcasts to both lanes); results are
-    field-identical to the per-arm loop.
+    field-identical to the per-arm reference loop.
     """
     if config.engine == "batched":
         return BatchedStoreForward(host).run_many(schedules, faults=faults)
     return [
-        _simulator(config, host).run(schedule, faults=faults)
+        StoreForwardSimulator(host, tie_break="priority").run(
+            schedule, faults=faults
+        )
         for schedule in schedules
     ]
 

@@ -10,11 +10,11 @@ past the horizon once queues saturate), so the accepted-load curve
 flattens at the saturation throughput while p99 latency turns upward —
 the classical open-loop saturation picture, per scenario.
 
-With ``engine="batched"`` every load point becomes one lane of a single
-:class:`repro.routing.batched.BatchedStoreForward` run — the whole sweep
-advances in one tensor step loop with per-lane recorders, producing the
-same rows as the per-point loop (the batched differential in
-:mod:`repro.qa` holds the engines to field identity).
+With ``engine="batched"`` (the default) every load point becomes one
+lane of a single :class:`repro.routing.batched.BatchedStoreForward` run —
+the whole sweep advances in one tensor step loop with per-lane recorders,
+producing the same rows as the per-point reference loop (the batched
+differential in :mod:`repro.qa` holds the engines to field identity).
 
 Results are plain row dicts (the :mod:`repro.analysis.sweep` convention)
 and can additionally be labeled into a
@@ -28,13 +28,12 @@ from typing import Any, Dict, List, Optional, Sequence
 from repro.hypercube.graph import Hypercube
 from repro.obs.recorder import LinkRecorder
 from repro.routing.batched import BatchedStoreForward
-from repro.routing.fast_simulator import FastStoreForward
 from repro.routing.simulator import StoreForwardSimulator
 from repro.scenarios.registry import build_schedule
 
 __all__ = ["saturation_sweep", "format_sweep_rows", "SWEEP_ENGINES"]
 
-SWEEP_ENGINES = ("fast", "reference", "batched")
+SWEEP_ENGINES = ("batched", "reference")
 
 
 def _percentile(values: Sequence[int], q: float) -> float:
@@ -52,7 +51,7 @@ def saturation_sweep(
     *,
     horizon: int = 32,
     seed: Any = 0,
-    engine: str = "fast",
+    engine: str = "batched",
     metrics: Optional[Any] = None,
     **params: Any,
 ) -> List[Dict[str, Any]]:
@@ -66,9 +65,9 @@ def saturation_sweep(
     from its own namespaced stream.  ``metrics`` (a
     :class:`repro.obs.MetricsRegistry`) gains scenario-labeled series.
 
-    ``engine`` selects ``"fast"`` (per-point vectorized), ``"reference"``
-    (per-point scalar), or ``"batched"`` (every load point as one lane of
-    a single batched run — identical rows, one tensor step loop).
+    ``engine`` selects ``"batched"`` (every load point as one lane of a
+    single batched run, one tensor step loop) or ``"reference"`` (the
+    per-point scalar engine, priority tie-break) — identical rows.
     """
     if engine not in SWEEP_ENGINES:
         raise ValueError(
@@ -94,11 +93,7 @@ def saturation_sweep(
     else:
         recorders, results = [], []
         for schedule in schedules:
-            sim = (
-                StoreForwardSimulator(host, tie_break="priority")
-                if engine == "reference"
-                else FastStoreForward(host)
-            )
+            sim = StoreForwardSimulator(host, tie_break="priority")
             recorder = LinkRecorder(host)
             results.append(sim.run(schedule, recorder=recorder))
             recorders.append(recorder)

@@ -306,10 +306,20 @@ class _OwnedShard:
 
     def unlink(self) -> None:
         self.view.close()
-        if self.shm is not None:
-            self.shm.close()
-            self.shm.unlink()
-            self.shm = None
+        shm, self.shm = self.shm, None
+        if shm is None:
+            return
+        # unlink the name first: close() raises BufferError while a caller
+        # still holds an array from view.csr, and that must neither leave
+        # the segment behind in /dev/shm nor fail the teardown
+        shm.unlink()
+        try:
+            shm.close()
+        except BufferError:
+            # the held arrays keep the mapping alive until they are
+            # collected; drop only our handle to it, then close the fd
+            shm._mmap = None  # noqa: SLF001
+            shm.close()
 
 
 def _unlink_all(lock: threading.Lock, shards: Dict[str, _OwnedShard]) -> None:

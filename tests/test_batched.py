@@ -5,12 +5,13 @@ Three layers:
 * engine semantics — protocol conformance, empty/degenerate lanes,
   per-lane fault drops and wormhole deadlock freezing;
 * metamorphic properties — permuting a batch permutes results, a batch
-  of one equals the scalar engine, splitting a batch and concatenating
+  of one equals the reference engine, splitting a batch and concatenating
   the results is the identity;
 * the QA harness — seeded ``batched_differential`` fuzz smoke, the
-  fault-activation edge matrix across all three store-and-forward
-  engines, and a mutation test proving an injected arbitration bug is
-  caught and shrunk to a minimal batch.
+  fault-activation edge matrix across the reference engine and both
+  batched entry points (``run`` and ``run_many``), and a mutation test
+  proving an injected arbitration bug is caught and shrunk to a minimal
+  batch.
 """
 
 import numpy as np
@@ -19,10 +20,12 @@ import pytest
 from repro._compat import resolve_rng
 from repro.fault.faults import FaultModel
 from repro.hypercube.graph import Hypercube
+from repro.obs import MetricsRegistry, Tracer, disable_profiling, enable_profiling
 from repro.obs.recorder import LinkRecorder
 from repro.qa.differential import (
     batched_differential_check,
     batched_wormhole_differential_check,
+    run_wormhole_pair,
 )
 from repro.qa.fuzzer import STAGES, Fuzzer
 from repro.qa.schedules import (
@@ -32,11 +35,10 @@ from repro.qa.schedules import (
 from repro.routing import (
     BatchedStoreForward,
     BatchedWormhole,
-    FastStoreForward,
-    FastWormhole,
     Simulator,
     StoreForwardSimulator,
     WormholeDeadlock,
+    WormholeSimulator,
 )
 
 
@@ -46,7 +48,11 @@ def _measured(results):
 
 def _scalar(host, schedule, faults=None):
     rec = LinkRecorder(host=host)
-    res = FastStoreForward(host).run(schedule, recorder=rec, faults=faults)
+    res = StoreForwardSimulator(host, tie_break="priority").run(
+        schedule, recorder=rec, faults=faults
+    )
+    # queue peaks are a reference-only sample with no batched counterpart
+    rec.queue_peak.clear()
     return res.measured(), rec.snapshot()
 
 
@@ -124,7 +130,7 @@ class TestProtocol:
         # forever for the next one, held by the next worm
         cycle = [(0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1)]
         schedule = [(path, 4, 1) for path in cycle]
-        scalar = FastWormhole(host)
+        scalar = WormholeSimulator(host)
         for path, flits, release in schedule:
             scalar.inject(path, flits, release)
         with pytest.raises(WormholeDeadlock) as scalar_err:
@@ -142,6 +148,93 @@ class TestProtocol:
         assert dead.deadlocked and "deadlocked" in dead.deadlock
         assert live.deadlock is None
         assert live.worms[0].done_step == 2 + 6 - 1
+
+
+def _rotated_route(n, u, v, rot):
+    """Dimension-order route from u to v starting at dimension ``rot``."""
+    path, cur = [u], u
+    for k in range(n):
+        d = (k + rot) % n
+        if (cur ^ v) >> d & 1:
+            cur ^= 1 << d
+            path.append(cur)
+    return tuple(path)
+
+
+class TestCompaction:
+    """Batches above the compaction floor: rows of delivered worms and of a
+    deadlocked lane leave the working arrays mid-run, and every lane still
+    matches the reference engine field-for-field."""
+
+    N = 5
+    CAP = 2
+
+    def teardown_method(self):
+        disable_profiling()
+
+    def _batch(self):
+        rng = resolve_rng("compaction")
+        size = 1 << self.N
+
+        def worms(count, last_release, rotate):
+            out = []
+            for _ in range(count):
+                u, v = rng.sample(range(size), 2)
+                rot = rng.randrange(self.N) if rotate else 0
+                out.append(
+                    (
+                        _rotated_route(self.N, u, v, rot),
+                        rng.randint(1, 6),
+                        rng.randint(1, last_release),
+                    )
+                )
+            return out
+
+        # four worms chasing each other around the 4-cycle 0-1-3-2-0, each
+        # longer than the node buffers: a cyclic wait that never clears
+        cycle = [(path, 8, 1) for path in
+                 ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))]
+        # an early lane, the deadlocking lane, and two lanes whose late
+        # releases keep the run going: the rows shrink twice, and the
+        # deadlocked lane's frozen rows leave at the second compaction
+        return [
+            worms(150, 3, rotate=False),
+            cycle + worms(150, 3, rotate=True),
+            worms(250, 70, rotate=False),
+            worms(250, 120, rotate=False),
+        ]
+
+    def _compactions(self, registry):
+        timers = registry.snapshot()["timers"]
+        return timers.get("sim.batched_wormhole.compact", {}).get("count", 0)
+
+    def test_compacted_lanes_match_reference(self):
+        host = Hypercube(self.N)
+        batch = self._batch()
+        registry = MetricsRegistry()
+        enable_profiling(registry, Tracer())
+        recs = [LinkRecorder(host=host) for _ in batch]
+        outs = BatchedWormhole(host, buffer_capacity=self.CAP).run_many(
+            batch, recorders=recs
+        )
+        disable_profiling()
+        assert sum(len(lane) for lane in batch) > 256
+        assert self._compactions(registry) >= 2
+        assert [o.deadlocked for o in outs] == [False, True, False, False]
+        for lane, out, rec in zip(batch, outs, recs):
+            # every lane alone stays below the floor: reference and
+            # uncompacted batch of one must both match the compacted lane
+            reference, single = run_wormhole_pair(host, lane, self.CAP)
+            assert _worm_observable(out, rec) == reference == single
+
+    def test_batches_below_the_floor_never_compact(self):
+        host = Hypercube(self.N)
+        registry = MetricsRegistry()
+        enable_profiling(registry, Tracer())
+        lanes = self._batch()[1:2]
+        assert sum(len(lane) for lane in lanes) <= 256
+        BatchedWormhole(host, buffer_capacity=self.CAP).run_many(lanes)
+        assert self._compactions(registry) == 0
 
 
 class TestMetamorphic:
@@ -195,7 +288,7 @@ class TestMetamorphic:
         recs = [LinkRecorder(host=host) for _ in batch]
         outs = BatchedWormhole(host).run_many(batch, recorders=recs)
         whole = [_worm_observable(o, r) for o, r in zip(outs, recs)]
-        # batch of one equals the scalar fast engine, lane for lane
+        # a batch of one equals the same lane inside the batch
         for lane, expect in zip(batch, whole):
             rec = LinkRecorder(host=host)
             [out] = BatchedWormhole(host).run_many([lane], recorders=[rec])
@@ -211,13 +304,15 @@ class TestMetamorphic:
 
 class TestFaultActivationEdges:
     """``active_from`` at step 0, the final step, and past ``max_steps``
-    must drop the same packets in all three store-and-forward engines."""
+    must drop the same packets in the reference engine and in both batched
+    entry points: ``run`` (a per-lane fault list of one) and ``run_many``
+    (one model broadcast to the lane)."""
 
     def _all_engines(self, host, schedule, faults):
         reference = StoreForwardSimulator(host, tie_break="priority").run(
             schedule, faults=faults
         )
-        fast = FastStoreForward(host).run(schedule, faults=faults)
+        fast = BatchedStoreForward(host).run(schedule, faults=faults)
         [batched] = BatchedStoreForward(host).run_many(
             [schedule], faults=faults
         )
@@ -242,7 +337,7 @@ class TestFaultActivationEdges:
     @pytest.mark.parametrize("seed", range(4))
     def test_active_from_final_step(self, seed):
         host, schedule, fault = self._schedule_and_fault(seed)
-        clean = FastStoreForward(host).run(schedule)
+        clean = StoreForwardSimulator(host, tie_break="priority").run(schedule)
         final = max(1, clean.makespan)
         models = FaultModel(
             host, fault.failed, fault.failed_nodes, active_from=final
@@ -257,7 +352,7 @@ class TestFaultActivationEdges:
             host, fault.failed, fault.failed_nodes, active_from=10**9
         )
         ref, fast, batched = self._all_engines(host, schedule, models)
-        clean = FastStoreForward(host).run(schedule)
+        clean = StoreForwardSimulator(host, tie_break="priority").run(schedule)
         assert ref.measured() == fast.measured() == batched.measured()
         assert batched.measured() == clean.measured()
         assert -1 not in batched.done_steps

@@ -11,7 +11,6 @@ import pytest
 
 from repro._compat import ReproDeprecationWarning
 from repro.hypercube.graph import Hypercube
-from repro.routing.fast_simulator import FastStoreForward
 from repro.routing.simulator import StoreForwardSimulator
 
 
@@ -24,13 +23,6 @@ class TestLegacySimulatorShim:
         sim = StoreForwardSimulator(Hypercube(3))
         sim.inject([0, 1, 3])
         sim.inject([0, 1])
-        with pytest.warns(ReproDeprecationWarning) as record:
-            assert sim.run() == 2
-        _assert_one_warning(record)
-
-    def test_fast_inject_run_still_works(self):
-        sim = FastStoreForward(Hypercube(3))
-        sim.inject([0, 1, 3])
         with pytest.warns(ReproDeprecationWarning) as record:
             assert sim.run() == 2
         _assert_one_warning(record)

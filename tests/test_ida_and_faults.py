@@ -235,7 +235,7 @@ class TestMidRunFaults:
 
     @pytest.mark.parametrize("active_from", [0, 2, 4, 100])
     def test_engines_agree(self, active_from):
-        from repro.routing.fast_simulator import FastStoreForward
+        from repro.routing.batched import BatchedStoreForward
         from repro.routing.simulator import StoreForwardSimulator
 
         host = Hypercube(5)
@@ -246,7 +246,7 @@ class TestMidRunFaults:
         ref = StoreForwardSimulator(host, tie_break="priority").run(
             sched, faults=faults
         )
-        fast = FastStoreForward(host).run(sched, faults=faults)
+        fast = BatchedStoreForward(host).run(sched, faults=faults)
         assert ref.measured() == fast.measured()
         assert ref.done_steps == fast.done_steps
 
@@ -267,15 +267,15 @@ class TestMidRunFaults:
         assert res.delivered == 1
 
     def test_late_activation_is_a_no_op(self):
-        from repro.routing.fast_simulator import FastStoreForward
+        from repro.routing.batched import BatchedStoreForward
 
         host = Hypercube(4)
         sched = self._schedule(host)
-        clean = FastStoreForward(host).run(sched)
+        clean = BatchedStoreForward(host).run(sched)
         faults = FaultModel.random_links(
             host, 5, seed=2, active_from=clean.makespan + 1
         )
-        faulty = FastStoreForward(host).run(sched, faults=faults)
+        faulty = BatchedStoreForward(host).run(sched, faults=faults)
         assert faulty.measured() == clean.measured()
 
 

@@ -178,12 +178,12 @@ class TestRepeatRunRegressions:
         assert sim.run(max_steps=100) == first
 
     def test_fast_wormhole_double_run_returns_immediately(self):
-        from repro.routing.fast_wormhole import FastWormhole
+        from repro.routing.batched import BatchedWormhole
 
-        sim = FastWormhole(Hypercube(3))
-        sim.inject([0, 1, 3], num_flits=4)
-        first = sim.run()
-        assert sim.run(max_steps=100) == first
+        sim = BatchedWormhole(Hypercube(3))
+        schedule = [([0, 1, 3], 4, 1)]
+        first = sim.run(schedule).makespan
+        assert sim.run(schedule, max_steps=100).makespan == first
 
     def test_store_forward_repeat_run_is_isolated(self):
         # _delivered/_steps_run used to accumulate across runs, so the

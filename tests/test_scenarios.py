@@ -4,7 +4,7 @@ import pytest
 
 from repro.fault.faults import FaultModel
 from repro.hypercube.graph import Hypercube
-from repro.routing.fast_simulator import FastStoreForward
+from repro.routing.batched import BatchedStoreForward
 from repro.routing.simulator import StoreForwardSimulator
 from repro.scenarios import (
     CampaignConfig,
@@ -91,7 +91,7 @@ class TestEngineDifferential:
     def test_engines_agree_clean(self, name):
         sched = build_schedule(name, HOST, load=0.5, horizon=4, seed=5)
         ref = StoreForwardSimulator(HOST, tie_break="priority").run(sched)
-        fast = FastStoreForward(HOST).run(sched)
+        fast = BatchedStoreForward(HOST).run(sched)
         assert ref.measured() == fast.measured()
         assert ref.done_steps == fast.done_steps
 
@@ -106,7 +106,7 @@ class TestEngineDifferential:
         ref = StoreForwardSimulator(HOST, tie_break="priority").run(
             sched, faults=faults
         )
-        fast = FastStoreForward(HOST).run(sched, faults=faults)
+        fast = BatchedStoreForward(HOST).run(sched, faults=faults)
         assert ref.measured() == fast.measured()
         assert ref.done_steps == fast.done_steps
 

@@ -147,6 +147,29 @@ class TestShardManager:
         assert mgr.info() == {}
         mgr.close()  # close is idempotent too
 
+    def test_teardown_while_caller_holds_arrays(self):
+        # regression: closing the segment before unlinking it raised
+        # BufferError while a caller still held an array from view.csr —
+        # unlink(key) failed with shards_active stuck at 1, and close()
+        # swallowed the error and left the segment in /dev/shm
+        metrics = MetricsRegistry()
+        mgr = ShardManager(metrics=metrics)
+        view = mgr.get_or_publish("k", _csr)
+        held, name = view.csr.nodes, view.info.name
+        expected = held.copy()
+        other = mgr.get_or_publish("k2", lambda: _csr(4))
+        held_other, other_name = other.csr.nodes, other.info.name
+        assert mgr.unlink("k") is True
+        mgr.close()
+        for segment in (name, other_name):
+            with pytest.raises(FileNotFoundError):
+                attach_shard(segment)
+            if os.path.isdir("/dev/shm"):
+                assert not os.path.exists(os.path.join("/dev/shm", segment))
+        gauges = metrics.snapshot()["gauges"]
+        assert gauges["shards_active"] == 0 and gauges["shard_bytes"] == 0
+        assert (held == expected).all() and held_other.size > 0
+
     def test_local_backend_serves_without_segments(self):
         metrics = MetricsRegistry()
         with ShardManager(metrics=metrics, backend="local") as mgr:

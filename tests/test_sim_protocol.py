@@ -5,10 +5,10 @@ import pytest
 from repro.hypercube.graph import Hypercube
 from repro.obs import LinkRecorder
 from repro.routing.api import SimRequest, SimResult, Simulator, normalize_schedule
-from repro.routing.fast_simulator import FastStoreForward
+from repro.routing.batched import BatchedStoreForward
 from repro.routing.simulator import StoreForwardSimulator
 
-ENGINES = [StoreForwardSimulator, FastStoreForward]
+ENGINES = [StoreForwardSimulator, BatchedStoreForward]
 
 
 class TestNormalizeSchedule:
@@ -126,7 +126,7 @@ class TestRecording:
 class TestEngineLimits:
     def test_fast_engine_rejects_service_time(self):
         with pytest.raises(ValueError):
-            FastStoreForward(Hypercube(3)).run([([0, 1], 1, 2)])
+            BatchedStoreForward(Hypercube(3)).run([([0, 1], 1, 2)])
 
     def test_reference_engine_supports_service_time(self):
         res = StoreForwardSimulator(Hypercube(3)).run([([0, 1, 3], 1, 4)])
