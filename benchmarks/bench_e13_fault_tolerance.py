@@ -9,7 +9,7 @@ the single-path rate.
 from conftest import print_table
 
 from repro.core import embed_cycle_load1, graycode_cycle_embedding
-from repro.fault import FaultyLinkModel, multipath_delivery_experiment
+from repro.fault import FaultModel, multipath_delivery_experiment
 from repro.fault.ida import disperse, reconstruct
 
 
@@ -32,7 +32,7 @@ def test_e13_delivery_under_faults(benchmark):
         total_multi = total_single = 0.0
         trials = 5
         for seed in range(trials):
-            faults = FaultyLinkModel.random(emb.host, prob, seed=seed)
+            faults = FaultModel.random(emb.host, prob, seed=seed)
             rep = multipath_delivery_experiment(emb, faults, message)
             total_multi += rep.delivery_rate
             ok = sum(
@@ -49,7 +49,7 @@ def test_e13_delivery_under_faults(benchmark):
         ["fault prob", "multipath + IDA", "single path"],
     )
 
-    faults = FaultyLinkModel.random(emb.host, 0.05, seed=0)
+    faults = FaultModel.random(emb.host, 0.05, seed=0)
     benchmark(lambda: multipath_delivery_experiment(emb, faults, message))
 
 

@@ -12,7 +12,7 @@ Run:  python examples/fault_tolerant_routing.py [n]
 import sys
 
 from repro.core import embed_cycle_load1, graycode_cycle_embedding
-from repro.fault import FaultyLinkModel, multipath_delivery_experiment
+from repro.fault import FaultModel, multipath_delivery_experiment
 from repro.fault.ida import disperse, reconstruct
 
 
@@ -30,7 +30,7 @@ def main(n: int = 8) -> None:
     print(f"== delivery rate under link faults (Q_{n}) ==")
     print(f"{'fault prob':>10} {'multipath+IDA':>14} {'single path':>12}")
     for prob in (0.01, 0.02, 0.05, 0.10, 0.20):
-        faults = FaultyLinkModel.random(emb.host, prob, seed=42)
+        faults = FaultModel.random(emb.host, prob, seed=42)
         report = multipath_delivery_experiment(emb, faults, message)
         single_ok = sum(
             faults.path_alive(path) for path in gray.edge_paths.values()

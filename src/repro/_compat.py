@@ -1,32 +1,16 @@
-"""Deprecation machinery for the pre-obs APIs.
+"""Shared helpers for the package's randomized APIs.
 
-Everything deprecated in this package warns with
-:class:`ReproDeprecationWarning`, a distinct :class:`DeprecationWarning`
-subclass, so CI can harden *our* migration specifically::
-
-    python -m pytest -W error::repro._compat.ReproDeprecationWarning
-
-without tripping on unrelated DeprecationWarnings from third-party
-packages.  The shims themselves are exercised only in
-``tests/test_deprecation_shims.py``, which captures the warnings.
+:func:`resolve_rng` is the one sanctioned way to turn a ``(seed, rng)``
+pair into a random stream; lint R1 exempts this module, which is why it
+may touch :mod:`random` directly.
 """
 
 from __future__ import annotations
 
 import random
-import warnings
 from typing import Optional, Union
 
-__all__ = ["ReproDeprecationWarning", "warn_deprecated", "resolve_rng"]
-
-
-class ReproDeprecationWarning(DeprecationWarning):
-    """A deprecated repro API was used; see the message for the new one."""
-
-
-def warn_deprecated(message: str, stacklevel: int = 3) -> None:
-    """Emit one :class:`ReproDeprecationWarning` pointing at the caller."""
-    warnings.warn(message, ReproDeprecationWarning, stacklevel=stacklevel)
+__all__ = ["resolve_rng"]
 
 
 def resolve_rng(

@@ -221,14 +221,6 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = cache_sub.add_parser(name, help=help_text)
         p.add_argument("--cache-dir", type=str, default=None)
-    cm = cache_sub.add_parser(
-        "migrate", help="upgrade legacy JSON artifacts to memmapped store files"
-    )
-    cm.add_argument("--cache-dir", type=str, default=None)
-    cm.add_argument(
-        "--verify", action="store_true",
-        help="re-hash each freshly written payload after migration",
-    )
 
     rt = sub.add_parser(
         "route", help="serve the disjoint host paths for one guest edge"
@@ -394,17 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint = sub.add_parser(
         "lint",
-        help="domain-aware static analysis (RNG discipline, deprecations, "
+        help="domain-aware static analysis (RNG discipline, "
         "construction contract, simulator protocol, determinism, races, "
         "index-domain dataflow, dtype overflow, kernel-parity coverage)",
     )
     lint.add_argument(
         "paths", nargs="*", default=None,
         help="files or directories to lint (default: the repro package)",
-    )
-    lint.add_argument(
-        "--fix", action="store_true",
-        help="apply mechanical fixes (deprecated-import rewrites) in place",
     )
     lint.add_argument(
         "--format", choices=("text", "json", "sarif"), default="text",
@@ -763,19 +751,10 @@ def _cmd_cache(args) -> int:
         for row in rows:
             print(
                 f"  {row['key']:<14} {row['construction']:<36} "
-                f"v{row['package_version']:<8} {row['tier']:<12} "
-                f"{row['bytes']:>9} B"
+                f"v{row['package_version']:<8} {row['bytes']:>9} B"
             )
         print(f"{len(rows)} artifact(s) in {registry.cache_dir}")
         return 0
-    if args.cache_command == "migrate":
-        out = registry.migrate(verify_payload=args.verify)
-        print(
-            f"migrated {out['migrated']}, skipped {out['skipped']} "
-            f"(already binary), failed {out['failed']} "
-            f"under {registry.cache_dir}"
-        )
-        return 0 if out["failed"] == 0 else 1
     if args.cache_command == "clear":
         removed = registry.clear()
         print(f"removed {removed} artifact(s) from {registry.cache_dir}")
@@ -1209,7 +1188,7 @@ def _cmd_lint(args) -> int:
     import json
     from pathlib import Path
 
-    from repro.lint import LintConfig, all_rules, apply_fixes, run_lint
+    from repro.lint import LintConfig, all_rules, run_lint
 
     if args.list_rules:
         for rule in all_rules():
@@ -1226,11 +1205,6 @@ def _cmd_lint(args) -> int:
         if focus is None and args.format == "text":
             print("--changed: not a git checkout, linting everything")
     report = run_lint(paths, LintConfig(select=select), focus=focus)
-
-    if args.fix:
-        applied, report = apply_fixes(report)
-        if applied and args.format == "text":
-            print(f"applied {applied} fix(es)")
 
     if args.format == "json":
         rendered = json.dumps(report.to_dict(), indent=2, sort_keys=True)

@@ -16,7 +16,6 @@ from repro.fault.gf256 import GF256
 from repro.fault.ida import disperse, reconstruct
 from repro.fault.faults import (
     FaultModel,
-    FaultyLinkModel,
     multipath_delivery_experiment,
     redundancy_tradeoff_sweep,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "disperse",
     "reconstruct",
     "FaultModel",
-    "FaultyLinkModel",
     "multipath_delivery_experiment",
     "redundancy_tradeoff_sweep",
 ]

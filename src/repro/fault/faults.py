@@ -6,9 +6,6 @@ dead, optionally only from a given simulation step onward (``active_from``
 ``multipath_delivery_experiment`` sends an IDA-dispersed message down the
 ``w`` edge-disjoint paths of each guest edge and reports, per edge, whether
 enough pieces survived to reconstruct — the experiment behind bench E13.
-
-``FaultyLinkModel`` is the historical name for the link-only form and
-remains an alias.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ from repro.hypercube.graph import Hypercube
 
 __all__ = [
     "FaultModel",
-    "FaultyLinkModel",
     "multipath_delivery_experiment",
     "DeliveryReport",
 ]
@@ -163,10 +159,6 @@ class FaultModel:
             self.host.edge_id(a, b) not in self.failed
             for a, b in zip(path, path[1:])
         )
-
-
-# the historical link-only name; same class, empty failed_nodes
-FaultyLinkModel = FaultModel
 
 
 @dataclass

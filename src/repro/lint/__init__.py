@@ -10,7 +10,6 @@ repo-specific invariants as AST passes over a pluggable rule registry:
 rule      name                   waiver pragma
 ========  =====================  ==========================================
 R1        rng-discipline         ``# lint: rng-ok(reason)``
-R2        deprecation            ``# lint: deprecated-ok(reason)``
 R3        construction-contract  ``# lint: no-oracle(reason)``
 R4        simulator-protocol     ``# lint: protocol-exempt(reason)``
 R5        determinism            ``# lint: nondet-ok(reason)``
@@ -27,8 +26,11 @@ PackedEdgeKey, CsrOffset, ByteOffset, FlitPos) — see
 R9 makes the fast-kernel/QA-differential pairing structural the same way
 R3 ties builders to oracles.
 
-Run via ``repro lint [--fix] [--format json|text|sarif] [--changed
-[BASE]] [--output FILE] [paths]``, or programmatically::
+Rule ids are stable: R2 (the retired deprecation-shim rule) is not
+reused, because pragmas, SARIF logs and the lint summary key on the ids.
+
+Run via ``repro lint [--format json|text|sarif] [--changed [BASE]]
+[--output FILE] [paths]``, or programmatically::
 
     from repro.lint import run_lint
     report = run_lint(["src/repro"])
@@ -41,7 +43,6 @@ from repro.lint.engine import (
     LintModule,
     Rule,
     all_rules,
-    apply_fixes,
     discover_files,
     parse_module,
     register_rule,
@@ -58,7 +59,6 @@ __all__ = [
     "KNOWN_PRAGMAS",
     "LINT_OUTPUT_VERSION",
     "all_rules",
-    "apply_fixes",
     "discover_files",
     "parse_module",
     "register_rule",

@@ -1,4 +1,4 @@
-"""The lint engine: file discovery, pragmas, rule registry, fix application.
+"""The lint engine: file discovery, pragmas, rule registry, running.
 
 Rules are AST passes registered with :func:`register_rule`; the engine
 parses each target file once into a :class:`LintModule` (source + tree +
@@ -43,7 +43,6 @@ __all__ = [
     "register_rule",
     "all_rules",
     "run_lint",
-    "apply_fixes",
 ]
 
 # the "lint:" marker inside a comment; tokens and reasons are parsed by
@@ -56,7 +55,6 @@ _PRAGMA_TOKEN_RE = re.compile(r"[a-z][a-z0-9-]*")
 KNOWN_PRAGMAS = frozenset(
     {
         "rng-ok",  # R1
-        "deprecated-ok",  # R2
         "no-oracle",  # R3
         "protocol-exempt",  # R4
         "nondet-ok",  # R5
@@ -80,8 +78,6 @@ class LintConfig:
     select: Optional[Tuple[str, ...]] = None  # rule ids; None = all
     # R1: modules allowed to use the random modules directly
     rng_exempt: Tuple[str, ...] = ("_compat.py",)
-    # R2: the deprecation shims themselves
-    deprecation_exempt: Tuple[str, ...] = ("service/metrics.py",)
     # R5: directory names whose modules are deterministic kernels
     kernel_dirs: Tuple[str, ...] = ("core", "routing", "scenarios")
     # R6: modules whose lock discipline is checked
@@ -193,7 +189,6 @@ def _load_builtin_rules() -> None:
     # the CLI agree on the rule set
     from repro.lint import races  # noqa: F401
     from repro.lint import rules_contract  # noqa: F401
-    from repro.lint import rules_deprecation  # noqa: F401
     from repro.lint import rules_domain  # noqa: F401
     from repro.lint import rules_dtype  # noqa: F401
     from repro.lint import rules_parity  # noqa: F401
@@ -413,49 +408,6 @@ def run_lint(
         findings=findings,
         files_scanned=len(files),
         rules_run=tuple(r.id for r in rules),
-    )
-
-
-def apply_fixes(report: LintReport) -> Tuple[int, LintReport]:
-    """Apply every finding's ``fix`` whose line text still matches.
-
-    Returns ``(applied_count, remaining_report)`` where the remaining
-    report drops the findings that were fixed.  Fixes are exact-line
-    replacements, applied bottom-up per file so earlier line numbers stay
-    valid.
-    """
-    by_path: Dict[str, List[Finding]] = {}
-    for f in report.findings:
-        if f.fix is not None:
-            by_path.setdefault(f.path, []).append(f)
-
-    applied: Set[Finding] = set()
-    for path, fixes in by_path.items():
-        file_path = Path(path)
-        lines = file_path.read_text().splitlines(keepends=True)
-        changed = False
-        for f in sorted(fixes, key=lambda f: -f.line):
-            if f.fix is None or f.line > len(lines):
-                continue
-            old, new = f.fix
-            current = lines[f.line - 1].rstrip("\n")
-            if current == old:
-                ending = lines[f.line - 1][len(current):]
-                lines[f.line - 1] = new + ending
-                applied.add(f)
-                changed = True
-        if changed:
-            file_path.write_text("".join(lines))
-
-    remaining = [f for f in report.findings if f not in applied]
-    return len(applied), replace_report(report, remaining)
-
-
-def replace_report(report: LintReport, findings: List[Finding]) -> LintReport:
-    return LintReport(
-        findings=findings,
-        files_scanned=report.files_scanned,
-        rules_run=report.rules_run,
     )
 
 

@@ -10,21 +10,16 @@ serialize to the stable JSON shape documented in EXPERIMENTS.md (appendix
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 __all__ = ["Finding", "LintReport", "LINT_OUTPUT_VERSION"]
 
-LINT_OUTPUT_VERSION = 1
+LINT_OUTPUT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class Finding:
-    """One rule violation: where, what, and (optionally) how to fix it.
-
-    ``fix`` — when the violation is mechanically fixable — is the exact
-    current text of the offending line and its replacement; ``repro lint
-    --fix`` applies it only while the file text still matches.
-    """
+    """One rule violation: where, what, and a hint at the fix."""
 
     rule: str
     severity: str  # "error" | "warning"
@@ -33,11 +28,6 @@ class Finding:
     col: int
     message: str
     suggestion: str = ""
-    fix: Optional[Tuple[str, str]] = None  # (exact old line, replacement)
-
-    @property
-    def fixable(self) -> bool:
-        return self.fix is not None
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -48,7 +38,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "suggestion": self.suggestion,
-            "fixable": self.fixable,
         }
 
     def format(self) -> str:

@@ -4,7 +4,7 @@ The unified simulator API (PR 3) fixed the engine surface: any class
 advertising itself as an engine (an ``engine = "<name>"`` class attribute
 plus a ``run`` method) must satisfy::
 
-    run(self, schedule=None, *, max_steps=..., recorder=None) -> SimResult
+    run(self, schedule, *, max_steps=..., recorder=None) -> SimResult
 
 This rule checks that shape purely from the AST — no import, so a broken
 or heavy module still gets checked, and fixture trees never execute.
@@ -86,18 +86,15 @@ def simulator_protocol(
                 "R4", "error", module.rel, cls.lineno, cls.col_offset + 1,
                 f"class {cls.name} declares engine={engine!r} but has no "
                 f"run() method",
-                suggestion="implement run(schedule=None, *, max_steps=..., "
+                suggestion="implement run(schedule, *, max_steps=..., "
                 "recorder=None) -> SimResult",
             )
             continue
 
         problems = []
         positional = [a.arg for a in run.args.args[1:]]  # drop self
-        defaults = run.args.defaults
         if positional[:1] != ["schedule"]:
             problems.append("first parameter after self must be 'schedule'")
-        elif len(defaults) < len(positional):
-            problems.append("'schedule' needs a default (None)")
         kwonly = {a.arg for a in run.args.kwonlyargs}
         for required in ("max_steps", "recorder"):
             if required not in kwonly:
@@ -117,7 +114,7 @@ def simulator_protocol(
                 "R4", "error", module.rel, run.lineno, run.col_offset + 1,
                 f"engine {engine!r} ({cls.name}.run) breaks the simulator "
                 f"protocol: {problem}",
-                suggestion="conform to run(schedule=None, *, max_steps=..., "
+                suggestion="conform to run(schedule, *, max_steps=..., "
                 "recorder=None) -> SimResult, or waive with "
                 "# lint: protocol-exempt(reason) on the class line",
             )

@@ -11,11 +11,10 @@ Histograms store count/sum/min/max plus scale-free power-of-two buckets
 (the bucket of ``v`` is the smallest ``2**k >= v``), which keeps a series
 O(log range) in memory no matter what it observes.
 
-The legacy :class:`repro.service.metrics.ServiceMetrics` API (``incr`` /
-``count`` / ``observe`` / ``time`` / ``snapshot``) is provided directly on
-the registry so migrated call sites keep reading naturally; timer-style
-histograms (created via ``observe``/``time``) additionally appear under
-the legacy ``snapshot()["timers"]`` view.
+Unlabeled shorthands (``incr`` / ``count`` / ``observe`` / ``time``)
+cover the common counter and timer cases; timer-style histograms (created
+via ``observe``/``time``) additionally appear under the
+``snapshot()["timers"]`` view.
 """
 
 from __future__ import annotations
@@ -160,7 +159,7 @@ class MetricsRegistry:
                 h = self._histograms[key] = Histogram(self._lock, unit=unit)
             return h
 
-    # -- legacy ServiceMetrics-shaped sugar ---------------------------------
+    # -- unlabeled shorthands -----------------------------------------------
 
     def incr(self, name: str, by: int = 1) -> None:
         """Increment the unlabeled counter ``name``."""
@@ -190,9 +189,9 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict view of every series.
 
-        ``"timers"`` repeats the seconds-unit histograms in the legacy
-        ``ServiceMetrics`` shape (``count``/``total_s``/``mean_s``/…) so
-        pre-obs consumers keep working unchanged.
+        ``"timers"`` repeats the seconds-unit histograms in a flat
+        ``count``/``total_s``/``mean_s``/… shape for callers that only
+        want wall times.
         """
         with self._lock:
             counters = {

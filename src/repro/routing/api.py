@@ -13,10 +13,6 @@ where ``schedule`` is any iterable of packet descriptions (see
 :class:`SimResult` with identical fields across engines, so measurement
 code can swap engines freely (``isinstance(sim, Simulator)`` checks
 conformance at runtime).
-
-On the reference engine the pre-obs mutate-then-run style
-(``sim.inject(path); sim.run() -> int``) still works but emits
-:class:`repro._compat.ReproDeprecationWarning`.
 """
 
 from __future__ import annotations
@@ -138,9 +134,9 @@ class Simulator(Protocol):
 
     def run(
         self,
-        schedule: Optional[Iterable[ScheduleItem]] = None,
+        schedule: Iterable[ScheduleItem],
         *,
         max_steps: int = 10_000_000,
         recorder: Optional[Any] = None,
-    ) -> Any:  # SimResult for schedule runs; legacy int for the shim path
+    ) -> SimResult:
         ...

@@ -117,18 +117,13 @@ class BatchedStoreForward:
 
     def run(
         self,
-        schedule: Optional[Iterable[ScheduleItem]] = None,
+        schedule: Iterable[ScheduleItem],
         *,
         max_steps: int = 10_000_000,
         recorder: Optional[Any] = None,
         faults: Optional[Any] = None,
     ) -> SimResult:
         """Run one schedule (a batch of one lane) — the Simulator protocol."""
-        if schedule is None:
-            raise ValueError(
-                "BatchedStoreForward requires a schedule; the deprecated "
-                "inject()/run() style is not supported"
-            )
         return self.run_many(
             [schedule], max_steps=max_steps, recorders=[recorder],
             faults=[faults],
@@ -359,7 +354,7 @@ class BatchedWormhole:
 
     def run(
         self,
-        schedule: Optional[Iterable[WormItem]] = None,
+        schedule: Iterable[WormItem],
         *,
         max_steps: int = 10_000_000,
         recorder: Optional[Any] = None,
@@ -372,8 +367,6 @@ class BatchedWormhole:
         reference wormhole engine would; otherwise returns a
         :class:`~repro.routing.api.SimResult` with one delivery per worm.
         """
-        if schedule is None:
-            raise ValueError("BatchedWormhole requires a worm schedule")
         [outcome] = self.run_many(
             [schedule], max_steps=max_steps, recorders=[recorder]
         )

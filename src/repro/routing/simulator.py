@@ -14,17 +14,14 @@ This engine implements the unified :class:`repro.routing.api.Simulator`
 protocol: pass a schedule to :meth:`StoreForwardSimulator.run` and get a
 :class:`repro.routing.api.SimResult` back, optionally filling a
 :class:`repro.obs.recorder.LinkRecorder` with per-link congestion data.
-The pre-obs ``inject(...); run() -> int`` style still works behind a
-deprecation shim.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple
 
-from repro._compat import warn_deprecated
 from repro.hypercube.graph import Hypercube
 from repro.obs.profile import profile_span
 from repro.routing.api import ScheduleItem, SimResult, normalize_schedule
@@ -82,26 +79,7 @@ class StoreForwardSimulator:
         self.port_limit = port_limit
         self.tie_break = tie_break
         self._queues: Dict[int, Deque[SimPacket]] = {}
-        self._pending: List[SimPacket] = []
         self._delivered: List[SimPacket] = []
-        self._steps_run = 0
-
-    def inject(
-        self, path: Sequence[int], release_step: int = 1, service_time: int = 1
-    ) -> SimPacket:
-        """Add a packet that becomes eligible to move at ``release_step``.
-
-        .. deprecated:: pass a schedule to :meth:`run` instead.
-        """
-        if len(path) < 1:
-            raise ValueError("packet path must contain at least one node")
-        if service_time < 1:
-            raise ValueError("service time must be >= 1")
-        pkt = SimPacket(
-            tuple(path), release_step, service_time, ident=len(self._pending)
-        )
-        self._pending.append(pkt)
-        return pkt
 
     def _enqueue(self, pkt: SimPacket) -> bool:
         """Queue ``pkt`` on its next link; True when it still has hops."""
@@ -113,16 +91,16 @@ class StoreForwardSimulator:
 
     def run(
         self,
-        schedule: Optional[Union[int, Iterable[ScheduleItem]]] = None,
+        schedule: Iterable[ScheduleItem],
         *,
         max_steps: int = 10_000_000,
         recorder: Optional[Any] = None,
         faults: Optional[Any] = None,
-    ):
+    ) -> SimResult:
         """Run a packet schedule to completion.
 
-        With a ``schedule`` (any shape :func:`repro.routing.api.normalize_schedule`
-        accepts), returns a :class:`repro.routing.api.SimResult`; ``recorder``
+        ``schedule`` is any shape :func:`repro.routing.api.normalize_schedule`
+        accepts; returns a :class:`repro.routing.api.SimResult`.  ``recorder``
         (e.g. a :class:`repro.obs.LinkRecorder`) receives per-link
         transmission, queue-depth and delivery events — with ``None`` (the
         default) the hot loop performs no recording work at all.
@@ -136,25 +114,7 @@ class StoreForwardSimulator:
         deliver at step 0, before any fault can activate.  The vectorized
         engine implements the identical semantics, so faulty runs stay
         differential-testable.
-
-        Calling with no schedule (or a bare int, the old ``max_steps``
-        positional) runs packets previously added via :meth:`inject` and
-        returns the last arrival step as an int — the deprecated pre-obs
-        signature.  Zero-hop packets complete at step 0 (they are already at
-        their destination).
         """
-        if schedule is None or isinstance(schedule, int):
-            warn_deprecated(
-                "StoreForwardSimulator.inject()/run() -> int is deprecated; "
-                "pass a schedule to run() and read SimResult.makespan"
-            )
-            if isinstance(schedule, int):
-                max_steps = schedule
-            packets = self._pending
-            self._pending = []
-            last_done, _ = self._run_packets(packets, max_steps, recorder, faults)
-            return last_done
-
         requests = normalize_schedule(schedule)
         packets = [
             SimPacket(r.path, r.release_step, r.service_time, ident=i)
@@ -185,11 +145,10 @@ class StoreForwardSimulator:
         faults: Optional[Any] = None,
     ) -> Tuple[int, int]:
         """Drive ``packets`` to completion; returns (last arrival, steps run)."""
-        # per-run state: without this reset, ``delivered`` and the step
-        # counter accumulate across run() calls and mix unrelated runs
+        # per-run state: without this reset, ``delivered`` accumulates
+        # across run() calls and mixes unrelated runs
         self._queues = {}
         self._delivered = []
-        self._steps_run = 0
         in_flight = 0
         releases: Dict[int, List[SimPacket]] = {}
         for pkt in packets:
@@ -264,7 +223,6 @@ class StoreForwardSimulator:
                         recorder.on_deliver(step)
                 else:
                     self._enqueue(pkt)
-        self._steps_run = step
         return last_done, step
 
     @property

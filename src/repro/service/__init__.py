@@ -24,23 +24,20 @@ Quickstart::
 Modules:
 
 * :mod:`repro.service.specs`    — request/response vocabulary + cache keys;
-* :mod:`repro.service.registry` — content-addressed cache tiers;
+* :mod:`repro.service.registry` — content-addressed embedding cache;
 * :mod:`repro.service.store`    — binary memmapped artifact files;
 * :mod:`repro.service.engine`   — concurrent batch construction;
 * :mod:`repro.service.shards`   — shared-memory CSR shards + manager;
 * :mod:`repro.service.frontend` — batching ``serve()`` loop + load harness;
-* :mod:`repro.service.api`      — the :class:`RoutingService` facade;
-* :mod:`repro.service.metrics`  — deprecated shim; metrics now live on
-  :class:`repro.obs.MetricsRegistry`, which the whole layer threads through
-  registry/engine/facade.
-"""
+* :mod:`repro.service.api`      — the :class:`RoutingService` facade.
 
-from typing import Any
+Metrics live on one :class:`repro.obs.MetricsRegistry`, which the whole
+layer threads through registry, engine and facade.
+"""
 
 from repro.service.api import DeliveryOutcome, RoutingService, disjoint_paths
 from repro.service.engine import BuildEngine
 from repro.service.frontend import BatchingFrontend, LoadReport, open_loop_load, serve
-from repro.service.metrics import ServiceMetrics  # lint: deprecated-ok(re-exported shim surface)
 from repro.service.registry import (
     EmbeddingRegistry,
     decode_embedding,
@@ -76,12 +73,10 @@ __all__ = [
     "DeliveryOutcome",
     "EmbeddingRegistry",
     "EmbeddingSpec",
-    "FaultSet",
     "LoadReport",
     "RouteRequest",
     "RouteResponse",
     "RoutingService",
-    "ServiceMetrics",
     "ShardIntegrityError",
     "ShardManager",
     "ShardView",
@@ -99,11 +94,3 @@ __all__ = [
     "write_store",
 ]
 
-
-def __getattr__(name: str) -> Any:
-    if name == "FaultSet":
-        # the deprecation warning lives in repro.service.api.__getattr__
-        from repro.service import api
-
-        return api.FaultSet
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

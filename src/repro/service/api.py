@@ -13,13 +13,8 @@ One object answers the service questions:
   — thin single-item wrappers over the batch path; the latter adds
   IDA-dispersed delivery that fails over to the surviving path subset
   under a :class:`repro.fault.faults.FaultModel`, exactly the Section 1
-  application.
-
-The pre-batch positional forms — ``route(spec, (u, v))`` returning a bare
-path tuple, ``route_fault_tolerant(spec, (u, v), message, faults=...)``,
-and the ``FaultSet`` alias — still work behind
-:class:`~repro._compat.ReproDeprecationWarning` shims; CI's ``-W error``
-job keeps package code off them.
+  application.  Both take a :class:`RouteRequest`; delivery parameters
+  (message, faults, ``pieces_needed``) ride on it.
 
 Everything is observable via :meth:`RoutingService.stats`.
 """
@@ -29,10 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro._compat import warn_deprecated
 from repro.core.embedding import MultiCopyEmbedding, MultiPathEmbedding
 from repro.core.fast_verify import embedding_csr
-from repro.fault.faults import FaultModel
 from repro.fault.ida import disperse, reconstruct
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import profile_span
@@ -49,16 +42,6 @@ from repro.service.specs import (
 __all__ = ["RoutingService", "DeliveryOutcome", "disjoint_paths"]
 
 _DEFAULT_MESSAGE = b"routing multiple paths in hypercubes"
-
-
-def __getattr__(name: str) -> Any:
-    if name == "FaultSet":
-        warn_deprecated(
-            "repro.service.FaultSet is deprecated; use "
-            "repro.fault.faults.FaultModel (it is the same class)"
-        )
-        return FaultModel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -203,10 +186,10 @@ class RoutingService:
 
         ``requests`` may mix :class:`RouteRequest` objects and bare
         ``(u, v)`` guest edges (a bare edge is just a request with default
-        delivery knobs — no deprecation involved).  The answer stays in
-        flat CSR arrays; index the returned :class:`BatchRouteResult` to
-        materialize per-request paths, which are field-identical to what
-        per-call :meth:`route` returns for the same edge.
+        delivery knobs).  The answer stays in flat CSR arrays; index the
+        returned :class:`BatchRouteResult` to materialize per-request
+        paths, which are field-identical to what per-call :meth:`route`
+        returns for the same edge.
         """
         reqs = [
             r if isinstance(r, RouteRequest) else RouteRequest(r) for r in requests
@@ -221,59 +204,29 @@ class RoutingService:
         self.metrics.incr("routes", len(reqs))
         return BatchRouteResult(reqs, nodes, path_offsets, request_offsets)
 
-    def route(
-        self,
-        spec: EmbeddingSpec,
-        request: Union[RouteRequest, Tuple[Any, Any]],
-    ):
-        """Single-request wrapper over :meth:`route_batch`.
-
-        Pass a :class:`RouteRequest` and get a :class:`RouteResponse`.
-        The pre-redesign form — a bare guest-edge tuple in, a bare tuple
-        of paths out — still works behind a deprecation warning.
-        """
+    def route(self, spec: EmbeddingSpec, request: RouteRequest) -> RouteResponse:
+        """Single-request wrapper over :meth:`route_batch`."""
         if not isinstance(request, RouteRequest):
-            warn_deprecated(
-                "route(spec, (u, v)) returning a bare path tuple is "
-                "deprecated; pass RouteRequest((u, v)) and read .paths off "
-                "the RouteResponse (or use route_batch for many edges)"
+            raise TypeError(
+                f"route() takes a RouteRequest, got {type(request).__name__}; "
+                "wrap a bare edge as RouteRequest((u, v))"
             )
-            return self.route_batch(spec, [RouteRequest(request)]).paths(0)
         with self.metrics.time("route"):
             return self.route_batch(spec, [request])[0]
 
     def route_fault_tolerant(
-        self,
-        spec: EmbeddingSpec,
-        request: Union[RouteRequest, Tuple[Any, Any]],
-        message: Optional[bytes] = None,
-        faults: Optional[FaultModel] = None,
-        pieces_needed: Optional[int] = None,
+        self, spec: EmbeddingSpec, request: RouteRequest
     ) -> DeliveryOutcome:
-        """Deliver a message across the disjoint paths despite faults.
+        """Deliver ``request.message`` across the disjoint paths despite faults.
 
         The message is IDA-dispersed into one piece per path; any
         ``pieces_needed`` surviving paths reconstruct it, so delivery
         tolerates ``w - pieces_needed`` failed paths.  The default
         ``pieces_needed=1`` (full dispersal redundancy, overhead ``w``)
         survives up to ``w - 1`` failures — raise it to trade bandwidth
-        for tolerance, per the paper's Section 1 trade-off.
-
-        Delivery parameters ride on the :class:`RouteRequest`; the old
-        positional/keyword form is shimmed with a deprecation warning.
+        for tolerance, per the paper's Section 1 trade-off.  Failed links
+        and nodes come from ``request.faults``.
         """
-        if not isinstance(request, RouteRequest):
-            warn_deprecated(
-                "route_fault_tolerant(spec, (u, v), message, faults=...) is "
-                "deprecated; put message/faults/pieces_needed on a "
-                "RouteRequest"
-            )
-            request = RouteRequest(
-                request,
-                message=message,
-                faults=faults,
-                pieces_needed=pieces_needed,
-            )
         payload = request.message if request.message is not None else _DEFAULT_MESSAGE
         response: RouteResponse = self.route_batch(spec, [request])[0]
         paths = response.paths

@@ -10,9 +10,7 @@ embedding's flat CSR routing arrays 8-byte-aligned for ``numpy.memmap``
 plus the exact verified artifact text as a trailing blob, so the serving
 fast path (:meth:`get_store`) hydrates a routable shard in O(ms) while
 full embedding objects (:meth:`get`) materialize from the checksummed
-blob only on demand.  Pre-store JSON artifacts (``<cache_dir>/<key>.json``)
-remain readable as a compatibility fallback and upgrade in place via
-:meth:`migrate` (``repro cache migrate``).
+blob only on demand.
 
 Safety model: an artifact is only written after the embedding verified at
 build time, and the file carries SHA-256 digests of both the array payload
@@ -28,12 +26,8 @@ read error (``PermissionError``, I/O failure) is also a miss but the file
 is left alone and counted under ``disk_transient`` — deleting a healthy
 13-second artifact over a flaky read would be self-inflicted cache loss.
 
-Tier promotion: every cold (disk) open bumps a per-key counter; once a
-key has been cold-opened ``promote_after`` times its mapped view is
-pinned in the *warm* LRU tier so later lookups skip even the open+header
-parse.  Per-tier hit rates are surfaced as ``cache_hit_rate{tier=...}``
-gauges, and warm occupancy as ``warm_entries`` — the same observability
-feed the service dashboards read.
+Per-tier hit rates are surfaced as ``cache_hit_rate{tier=memory|disk}``
+gauges — the same observability feed the service dashboards read.
 """
 
 from __future__ import annotations
@@ -166,13 +160,10 @@ def _decode_artifact_text(artifact_text: str, key: str) -> AnyEmbedding:
 
 
 class EmbeddingRegistry:
-    """Three-tier (memory LRU + warm memmap pins + disk) verified-embedding cache.
+    """Two-tier (memory LRU over ``.rpstore`` files) verified-embedding cache.
 
-    ``promote_after`` cold opens of one key pin its memmapped
-    :class:`~repro.service.store.StoreView` in the warm tier (an LRU of
-    ``warm_capacity`` views); ``build_lock_timeout`` bounds how long a
-    process waits on another process's in-flight build of the same key
-    before building itself.
+    ``build_lock_timeout`` bounds how long a process waits on another
+    process's in-flight build of the same key before building itself.
     """
 
     def __init__(
@@ -180,24 +171,16 @@ class EmbeddingRegistry:
         cache_dir: Optional[Union[str, Path]] = None,
         memory_capacity: int = 32,
         metrics: Optional[MetricsRegistry] = None,
-        warm_capacity: int = 8,
-        promote_after: int = 2,
         build_lock_timeout: float = 600.0,
     ) -> None:
         if memory_capacity < 0:
             raise ValueError("memory_capacity must be >= 0")
-        if warm_capacity < 0:
-            raise ValueError("warm_capacity must be >= 0")
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.memory_capacity = memory_capacity
-        self.warm_capacity = warm_capacity
-        self.promote_after = max(1, promote_after)
         self.build_lock_timeout = build_lock_timeout
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._lock = threading.Lock()
         self._memory: "OrderedDict[str, AnyEmbedding]" = OrderedDict()
-        self._warm: "OrderedDict[str, StoreView]" = OrderedDict()
-        self._cold_opens: Dict[str, int] = {}
         self._tier_counts: Dict[str, List[int]] = {}  # tier -> [hits, lookups]
         self._build_locks: Dict[str, threading.Lock] = {}
 
@@ -206,10 +189,6 @@ class EmbeddingRegistry:
     def path_for(self, spec: EmbeddingSpec) -> Path:
         """The binary store artifact path (sharded by construction kind)."""
         return self.cache_dir / spec.kind / f"{spec.cache_key()}{STORE_SUFFIX}"
-
-    def legacy_path_for(self, spec: EmbeddingSpec) -> Path:
-        """The pre-store JSON artifact path (compatibility fallback)."""
-        return self.cache_dir / f"{spec.cache_key()}.json"
 
     def _lock_path_for(self, spec: EmbeddingSpec) -> Path:
         return self.cache_dir / spec.kind / f"{spec.cache_key()}.lock"
@@ -243,41 +222,6 @@ class EmbeddingRegistry:
             while len(self._memory) > self.memory_capacity:
                 self._memory.popitem(last=False)
                 self.metrics.incr("memory_evictions")
-
-    # -- warm tier (pinned memmapped views) ------------------------------------
-
-    def _warm_get(self, key: str) -> Optional[StoreView]:
-        with self._lock:
-            view = self._warm.get(key)
-            if view is not None:
-                self._warm.move_to_end(key)
-            return view
-
-    def _promote(self, key: str, view: StoreView) -> None:
-        """Pin a cold-opened view once its open count clears the threshold.
-
-        Eviction only drops the pin: any shard still serving off the
-        evicted view keeps its own references to the mapped arrays.
-        """
-        if self.warm_capacity == 0:
-            return
-        with self._lock:
-            opens = self._cold_opens.get(key, 0) + 1
-            self._cold_opens[key] = opens
-            if opens < self.promote_after:
-                return
-            self._warm[key] = view
-            self._warm.move_to_end(key)
-            evicted: List[StoreView] = []
-            while len(self._warm) > self.warm_capacity:
-                _, old = self._warm.popitem(last=False)
-                evicted.append(old)
-                self.metrics.incr("warm_evictions")
-            occupancy = len(self._warm)
-        for old in evicted:
-            old.close()
-        self.metrics.gauge("warm_entries").set(occupancy)
-        self.metrics.incr("warm_promotions")
 
     # -- disk tier ---------------------------------------------------------------
 
@@ -313,15 +257,10 @@ class EmbeddingRegistry:
     def get_store(self, spec: EmbeddingSpec) -> Optional[StoreView]:
         """The memmapped CSR view for ``spec`` — the O(ms) serving fast path.
 
-        Warm tier first, then a cold ``numpy.memmap`` open of the store
-        file.  Never builds and never materializes the embedding object.
+        A ``numpy.memmap`` open of the store file; each call returns a
+        fresh view its caller owns.  Never builds and never materializes
+        the embedding object.
         """
-        key = spec.cache_key()
-        view = self._warm_get(key)
-        self._note_lookup("warm", view is not None)
-        if view is not None:
-            self.metrics.incr("warm_hits")
-            return view
         with self.metrics.time("store_open"):
             view = self._open_store(spec)
         self._note_lookup("disk", view is not None)
@@ -329,47 +268,22 @@ class EmbeddingRegistry:
             self.metrics.incr("store_misses")
             return None
         self.metrics.incr("store_hits")
-        self._promote(key, view)
         return view
 
     def _disk_load(self, spec: EmbeddingSpec) -> Optional[AnyEmbedding]:
-        """Materialize the full embedding object from disk (either tier)."""
+        """Materialize the full embedding object from its store file."""
         view = self._open_store(spec)
-        if view is not None:
-            try:
-                return _decode_artifact_text(view.blob_text(), spec.cache_key())
-            except (StoreIntegrityError, ValueError, KeyError, TypeError):
-                self.metrics.incr("disk_corrupt")
-                try:
-                    self.path_for(spec).unlink()
-                except OSError:
-                    pass
-                return None
-        return self._legacy_load(spec)
-
-    def _legacy_load(self, spec: EmbeddingSpec) -> Optional[AnyEmbedding]:
-        path = self.legacy_path_for(spec)
-        try:
-            text = path.read_text()
-        except FileNotFoundError:
-            return None
-        except OSError:
-            self.metrics.incr("disk_transient")
+        if view is None:
             return None
         try:
-            artifact = json.loads(text)
-            if artifact.get("package_version") != _package_version():
-                raise ValueError("package version mismatch")
-            emb = _decode_artifact_text(text, spec.cache_key())
-        except Exception:
+            return _decode_artifact_text(view.blob_text(), spec.cache_key())
+        except (StoreIntegrityError, ValueError, KeyError, TypeError):
             self.metrics.incr("disk_corrupt")
             try:
-                path.unlink()
+                self.path_for(spec).unlink()
             except OSError:
                 pass
             return None
-        self.metrics.incr("legacy_hits")
-        return emb
 
     # -- public API ------------------------------------------------------------
 
@@ -545,9 +459,9 @@ class EmbeddingRegistry:
     def __contains__(self, spec: EmbeddingSpec) -> bool:
         key = spec.cache_key()
         with self._lock:
-            if key in self._memory or key in self._warm:
+            if key in self._memory:
                 return True
-        return self.path_for(spec).exists() or self.legacy_path_for(spec).exists()
+        return self.path_for(spec).exists()
 
     # -- maintenance -------------------------------------------------------------
 
@@ -556,62 +470,23 @@ class EmbeddingRegistry:
             return []
         return sorted(self.cache_dir.glob(f"*/*{STORE_SUFFIX}"))
 
-    def _legacy_paths(self) -> List[Path]:
-        if not self.cache_dir.exists():
-            return []
-        return sorted(self.cache_dir.glob("*.json"))
-
     def ls(self) -> List[Dict[str, Any]]:
-        """Metadata of every readable on-disk artifact (unreadable skipped)."""
+        """Metadata of every on-disk artifact (unreadable ones marked so)."""
         rows = []
         for path in self._store_paths():
             try:
                 header = read_store_header(path)
-                rows.append(
-                    {
-                        "key": header.get("spec_key", path.stem)[:12],
-                        "construction": header.get("construction", "?"),
-                        "package_version": header.get("package_version", "?"),
-                        "tier": "store",
-                        "bytes": path.stat().st_size,
-                        "file": f"{path.parent.name}/{path.name}",
-                    }
-                )
             except Exception:
-                rows.append(
-                    {
-                        "key": path.stem[:12],
-                        "construction": "<unreadable>",
-                        "package_version": "?",
-                        "tier": "store",
-                        "bytes": path.stat().st_size,
-                        "file": f"{path.parent.name}/{path.name}",
-                    }
-                )
-        for path in self._legacy_paths():
-            try:
-                artifact = json.loads(path.read_text())
-                rows.append(
-                    {
-                        "key": artifact.get("key", path.stem)[:12],
-                        "construction": artifact.get("construction", "?"),
-                        "package_version": artifact.get("package_version", "?"),
-                        "tier": "legacy-json",
-                        "bytes": path.stat().st_size,
-                        "file": path.name,
-                    }
-                )
-            except Exception:
-                rows.append(
-                    {
-                        "key": path.stem[:12],
-                        "construction": "<unreadable>",
-                        "package_version": "?",
-                        "tier": "legacy-json",
-                        "bytes": path.stat().st_size,
-                        "file": path.name,
-                    }
-                )
+                header = {"construction": "<unreadable>"}
+            rows.append(
+                {
+                    "key": header.get("spec_key", path.stem)[:12],
+                    "construction": header.get("construction", "?"),
+                    "package_version": header.get("package_version", "?"),
+                    "bytes": path.stat().st_size,
+                    "file": f"{path.parent.name}/{path.name}",
+                }
+            )
         return rows
 
     def clear(self) -> int:
@@ -623,13 +498,8 @@ class EmbeddingRegistry:
         """
         with self._lock:
             self._memory.clear()
-            warm = list(self._warm.values())
-            self._warm.clear()
-            self._cold_opens.clear()
-        for view in warm:
-            view.close()
         removed = 0
-        for path in self._store_paths() + self._legacy_paths():
+        for path in self._store_paths():
             try:
                 path.unlink()
                 removed += 1
@@ -645,61 +515,11 @@ class EmbeddingRegistry:
                         pass
         return removed
 
-    def migrate(self, *, verify_payload: bool = False) -> Dict[str, int]:
-        """Upgrade legacy JSON artifacts to binary store files in place.
-
-        Each readable legacy artifact is checksum-validated, decoded,
-        CSR-exported and rewritten as ``<kind>/<key>.rpstore``; the JSON
-        file is removed only after its replacement landed.  Artifacts
-        that already have a store file are skipped; unreadable or
-        tampered ones are left in place and counted under ``failed``
-        (a migration must never destroy what it cannot replace).
-        ``verify_payload=True`` re-hashes each freshly written payload.
-        """
-        out = {"migrated": 0, "skipped": 0, "failed": 0}
-        for path in self._legacy_paths():
-            try:
-                artifact = json.loads(path.read_text())
-                key = artifact.get("key", path.stem)
-                kind = artifact.get("spec", {}).get("kind", "")
-                params = artifact.get("spec", {}).get("params", {})
-                if not kind:
-                    raise ValueError("artifact names no construction kind")
-                dest = self.cache_dir / kind / f"{key}{STORE_SUFFIX}"
-                if dest.exists():
-                    out["skipped"] += 1
-                    continue
-                text = path.read_text()
-                emb = _decode_artifact_text(text, key)
-                csr = embedding_csr(emb)
-                write_store(
-                    dest,
-                    csr,
-                    text,
-                    spec_key=key,
-                    kind=kind,
-                    params=params,
-                    package_version=artifact.get("package_version", ""),
-                    construction=artifact.get("construction", ""),
-                    artifact_version=ARTIFACT_VERSION,
-                )
-                if verify_payload:
-                    view = open_store(dest, payload_verify="eager")
-                    view.close()
-                path.unlink()
-                out["migrated"] += 1
-                self.metrics.incr("artifacts_migrated")
-            except Exception:
-                out["failed"] += 1
-                self.metrics.incr("migrate_failures")
-        return out
-
     def stats(self) -> dict:
         """Metrics snapshot plus tier occupancy."""
         snap = self.metrics.snapshot()
         with self._lock:
             snap["memory_entries"] = len(self._memory)
-            snap["warm_entries"] = len(self._warm)
-        snap["disk_entries"] = len(self._store_paths()) + len(self._legacy_paths())
+        snap["disk_entries"] = len(self._store_paths())
         snap["cache_dir"] = str(self.cache_dir)
         return snap

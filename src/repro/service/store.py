@@ -29,8 +29,8 @@ key, package version, the dtype contract and every array's extent; the
 payload digest is re-hashed eagerly when the payload is small
 (``payload_verify="auto"``, bounded by ``EAGER_VERIFY_LIMIT``) — hashing
 hundreds of MB would turn O(ms) opens back into O(s), so huge artifacts
-defer the re-hash to :meth:`StoreView.verify_payload` (run by ``repro
-cache migrate --verify`` and the QA ``cold_start_differential`` stage).
+defer the re-hash to :meth:`StoreView.verify_payload` (run by the QA
+``cold_start_differential`` stage).
 The blob digest is always checked when the blob is read: embedding
 materialization never trusts unchecksummed bytes.
 
@@ -81,7 +81,7 @@ _PREFIX = struct.Struct("<8sQ")  # magic, header length
 # this size: a few-MB Q_12 artifact costs microseconds to check, a 378 MB
 # Q_20 payload would cost ~0.5s — the exact cold-start cost this tier
 # exists to delete.  Above the limit the payload digest is still stored
-# and still checked, just on demand (migrate --verify, QA, tests).
+# and still checked, just on demand (QA, tests).
 EAGER_VERIFY_LIMIT = 32 * 1024 * 1024
 
 # lookup arrays ride next to the contract arrays under their own names

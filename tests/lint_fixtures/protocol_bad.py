@@ -28,5 +28,5 @@ class NoResultEngine:
 
     engine = "resultless"
 
-    def run(self, schedule=None, *, max_steps=1000, recorder=None):
+    def run(self, schedule, *, max_steps=1000, recorder=None):
         return 42

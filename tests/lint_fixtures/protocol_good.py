@@ -8,7 +8,7 @@ class SimResult:
 class GoodEngine:
     engine = "good"
 
-    def run(self, schedule=None, *, max_steps=10_000, recorder=None):
+    def run(self, schedule, *, max_steps=10_000, recorder=None):
         return SimResult()
 
 

@@ -82,10 +82,6 @@ class TestProtocol:
         [batched] = BatchedStoreForward(host).run_many([schedule])
         assert single.measured() == batched.measured()
 
-    def test_run_requires_a_schedule(self):
-        with pytest.raises(ValueError):
-            BatchedStoreForward(Hypercube(3)).run(None)
-
     def test_empty_batch_and_empty_lane(self):
         host = Hypercube(3)
         assert BatchedStoreForward(host).run_many([]) == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import embed_cycle_load1, graycode_cycle_embedding
-from repro.fault import FaultModel, FaultyLinkModel, multipath_delivery_experiment
+from repro.fault import FaultModel, multipath_delivery_experiment
 from repro.fault.ida import cauchy_matrix, disperse, reconstruct
 from repro.hypercube.graph import Hypercube
 
@@ -76,45 +76,45 @@ class TestIDA:
 class TestFaultModel:
     def test_no_faults(self):
         host = Hypercube(5)
-        fm = FaultyLinkModel.random(host, 0.0, seed=1)
+        fm = FaultModel.random(host, 0.0, seed=1)
         assert not fm.failed
         assert fm.path_alive([0, 1, 3, 7])
 
     def test_all_faults(self):
         host = Hypercube(4)
-        fm = FaultyLinkModel.random(host, 1.0, seed=1)
+        fm = FaultModel.random(host, 1.0, seed=1)
         assert len(fm.failed) == host.num_edges
         assert not fm.path_alive([0, 1])
         assert fm.path_alive([3])  # zero-hop path never fails
 
     def test_symmetric_failures(self):
         host = Hypercube(5)
-        fm = FaultyLinkModel.random(host, 0.3, seed=2)
+        fm = FaultModel.random(host, 0.3, seed=2)
         for eid in fm.failed:
             u, v = host.edge_from_id(eid)
             assert host.edge_id(v, u) in fm.failed
 
     def test_deterministic_by_seed(self):
         host = Hypercube(5)
-        a = FaultyLinkModel.random(host, 0.2, seed=9)
-        b = FaultyLinkModel.random(host, 0.2, seed=9)
+        a = FaultModel.random(host, 0.2, seed=9)
+        b = FaultModel.random(host, 0.2, seed=9)
         assert a.failed == b.failed
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            FaultyLinkModel.random(Hypercube(3), 1.5)
+            FaultModel.random(Hypercube(3), 1.5)
 
 
 class TestDeliveryExperiment:
     def test_no_faults_delivers_everything(self):
         emb = embed_cycle_load1(6)
-        fm = FaultyLinkModel(emb.host, set())
+        fm = FaultModel(emb.host, set())
         report = multipath_delivery_experiment(emb, fm)
         assert report.delivery_rate == 1.0
 
     def test_total_failure(self):
         emb = embed_cycle_load1(6)
-        fm = FaultyLinkModel.random(emb.host, 1.0, seed=0)
+        fm = FaultModel.random(emb.host, 1.0, seed=0)
         report = multipath_delivery_experiment(emb, fm)
         assert report.delivery_rate == 0.0
 
@@ -123,7 +123,7 @@ class TestDeliveryExperiment:
         gray = graycode_cycle_embedding(8)
         wins = 0
         for seed in range(3):
-            fm = FaultyLinkModel.random(emb.host, 0.03, seed=seed)
+            fm = FaultModel.random(emb.host, 0.03, seed=seed)
             rep = multipath_delivery_experiment(emb, fm)
             single = sum(
                 fm.path_alive(p) for p in gray.edge_paths.values()
@@ -133,7 +133,7 @@ class TestDeliveryExperiment:
 
     def test_pieces_needed_override(self):
         emb = embed_cycle_load1(6)
-        fm = FaultyLinkModel(emb.host, set())
+        fm = FaultModel(emb.host, set())
         report = multipath_delivery_experiment(emb, fm, pieces_needed=1)
         assert report.delivery_rate == 1.0
 

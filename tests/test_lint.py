@@ -1,5 +1,5 @@
 """Tests for repro.lint: each rule against its fixtures, the engine
-machinery (pragmas, fixes, JSON schema), and the clean-repo gate."""
+machinery (pragmas, JSON schema), and the clean-repo gate."""
 
 import json
 import shutil
@@ -10,11 +10,9 @@ from repro.lint import (
     KNOWN_PRAGMAS,
     LintConfig,
     all_rules,
-    apply_fixes,
     run_lint,
 )
 from repro.lint.engine import _parse_pragmas, parse_module
-from repro.lint.findings import Finding, LintReport
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 REPO_SRC = Path(__file__).parents[1] / "src" / "repro"
@@ -31,20 +29,19 @@ def rule_findings(report, rule):
 
 
 class TestRuleRegistry:
-    def test_all_nine_rules_register(self):
+    def test_all_eight_rules_register(self):
+        # R2 is retired and its id is not reused
         ids = [r.id for r in all_rules()]
-        assert ids == [
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
-        ]
+        assert ids == ["R1", "R3", "R4", "R5", "R6", "R7", "R8", "R9"]
 
     def test_every_rule_documents_a_waiver(self):
         # one pragma token per rule, all known to the engine
-        assert len(KNOWN_PRAGMAS) == 9
+        assert len(KNOWN_PRAGMAS) == 8
 
     def test_select_restricts_rules_run(self):
-        report = lint("rng_bad.py", "R2")
-        assert report.rules_run == ("R2",)
-        assert report.findings == []  # R1 violations invisible to R2
+        report = lint("rng_bad.py", "R4")
+        assert report.rules_run == ("R4",)
+        assert report.findings == []  # R1 violations invisible to R4
 
 
 class TestRngDiscipline:
@@ -69,58 +66,6 @@ class TestRngDiscipline:
     def test_compat_module_is_exempt(self):
         report = run_lint([REPO_SRC / "_compat.py"], LintConfig(select=("R1",)))
         assert report.findings == []
-
-
-class TestDeprecation:
-    def test_flags_shim_import_and_inject_style(self):
-        report = lint("deprecation_bad.py", "R2")
-        findings = rule_findings(report, "R2")
-        assert any("repro.service.metrics" in f.message for f in findings)
-        assert any("inject" in f.message for f in findings)
-
-    def test_import_finding_is_fixable(self):
-        report = lint("deprecation_bad.py", "R2")
-        fixable = [f for f in rule_findings(report, "R2") if f.fixable]
-        assert fixable, "the plain shim import must carry an autofix"
-        old, new = fixable[0].fix
-        assert "ServiceMetrics" in old and "MetricsRegistry" in new
-
-    def test_clean_fixture_passes(self):
-        report = lint("deprecation_good.py", "R2")
-        assert rule_findings(report, "R2") == []
-
-    def test_flags_retired_faultset_alias(self):
-        report = lint("deprecation_bad.py", "R2")
-        findings = rule_findings(report, "R2")
-        assert any("FaultSet" in f.message for f in findings)
-
-    def test_faultset_fix_rewrites_to_fault_model(self, tmp_path):
-        target = tmp_path / "adopter.py"
-        target.write_text(
-            "from repro.service import FaultSet\n"
-            "faults = FaultSet(host, {1})\n"
-        )
-        report = run_lint([target], LintConfig(select=("R2",)))
-        applied, remaining = apply_fixes(report)
-        assert applied == 1
-        assert "from repro.fault.faults import FaultModel" in (
-            target.read_text()
-        )
-        assert not any(f.fixable for f in remaining.findings)
-
-    def test_fix_rewrites_the_import(self, tmp_path):
-        target = tmp_path / "adopter.py"
-        target.write_text(
-            "from repro.service.metrics import ServiceMetrics\n"
-            "m = ServiceMetrics()\n"
-        )
-        report = run_lint([target], LintConfig(select=("R2",)))
-        applied, remaining = apply_fixes(report)
-        assert applied == 1
-        assert "from repro.obs.metrics import MetricsRegistry" in (
-            target.read_text()
-        )
-        assert not any(f.fixable for f in remaining.findings)
 
 
 class TestConstructionContract:
@@ -193,10 +138,16 @@ class TestDeterminism:
         report = lint("kernels/core/kernel_good.py", "R5")
         assert rule_findings(report, "R5") == []
 
-    def test_rule_is_scoped_to_kernel_dirs(self):
-        # same nondeterministic calls outside core//routing/ are fine
-        report = lint("deprecation_good.py", "R5")
-        assert rule_findings(report, "R5") == []
+    def test_rule_is_scoped_to_kernel_dirs(self, tmp_path):
+        # the same nondeterministic calls are fine outside the kernel dirs
+        source = FIXTURES / "kernels" / "core" / "kernel_bad.py"
+        for subdir in ("core", "tools"):
+            (tmp_path / subdir).mkdir()
+            shutil.copy(source, tmp_path / subdir / "kernel_bad.py")
+        inside = run_lint([tmp_path / "core"], LintConfig(select=("R5",)))
+        assert len(rule_findings(inside, "R5")) == 3
+        outside = run_lint([tmp_path / "tools"], LintConfig(select=("R5",)))
+        assert rule_findings(outside, "R5") == []
 
     def test_routing_batched_modules_are_kernel_scope(self):
         # routing/ is a kernel dir, so batched engines inherit the
@@ -277,7 +228,7 @@ class TestEngine:
     def test_json_shape_is_stable(self):
         report = lint("rng_bad.py", "R1")
         data = report.to_dict()
-        assert data["version"] == 1
+        assert data["version"] == 2
         assert data["tool"] == "repro-lint"
         assert set(data) == {
             "version", "tool", "files_scanned", "errors", "warnings",
@@ -287,7 +238,7 @@ class TestEngine:
         for f in data["findings"]:
             assert set(f) == {
                 "rule", "severity", "path", "line", "col", "message",
-                "suggestion", "fixable",
+                "suggestion",
             }
         json.dumps(data)  # round-trippable
 
@@ -314,10 +265,9 @@ class TestCli:
     def test_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
-        ):
+        for rule_id in ("R1", "R3", "R4", "R5", "R6", "R7", "R8", "R9"):
             assert rule_id in out
+        assert "R2" not in out
 
 
 class TestPragmaParser:
@@ -380,6 +330,22 @@ class TestPragmaParser:
         # trailing words without parens are comment prose, not pragmas
         out = _parse_pragmas("x = 1  # lint: rng-ok(fine) see the docs")
         assert [(t, p) for _, t, _, p in out] == [("rng-ok", "")]
+
+    def test_unknown_pragma_in_nested_scope_is_a_finding(self, tmp_path):
+        target = tmp_path / "odd.py"
+        target.write_text(
+            "class Outer:\n"
+            "    def inner(self):\n"
+            "        x = 1  # lint: not-a-token(deep down)\n"
+            "        return x\n"
+        )
+        report = run_lint([target])
+        assert any(
+            f.rule == "pragma"
+            and "not-a-token" in f.message
+            and f.line == 3
+            for f in report.findings
+        )
 
 
 class TestDomainConfusion:
@@ -530,66 +496,6 @@ class TestKernelParity:
         )
 
 
-class TestApplyFixes:
-    def _fix_finding(self, target, message, new):
-        old = target.read_text().splitlines()[0]
-        return Finding(
-            "R2", "error", str(target), 1, 1, message,
-            fix=(old, new),
-        )
-
-    def test_overlapping_fixes_on_one_line_apply_once(self, tmp_path):
-        target = tmp_path / "adopter.py"
-        target.write_text("from repro.service import FaultSet\n")
-        first = self._fix_finding(
-            target, "first", "from repro.fault.faults import FaultModel"
-        )
-        second = self._fix_finding(
-            target, "second", "from repro.elsewhere import Other"
-        )
-        report = LintReport(
-            findings=[first, second], files_scanned=1, rules_run=("R2",)
-        )
-        applied, remaining = apply_fixes(report)
-        # the first rewrite wins; the second no longer matches the line
-        assert applied == 1
-        assert target.read_text() == (
-            "from repro.fault.faults import FaultModel\n"
-        )
-        assert [f.message for f in remaining.findings] == ["second"]
-
-    def test_apply_fixes_is_idempotent(self, tmp_path):
-        target = tmp_path / "adopter.py"
-        target.write_text(
-            "from repro.service.metrics import ServiceMetrics\n"
-            "m = ServiceMetrics()\n"
-        )
-        report = run_lint([target], LintConfig(select=("R2",)))
-        applied, _ = apply_fixes(report)
-        assert applied == 1
-        after_first = target.read_text()
-        # replaying the stale report must not touch the file again
-        applied_again, _ = apply_fixes(report)
-        assert applied_again == 0
-        assert target.read_text() == after_first
-
-    def test_unknown_pragma_in_nested_scope_is_a_finding(self, tmp_path):
-        target = tmp_path / "odd.py"
-        target.write_text(
-            "class Outer:\n"
-            "    def inner(self):\n"
-            "        x = 1  # lint: not-a-token(deep down)\n"
-            "        return x\n"
-        )
-        report = run_lint([target])
-        assert any(
-            f.rule == "pragma"
-            and "not-a-token" in f.message
-            and f.line == 3
-            for f in report.findings
-        )
-
-
 class TestAsyncRaces:
     FIXTURE = "races/service/frontend.py"
 
@@ -680,8 +586,8 @@ class TestRepositoryIsClean:
         assert report.ok, "\n".join(
             f.format() for f in report.findings
         )
-        # all nine rules actually ran over a substantial file set
+        # all eight rules actually ran over a substantial file set
         assert report.rules_run == (
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
+            "R1", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
         )
         assert report.files_scanned > 50

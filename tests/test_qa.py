@@ -452,15 +452,15 @@ class TestSeededDeterminism:
             random_permutation(8, seed=1, rng=random.Random(1))
 
     def test_faulty_link_model(self):
-        from repro.fault.faults import FaultyLinkModel
+        from repro.fault.faults import FaultModel
 
         host = Hypercube(5)
-        a = FaultyLinkModel.random(host, 0.3, seed=4)
-        b = FaultyLinkModel.random(host, 0.3, seed=4)
-        c = FaultyLinkModel.random(host, 0.3, rng=random.Random(4))
+        a = FaultModel.random(host, 0.3, seed=4)
+        b = FaultModel.random(host, 0.3, seed=4)
+        c = FaultModel.random(host, 0.3, rng=random.Random(4))
         assert a.failed == b.failed == c.failed
         with pytest.raises(ValueError):
-            FaultyLinkModel.random(host, 0.3, seed=1, rng=random.Random(1))
+            FaultModel.random(host, 0.3, seed=1, rng=random.Random(1))
 
     def test_random_binary_tree(self):
         from repro.networks.tree import random_binary_tree

@@ -440,8 +440,7 @@ class TestBatchRouting:
 
 
 class TestMetrics:
-    # the service layer now measures through repro.obs.MetricsRegistry;
-    # the ServiceMetrics shim itself is covered in test_deprecation_shims
+    # the service layer measures through repro.obs.MetricsRegistry
     def test_counters_and_timers(self):
         m = MetricsRegistry()
         m.incr("hits")

@@ -59,6 +59,11 @@ class TestProtocolConformance:
         assert res.done_steps == (2,)
         assert res.engine == engine.engine
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_run_requires_a_schedule(self, engine):
+        with pytest.raises(TypeError):
+            engine(Hypercube(3)).run()
+
     def test_engines_agree_on_contention_free_load(self):
         host = Hypercube(4)
         sched = [[u, u ^ 1, u ^ 3] for u in range(0, 16, 4)]

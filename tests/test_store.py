@@ -3,8 +3,8 @@
 Covers the instant-start contract end to end: a store file round-trips a
 CSR field-identically (packed int edges and JSON tuple edges alike), every
 corruption class is caught by the right checksum at the right time,
-transient filesystem errors never delete a healthy artifact, legacy JSON
-artifacts migrate in place, two racing processes produce exactly one
+transient filesystem errors never delete a healthy artifact, pre-store
+JSON artifacts are ignored, two racing processes produce exactly one
 build, and a fresh service serves its first batch off the mapped file
 without rebuilding anything.
 """
@@ -233,36 +233,6 @@ def _spec(n=6):
 
 
 class TestRegistryTiers:
-    def test_get_store_promotes_to_warm(self, tmp_path):
-        reg = EmbeddingRegistry(cache_dir=tmp_path, promote_after=2)
-        reg.get_or_build(_spec())
-        fresh = EmbeddingRegistry(cache_dir=tmp_path, promote_after=2)
-        first = fresh.get_store(_spec())
-        assert first is not None
-        assert fresh.metrics.count("warm_promotions") == 0
-        second = fresh.get_store(_spec())
-        assert fresh.metrics.count("warm_promotions") == 1
-        third = fresh.get_store(_spec())
-        assert third is second  # pinned: no re-open, no header parse
-        assert fresh.metrics.count("warm_hits") == 1
-        snap = fresh.stats()
-        assert snap["warm_entries"] == 1
-        assert "cache_hit_rate{tier=warm}" in snap["gauges"]
-
-    def test_warm_eviction_drops_pin_only(self, tmp_path):
-        reg = EmbeddingRegistry(
-            cache_dir=tmp_path, promote_after=1, warm_capacity=1
-        )
-        for n in (6, 8):
-            reg.get_or_build(_spec(n))
-        first = reg.get_store(_spec(6))
-        csr = first.csr
-        reg.get_store(_spec(8))  # evicts the Q_6 pin
-        assert reg.metrics.count("warm_evictions") == 1
-        # the evicted view closed, but a holder's arrays stay mapped
-        paths = csr.take([(0, 1)])
-        assert paths[0].size > 0
-
     def test_transient_error_spares_the_artifact(self, tmp_path, monkeypatch):
         reg = EmbeddingRegistry(cache_dir=tmp_path)
         spec = _spec()
@@ -307,47 +277,18 @@ class TestRegistryTiers:
         assert list(tmp_path.rglob("*.lock")) == []
         assert reg.metrics.count("orphans_swept") == 3
 
-    def test_legacy_json_fallback_and_migrate(self, tmp_path):
+    def test_pre_store_json_artifact_is_not_served(self, tmp_path):
         spec = _spec()
         emb = build_spec(spec)
         emb.verify()
+        stale = tmp_path / f"{spec.cache_key()}.json"
+        stale.write_text(make_artifact(spec, emb))
         reg = EmbeddingRegistry(cache_dir=tmp_path)
-        legacy = reg.legacy_path_for(spec)
-        legacy.parent.mkdir(parents=True, exist_ok=True)
-        legacy.write_text(make_artifact(spec, emb))
-        assert reg.get(spec) is not None  # served off the JSON tier
-        assert reg.metrics.count("legacy_hits") == 1
-        out = reg.migrate(verify_payload=True)
-        assert out == {"migrated": 1, "skipped": 0, "failed": 0}
-        assert not legacy.exists()
-        assert reg.path_for(spec).exists()
-        fresh = EmbeddingRegistry(cache_dir=tmp_path)
-        assert fresh.get_store(spec) is not None
-
-    def test_migrate_keeps_unreadable_artifacts(self, tmp_path):
-        reg = EmbeddingRegistry(cache_dir=tmp_path)
-        bad = tmp_path / ("f" * 64 + ".json")
-        bad.parent.mkdir(parents=True, exist_ok=True)
-        bad.write_text("{ not json")
-        out = reg.migrate()
-        assert out["failed"] == 1
-        assert bad.exists()  # never destroy what cannot be replaced
-
-    def test_migrate_skips_existing_binary(self, tmp_path):
-        spec = _spec()
-        reg = EmbeddingRegistry(cache_dir=tmp_path)
-        emb = reg.get_or_build(spec)
-        reg.legacy_path_for(spec).write_text(make_artifact(spec, emb))
-        out = reg.migrate()
-        assert out == {"migrated": 0, "skipped": 1, "failed": 0}
-
-    def test_ls_reports_both_tiers(self, tmp_path):
-        spec = _spec()
-        reg = EmbeddingRegistry(cache_dir=tmp_path)
-        emb = reg.get_or_build(spec)
-        reg.legacy_path_for(spec).write_text(make_artifact(spec, emb))
-        tiers = sorted(row["tier"] for row in reg.ls())
-        assert tiers == ["legacy-json", "store"]
+        assert reg.get(spec) is None
+        assert reg.get_store(spec) is None
+        assert spec not in reg
+        assert reg.ls() == []
+        assert stale.exists()  # left for the user to delete
 
     def test_multicopy_roundtrip_through_binary_tier(self, tmp_path):
         spec = EmbeddingSpec.make("ccc", n=4)
