@@ -1,10 +1,10 @@
 """Service load: batched CSR routing vs per-call, plus open-loop serving.
 
 Not a paper experiment — this bench anchors the batch-serving redesign:
-one ``route_batch()`` over a shared-memory CSR shard must sustain at
-least **10x** the per-call ``route()`` request rate at batch >= 1024 on
-the Q_12 multipath cycle, while staying *field-identical* to the
-per-call answers.  The second half drives the batching front-end with
+one ``route_batch()`` over a CSR shard (the memmapped store file) must
+sustain at least **10x** the per-call ``route()`` request rate at batch
+>= 1024 on the Q_12 multipath cycle, while staying *field-identical* to
+the per-call answers.  The second half drives the batching front-end with
 open-loop Poisson arrivals and reports sustained req/s and latency
 percentiles.  Results are recorded in EXPERIMENTS.md (S5); the speedup
 ratio is gated over time by the ``service:route-batch:q12`` trajectory

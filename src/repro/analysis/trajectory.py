@@ -274,7 +274,7 @@ def _service_workload(name: str, n: int, requests: int, quick: bool) -> Workload
         name=name,
         description=(
             f"one route_batch() vs {requests} per-call route()s on the "
-            f"Q_{n} multipath cycle (both orientations, shared-memory shard)"
+            f"Q_{n} multipath cycle (both orientations, store-file shard)"
         ),
         build=build,
         fast=lambda ctx: ctx[0].route_batch(ctx[1], ctx[2]),

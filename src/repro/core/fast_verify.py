@@ -29,8 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -48,6 +47,7 @@ from repro.obs.profile import profile_span
 
 __all__ = [
     "EdgeLookup",
+    "PackedEdges",
     "PathCSR",
     "build_edge_lookup",
     "embedding_csr",
@@ -491,9 +491,94 @@ def _rev(edge: Any) -> Any:
     return (v, u)
 
 
+def _pack_vertices(coords: np.ndarray, radix: Tuple[int, ...]) -> np.ndarray:
+    """Mixed-radix ids of the tuple vertices ``coords[..., k]``.
+
+    Coordinate ``j`` counts in base ``radix[j]``.  An endpoint with a
+    coordinate outside ``[0, radix[j])`` is no vertex of the guest, so it
+    packs to ``-1``, an id no edge uses.
+    """
+    inside = ((coords >= 0) & (coords < np.asarray(radix))).all(axis=-1)
+    ids = np.ravel_multi_index(
+        tuple(np.moveaxis(coords, -1, 0)), radix, mode="clip"
+    )
+    return np.where(inside, ids, -1)
+
+
+class PackedEdges:
+    """The canonical guest edges of a :class:`PathCSR` as packed vertex ids.
+
+    ``uv[g]`` holds bundle ``g``'s two endpoints.  ``radix`` is empty when
+    vertices are integers, which are their own ids; tuple vertices number
+    by mixed radix (:func:`_pack_vertices`).  Indexing and iteration unpack
+    rows back to the guest's own edges, building tuples only for the rows
+    touched: ``((u, v), ...)`` for 2^20 bundles would cost ~0.5s of pure
+    Python.
+    """
+
+    __slots__ = ("uv", "radix")
+
+    def __init__(self, uv: np.ndarray, radix: Tuple[int, ...] = ()) -> None:
+        self.uv = uv
+        self.radix = radix
+
+    def _unpack(self, uv: np.ndarray) -> List[Tuple[Any, Any]]:
+        if not self.radix:
+            return [(u, v) for u, v in uv.tolist()]
+        coords = np.stack(np.unravel_index(uv, self.radix), axis=-1).tolist()
+        return [(tuple(u), tuple(v)) for u, v in coords]
+
+    def __len__(self) -> int:
+        return int(self.uv.shape[0])
+
+    def __getitem__(
+        self, i: Union[int, slice]
+    ) -> Union[Tuple[Any, Any], List[Tuple[Any, Any]]]:
+        if isinstance(i, slice):
+            return self._unpack(self.uv[i])
+        return self._unpack(self.uv[[i]])[0]
+
+    def __iter__(self) -> Iterator[Tuple[Any, Any]]:
+        for lo in range(0, len(self), 4096):
+            yield from self._unpack(self.uv[lo : lo + 4096])
+
+
+def _pack_edges(edges: Sequence[Any]) -> PackedEdges:
+    """Guest edges as a :class:`PackedEdges` table.
+
+    An integer vertex is its own id.  Tuples of one arity with
+    non-negative integer coordinates number by mixed radix, ``max + 1``
+    per coordinate.  Any other vertex raises ``ValueError``.
+    """
+    if not len(edges):
+        return PackedEdges(np.zeros((0, 2), dtype=CSR_NODE_DTYPE))
+    try:
+        coords = np.asarray(edges)
+    except (TypeError, ValueError, OverflowError):
+        coords = np.asarray(())  # ragged: rejected below
+    packable = (
+        coords.dtype.kind in "iu"
+        and coords.ndim in (2, 3)
+        and coords.shape[1] == 2
+        and 0 not in coords.shape
+    )
+    if packable:
+        coords = coords.astype(CSR_NODE_DTYPE, copy=False)
+        packable = int(coords.min()) >= 0
+    if not packable:
+        raise ValueError(
+            "guest vertices must be non-negative ints or equal-length "
+            f"tuples of them (edges look like {edges[0]!r})"
+        )
+    if coords.ndim == 2:
+        return PackedEdges(coords)
+    radix = tuple(int(r) + 1 for r in coords.max(axis=(0, 1)))
+    return PackedEdges(_pack_vertices(coords, radix), radix)
+
+
 @dataclass(frozen=True)
 class EdgeLookup:
-    """Vectorized guest-edge resolver for integer-vertex embeddings.
+    """Vectorized guest-edge resolver over packed vertex ids.
 
     Packs each orientation of every bundle's canonical edge into one
     ``u * base + v`` key and answers a whole request batch with a single
@@ -501,8 +586,9 @@ class EdgeLookup:
     upfront Python loop over a million edges.  The three arrays are plain
     contract-dtype vectors, so the artifact store serializes them next to
     the CSR payload and a memmapped embedding resolves requests O(ms)
-    after open.  Semantics match :attr:`PathCSR.edge_index`: stored
-    orientations always win over reverse fallbacks.
+    after open.  Stored orientations always win over reverse fallbacks,
+    mirroring :func:`repro.service.api.disjoint_paths`'s forward-then-
+    reverse lookup order.
     """
 
     base: int  # vertex ids live in [0, base)
@@ -536,8 +622,8 @@ def build_edge_lookup(edge_uv: np.ndarray) -> EdgeLookup:
 
     Forward orientations win ties against reverse fallbacks (the stable
     sort keeps the forward block first), and among several reverse
-    claims on one key the lowest bundle id wins — both exactly as the
-    dict-based :attr:`PathCSR.edge_index` resolves them.
+    claims on one key the lowest bundle id wins, so answers match
+    :func:`repro.service.api.disjoint_paths`.
     """
     edge_uv = np.ascontiguousarray(edge_uv, dtype=np.int64)
     count = edge_uv.shape[0]
@@ -552,6 +638,8 @@ def build_edge_lookup(edge_uv: np.ndarray) -> EdgeLookup:
     if int(min(us.min(), vs.min())) < 0:
         raise ValueError("edge lookup requires non-negative vertex ids")
     base = int(max(us.max(), vs.max())) + 1
+    if base > 1 << 31:  # u * base + v must stay inside int64
+        raise ValueError(f"vertex id {base - 1} is too large to pack edge keys")
     ids = np.arange(count, dtype=CSR_OFFSET_DTYPE)
     keys = np.concatenate([us * base + vs, vs * base + us])
     gids = np.concatenate([ids, ids])
@@ -582,8 +670,12 @@ class PathCSR:
     per-guest-edge *bundles* so a routing request is two offset lookups plus
     one gather — no dict-of-tuples walking, no per-path Python.  The arrays
     obey the pathcode dtype contract (``CSR_NODE_DTYPE`` /
-    ``CSR_OFFSET_DTYPE`` / ``CSR_FLAG_DTYPE``), which is what the
-    shared-memory shard layer checks before mapping a segment zero-copy.
+    ``CSR_OFFSET_DTYPE`` / ``CSR_FLAG_DTYPE``), which is what the artifact
+    store checks before mapping a file zero-copy.
+
+    ``edges`` and ``lookup`` map between guest edges and bundles both
+    ways: ``edges[g]`` is bundle ``g``'s canonical guest edge, and
+    ``lookup`` resolves packed request endpoints to bundle ids.
 
     ``path_reversed[p]`` says path ``p`` is stored against its bundle's
     canonical orientation (it came from a :class:`MultiCopyEmbedding` copy
@@ -593,15 +685,12 @@ class PathCSR:
     """
 
     host_n: int
-    edges: Tuple[Any, ...]  # canonical guest edge of each bundle
+    edges: PackedEdges  # canonical guest edge of each bundle
     nodes: np.ndarray  # CSR_NODE_DTYPE, concatenated path nodes
     path_offsets: np.ndarray  # CSR_OFFSET_DTYPE, num_paths + 1
     bundle_offsets: np.ndarray  # CSR_OFFSET_DTYPE, num_bundles + 1
     path_reversed: np.ndarray = field(repr=False)  # CSR_FLAG_DTYPE
-    # optional vectorized resolver (integer-vertex guests only); the
-    # artifact store attaches one from memmapped arrays so resolution
-    # never walks a million-edge Python loop
-    lookup: Optional[EdgeLookup] = field(default=None, repr=False)
+    lookup: EdgeLookup = field(repr=False)
 
     @property
     def num_paths(self) -> int:
@@ -611,52 +700,19 @@ class PathCSR:
     def num_bundles(self) -> int:
         return int(self.bundle_offsets.size - 1)
 
-    @cached_property
-    def edge_index(self) -> Dict[Any, Tuple[int, bool]]:
-        """Both orientations of every guest edge -> ``(bundle id, flip)``.
-
-        Stored orientations always win: the reverse fallback is added only
-        for orientations no bundle claims directly, mirroring
-        :func:`repro.service.api.disjoint_paths`'s forward-then-reverse
-        lookup order.
-        """
-        index: Dict[Any, Tuple[int, bool]] = {}
-        for gid, edge in enumerate(self.edges):
-            index[edge] = (gid, False)
-        for gid, edge in enumerate(self.edges):
-            reverse = _rev(edge)
-            if reverse not in index:
-                index[reverse] = (gid, True)
-        return index
-
     def resolve(
         self, guest_edges: Sequence[Any]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Selected ``(path_ids, flips, request_offsets)`` for a request batch.
 
-        The only per-request Python is one dict lookup; everything after is
-        offset arithmetic.  Raises ``KeyError`` with the same shape of
-        message as per-call routing when an edge is unknown in *both*
-        orientations.
+        Request endpoints pack the way the export packed the guest's
+        vertices, and one ``searchsorted`` resolves the whole batch;
+        everything after is offset arithmetic.  Raises ``KeyError`` with
+        the same shape of message as per-call routing, naming the first
+        request that is unknown in *both* orientations.
         """
         count = len(guest_edges)
-        resolved = (
-            self._resolve_vectorized(guest_edges)
-            if self.lookup is not None
-            else None
-        )
-        if resolved is not None:
-            gids, flips = resolved
-        else:
-            gids = np.empty(count, dtype=CSR_OFFSET_DTYPE)
-            flips = np.empty(count, dtype=CSR_FLAG_DTYPE)
-            index = self.edge_index
-            for i, edge in enumerate(guest_edges):
-                hit = index.get(edge)
-                if hit is None:
-                    self._raise_unknown(edge)
-                gids[i] = hit[0]
-                flips[i] = hit[1]
+        gids, flips = self._bundle_ids(guest_edges)
         starts = self.bundle_offsets[gids]
         widths = self.bundle_offsets[gids + 1] - starts
         request_offsets = np.zeros(count + 1, dtype=CSR_OFFSET_DTYPE)
@@ -671,34 +727,54 @@ class PathCSR:
         ).astype(bool)
         return path_ids, flip, request_offsets
 
-    def _raise_unknown(self, edge: Any) -> None:
+    def _raise_unknown(self, edge: Any) -> NoReturn:
         sample = self.edges[0] if len(self.edges) else None
         raise KeyError(
             f"guest edge {edge!r} not in embedding "
             f"(edges look like {sample!r})"
         )
 
-    def _resolve_vectorized(
+    def _bundle_ids(
         self, guest_edges: Sequence[Any]
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """``(gids, flips)`` via the packed lookup; None if not packable."""
-        lookup = self.lookup
-        if lookup is None:
-            return None
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(gids, flips)`` of a request batch via the packed lookup."""
+        ids = self._packed_endpoints(guest_edges)
+        if ids is None:
+            if len(guest_edges) == 1:
+                self._raise_unknown(guest_edges[0])
+            # not one numeric array: resolve request by request, so the
+            # error names the first request that fails
+            parts = [self._bundle_ids([edge]) for edge in guest_edges]
+            return (
+                np.concatenate([gids for gids, _ in parts]),
+                np.concatenate([flips for _, flips in parts]),
+            )
+        gids, flips, known = self.lookup.resolve_packed(ids[:, 0], ids[:, 1])
+        if not bool(known.all()):
+            self._raise_unknown(guest_edges[int(np.argmin(known))])
+        return gids, flips
+
+    def _packed_endpoints(self, guest_edges: Sequence[Any]) -> Optional[np.ndarray]:
+        """``(count, 2)`` packed endpoint ids; None unless one numeric batch.
+
+        Endpoints match where the guest's own dict lookup would: ints,
+        bools and integral floats.  A non-integral float packs to -1.
+        """
+        radix = self.edges.radix
+        shape = (len(guest_edges), 2) + ((len(radix),) if radix else ())
+        if not shape[0]:
+            return np.zeros((0, 2), dtype=np.int64)
         try:
-            batch = np.asarray(guest_edges, dtype=np.int64)
+            batch = np.asarray(guest_edges)
         except (TypeError, ValueError, OverflowError):
             return None
-        if batch.ndim != 2 or batch.shape[1] != 2:
+        if batch.shape != shape or batch.dtype.kind not in "iubf":
             return None
-        gids, flips, known = lookup.resolve_packed(batch[:, 0], batch[:, 1])
-        if not bool(known.all()):
-            bad = int(np.argmin(known))
-            self._raise_unknown(guest_edges[bad])
-        return (
-            np.ascontiguousarray(gids, dtype=CSR_OFFSET_DTYPE),
-            np.ascontiguousarray(flips, dtype=CSR_FLAG_DTYPE),
-        )
+        if batch.dtype.kind == "f":
+            whole = (batch == np.trunc(batch)) & (np.abs(batch) < 2.0**62)
+            batch = np.where(whole, batch, -1)
+        ids = batch.astype(np.int64, copy=False)
+        return _pack_vertices(ids, radix) if radix else ids
 
     def take(
         self, guest_edges: Sequence[Any]
@@ -752,7 +828,9 @@ def embedding_csr(emb: Any) -> PathCSR:
     into one bundle (with per-path reverse flags) exactly when no single
     copy stores both directions as distinct guest edges; a copy that
     *does* store both keeps them as separate bundles, because flipping one
-    cannot reproduce the other.
+    cannot reproduce the other.  Guest vertices pack to integer ids
+    (:func:`_pack_edges`), which raises ``ValueError`` for a guest whose
+    vertices do not.
     """
     leaves: List[Dict[Any, Tuple[Tuple[int, ...], ...]]] = []
     _leaf_edge_paths(emb, leaves)
@@ -797,11 +875,13 @@ def embedding_csr(emb: Any) -> PathCSR:
     nodes, path_offsets = flatten_paths(paths)
     bundle_offsets = np.zeros(len(canonical) + 1, dtype=CSR_OFFSET_DTYPE)
     np.cumsum(np.asarray(bundle_sizes, dtype=np.int64), out=bundle_offsets[1:])
+    edges = _pack_edges(canonical)
     return PathCSR(
         host_n=emb.host.n,
-        edges=tuple(canonical),
+        edges=edges,
         nodes=nodes.astype(CSR_NODE_DTYPE, copy=False),
         path_offsets=path_offsets.astype(CSR_OFFSET_DTYPE, copy=False),
         bundle_offsets=bundle_offsets,
         path_reversed=np.asarray(flags, dtype=CSR_FLAG_DTYPE),
+        lookup=build_edge_lookup(edges.uv),
     )

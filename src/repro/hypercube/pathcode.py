@@ -48,8 +48,8 @@ __all__ = [
 ]
 
 # The dtype contract of every flat CSR path batch in the package.  The
-# shared-memory shard layer and the on-disk artifact store serialize these
-# names into their headers and refuse to map bytes whose arrays disagree —
+# on-disk artifact store, which every serving shard maps, serializes these
+# names into its headers and refuses to map bytes whose arrays disagree —
 # keeping one producer (this module) and many consumers (verification
 # kernels, batch routing, worker processes, memmapped artifacts)
 # byte-compatible.
@@ -58,7 +58,7 @@ CSR_OFFSET_DTYPE = np.dtype(np.int64)  #: path / bundle offset vectors
 CSR_FLAG_DTYPE = np.dtype(np.uint8)  #: per-path orientation flags
 
 # (field name, contract dtype) in on-bytes order — the serialized form of
-# the contract, shared by the shared-memory shards and the artifact store.
+# the contract in the artifact store.
 CSR_ARRAYS: Tuple[Tuple[str, np.dtype], ...] = (
     ("nodes", CSR_NODE_DTYPE),
     ("path_offsets", CSR_OFFSET_DTYPE),
@@ -67,7 +67,7 @@ CSR_ARRAYS: Tuple[Tuple[str, np.dtype], ...] = (
 )
 
 # Every serialized CSR array starts on an 8-byte boundary so int64 views
-# map without copies or misalignment, in shm segments and files alike.
+# map from a store file without copies or misalignment.
 CSR_ALIGN = 8
 
 

@@ -43,7 +43,7 @@ LINK = "LinkId"  # directed link id: head * n + dim
 LANE_LINK = "LaneLinkId"  # lane-major link id: lane * L + link
 PACKED_EDGE = "PackedEdgeKey"  # u * base + v lookup key
 CSR_OFFSET = "CsrOffset"  # index into a CSR nodes vector
-BYTE_OFFSET = "ByteOffset"  # byte position in a mapped store segment
+BYTE_OFFSET = "ByteOffset"  # byte position in a mapped store file
 FLIT_POS = "FlitPos"  # flit index within one worm
 INT = "int"  # plain / unknown integer — compatible with everything
 
@@ -88,7 +88,7 @@ ATTR_INFO: Dict[str, Tuple[str, Optional[str]]] = {
 
 # -- seed table: mapped-store header fields (string subscripts) ----------------
 # header["data_start"], spec["offset"], ... are byte offsets by contract
-# (service/store.py and service/shards.py share the layout vocabulary).
+# (the layout vocabulary of service/store.py).
 
 HEADER_FIELDS: FrozenSet[str] = frozenset(
     {"data_start", "payload", "offset", "blob_offset", "nbytes"}

@@ -18,9 +18,9 @@ the holes, statically:
 One delegation idiom is recognized as synchronized: a call that receives
 *both* the lock and the guarded attribute (``teardown(self._lock,
 self._shards)``, positionally or by keyword) hands synchronization to
-the callee — the shard lifecycle's ``weakref.finalize`` teardown helper
-is the motivating case, since the finalizer must own the map without
-keeping the manager alive.
+the callee — a ``weakref.finalize`` teardown helper is the motivating
+case, since a finalizer must own the map without keeping its owner
+alive.
 
 ``async def`` methods are analyzed exactly like threads: the batching
 frontend's asyncio paths (``serve()`` handing work to the drain loop

@@ -3,10 +3,10 @@
 The serving layer over :mod:`repro.core` / :mod:`repro.routing` /
 :mod:`repro.fault`: constructions are deterministic and dominate runtime,
 so the service memoizes them (memory LRU over a checksummed disk tier),
-builds cache misses concurrently in worker processes, publishes each
-embedding's flat CSR path arrays as a checksummed shared-memory *shard*,
-and answers routing requests — batched, plain and fault-tolerant — by
-numpy gathers against those shards.
+builds cache misses concurrently in worker processes, serves each
+embedding's flat CSR path arrays from its memmapped store file (the
+*shard*), and answers routing requests — batched, plain and
+fault-tolerant — by numpy gathers against those shards.
 
 Quickstart::
 
@@ -27,7 +27,7 @@ Modules:
 * :mod:`repro.service.registry` — content-addressed embedding cache;
 * :mod:`repro.service.store`    — binary memmapped artifact files;
 * :mod:`repro.service.engine`   — concurrent batch construction;
-* :mod:`repro.service.shards`   — shared-memory CSR shards + manager;
+* :mod:`repro.service.shards`   — store-file CSR shards + manager;
 * :mod:`repro.service.frontend` — batching ``serve()`` loop + load harness;
 * :mod:`repro.service.api`      — the :class:`RoutingService` facade.
 
@@ -44,12 +44,7 @@ from repro.service.registry import (
     default_cache_dir,
     encode_embedding,
 )
-from repro.service.shards import (
-    ShardIntegrityError,
-    ShardManager,
-    ShardView,
-    attach_shard,
-)
+from repro.service.shards import ShardManager, ShardView, attach_shard
 from repro.service.store import (
     StoreIntegrityError,
     StoreView,
@@ -77,7 +72,6 @@ __all__ = [
     "RouteRequest",
     "RouteResponse",
     "RoutingService",
-    "ShardIntegrityError",
     "ShardManager",
     "ShardView",
     "StoreIntegrityError",

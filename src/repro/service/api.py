@@ -6,9 +6,9 @@ One object answers the service questions:
   through the two-tier registry;
 * :meth:`RoutingService.route_batch` — **the** routing entry point since
   the batch API redesign: thousands of :class:`RouteRequest`\\ s resolved
-  per call by numpy gathers against the embedding's shared-memory CSR
-  shard (see :mod:`repro.service.shards`), returned as a lazy
-  :class:`BatchRouteResult`;
+  per call by numpy gathers against the embedding's CSR shard, its
+  memmapped store file (see :mod:`repro.service.shards`), returned as a
+  lazy :class:`BatchRouteResult`;
 * :meth:`RoutingService.route` / :meth:`RoutingService.route_fault_tolerant`
   — thin single-item wrappers over the batch path; the latter adds
   IDA-dispersed delivery that fails over to the surviving path subset
@@ -148,31 +148,35 @@ class RoutingService:
     def shard_for(self, spec: EmbeddingSpec) -> ShardView:
         """The (published-on-first-use) CSR shard serving ``spec``.
 
-        Resolution order is the cold-start story: an already-published
-        shard, else the registry's memmapped store artifact served
-        straight off the file (O(ms), no embedding object, no
-        shared-memory copy), else build + verify + publish to shared
-        memory.  ``.info.name`` is what worker processes pass to
-        :meth:`repro.service.shards.ShardManager.attach` — a segment
-        name for ``"shm"`` shards, the store path for ``"file"`` ones.
+        A shard is the spec's memmapped store file.  Resolution order is
+        the cold-start story: an already-published shard, else the
+        registry's store, served straight off the file (O(ms), no
+        embedding object), else build + verify + admit, which writes the
+        store, and then that store.  ``.info.name`` is the store path
+        worker processes pass to
+        :func:`repro.service.shards.attach_shard`.  Only if the store
+        still cannot be mapped (another process removed it, or a
+        transient open error) does the in-memory export serve as a
+        process-local shard, with an empty name.
         """
         key = spec.cache_key()
         existing = self.shards.get(key)
         if existing is not None:
             self.metrics.incr("shard_hits")
             return existing
+        self.metrics.incr("shard_misses")
         store = self.registry.get_store(spec)
-        if store is not None:
-            self.metrics.incr("shard_misses")
-            return self.shards.publish_mapped(
-                key,
-                store.csr,
-                name=store.info.path,
-                nbytes=store.info.nbytes,
-                sha256=store.info.sha256,
-            )
-        return self.shards.get_or_publish(
-            key, lambda: embedding_csr(self.get_embedding(spec))
+        if store is None:
+            emb = self.get_embedding(spec)
+            store = self.registry.get_store(spec)
+            if store is None:
+                return self.shards.publish_mapped(key, embedding_csr(emb))
+        return self.shards.publish_mapped(
+            key,
+            store.csr,
+            name=store.info.path,
+            nbytes=store.info.nbytes,
+            sha256=store.info.sha256,
         )
 
     # -- routing -------------------------------------------------------------------
@@ -259,5 +263,5 @@ class RoutingService:
         return self.registry.stats()
 
     def close(self) -> None:
-        """Unlink the published shards (the registry/engine stay usable)."""
+        """Drop the published shards (the registry/engine stay usable)."""
         self.shards.close()

@@ -1,23 +1,25 @@
-"""Binary memmapped artifact store — instant-start persistence for CSR shards.
+"""Binary memmapped artifact store — the one container of a served CSR.
 
-The disk analogue of :mod:`repro.service.shards`: one *store file* is one
-verified embedding's full routing answer, laid out exactly like a
-shared-memory shard — ``[magic][header length][JSON header]`` followed by
-the 8-byte-aligned :data:`~repro.hypercube.pathcode.CSR_ARRAYS` bytes — so
-:func:`open_store` hydrates a :class:`~repro.core.fast_verify.PathCSR`
-via ``numpy.memmap`` **zero-copy**: no rebuild, no JSON decode of a
-million paths, no Python dicts.  A Q_20 artifact (hundreds of MB) opens
-in milliseconds; the ~13s build+verify is paid exactly once, at admit.
+One *store file* is one verified embedding's full routing answer:
+``[magic][header length][JSON header]`` followed by the 8-byte-aligned
+arrays, so :func:`open_store` hydrates a
+:class:`~repro.core.fast_verify.PathCSR` via ``numpy.memmap``
+**zero-copy**: no rebuild, no JSON decode of a million paths, no Python
+dicts.  A Q_20 artifact (hundreds of MB) opens in milliseconds; the ~13s
+build+verify is paid exactly once, at admit.  Every serving shard is a
+store file mapped this way (:mod:`repro.service.shards`).
 
-Two extras distinguish a store file from a shard segment:
+Next to the :data:`~repro.hypercube.pathcode.CSR_ARRAYS` a store file
+carries:
 
-* **Packed edge lookup.**  Integer-vertex guests (the cycle families)
-  additionally serialize their canonical-edge endpoints and the sorted
-  :class:`~repro.core.fast_verify.EdgeLookup` arrays, so request
-  resolution after open is one ``searchsorted`` over memmapped keys —
-  building the dict index over 2^20 edges would alone blow the cold-start
-  budget.  Tuple-vertex guests (grid/CCC/tree) keep their edges JSON in
-  the header, exactly as shards do.
+* **The packed edge table and its lookup.**  Guest vertices are numbered
+  as integers at export: an integer vertex is its own id, and tuple
+  vertices (the grids, CCC and butterflies) number by mixed radix, which
+  the header records as ``vertex_radix``.  The canonical-edge endpoints
+  (``edge_uv``) and the sorted :class:`~repro.core.fast_verify.EdgeLookup`
+  arrays are stored as ids, so request resolution after open is one
+  ``searchsorted`` over memmapped keys for every guest — building a dict
+  over 2^20 edges would alone blow the cold-start budget.
 * **The embedding blob.**  The exact artifact text that was verified at
   build time rides behind the arrays, so the registry can materialize the
   full embedding object on demand — the fast path never touches it.
@@ -46,11 +48,11 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.fast_verify import EdgeLookup, PathCSR, build_edge_lookup
+from repro.core.fast_verify import EdgeLookup, PackedEdges, PathCSR
 from repro.hypercube.pathcode import (
     CSR_ARRAYS,
     CSR_FLAG_DTYPE,
@@ -72,7 +74,7 @@ __all__ = [
     "write_store",
 ]
 
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
 STORE_SUFFIX = ".rpstore"
 _MAGIC = b"RPSTORE1"
 _PREFIX = struct.Struct("<8sQ")  # magic, header length
@@ -84,8 +86,8 @@ _PREFIX = struct.Struct("<8sQ")  # magic, header length
 # and still checked, just on demand (QA, tests).
 EAGER_VERIFY_LIMIT = 32 * 1024 * 1024
 
-# lookup arrays ride next to the contract arrays under their own names
-_LOOKUP_ARRAYS: Tuple[Tuple[str, np.dtype], ...] = (
+# the packed edge table and its lookup ride behind the contract arrays
+_STORE_ARRAYS: Tuple[Tuple[str, np.dtype], ...] = CSR_ARRAYS + (
     ("edge_uv", CSR_NODE_DTYPE),
     ("lookup_keys", CSR_NODE_DTYPE),
     ("lookup_gids", CSR_OFFSET_DTYPE),
@@ -109,81 +111,23 @@ class StoreInfo:
     blob_bytes: int
     num_bundles: int
     num_paths: int
-    edges_mode: str  # "packed" or "json"
+    edges_mode: str  # "packed" (integer vertices) or "radix" (tuple vertices)
 
 
-class PackedEdges:
-    """Lazy tuple-of-edges view over a memmapped ``(n, 2)`` endpoint array.
-
-    Building ``tuple((u, v), ...)`` for 2^20 bundles costs ~0.5s of pure
-    Python — this stand-in satisfies everything the serving layer asks of
-    ``PathCSR.edges`` (length, indexing, iteration) while materializing
-    tuples only for the rows actually touched.
-    """
-
-    __slots__ = ("_uv",)
-
-    def __init__(self, uv: np.ndarray) -> None:
-        self._uv = uv
-
-    def __len__(self) -> int:
-        return int(self._uv.shape[0])
-
-    def __getitem__(
-        self, i: Union[int, slice]
-    ) -> Union[Tuple[int, int], List[Tuple[int, int]]]:
-        if isinstance(i, slice):
-            return [(int(u), int(v)) for u, v in self._uv[i]]
-        row = self._uv[i]
-        return (int(row[0]), int(row[1]))
-
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        for u, v in self._uv:
-            yield (int(u), int(v))
-
-
-def _encode_edges(edges: Any) -> Any:
-    # recursive guest-edge codec, same shape as the shard header's
-    def enc(v: Any) -> Any:
-        if isinstance(v, tuple):
-            return [enc(x) for x in v]
-        return v
-
-    return [enc(e) for e in edges]
-
-
-def _decode_edges(doc: Any) -> Tuple[Any, ...]:
-    def dec(v: Any) -> Any:
-        if isinstance(v, list):
-            return tuple(dec(x) for x in v)
-        return v
-
-    return tuple(dec(e) for e in doc)
-
-
-def _edge_uv(edges: Any) -> Optional[np.ndarray]:
-    """``(n, 2)`` int64 endpoints, or None when vertices are not plain ints."""
-    if isinstance(edges, PackedEdges):
-        return np.asarray(edges._uv, dtype=np.int64)
-    try:
-        uv = np.asarray(edges, dtype=np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    if uv.ndim != 2 or uv.shape[1] != 2 or (uv.size and int(uv.min()) < 0):
-        return None
-    return uv
-
-
-def _contract_arrays(csr: PathCSR) -> List[Tuple[str, np.dtype, np.ndarray]]:
+def _store_arrays(csr: PathCSR) -> List[Tuple[str, np.dtype, np.ndarray]]:
     source = {
         "nodes": csr.nodes,
         "path_offsets": csr.path_offsets,
         "bundle_offsets": csr.bundle_offsets,
         "path_reversed": csr.path_reversed,
+        "edge_uv": csr.edges.uv.reshape(-1),
+        "lookup_keys": csr.lookup.keys,
+        "lookup_gids": csr.lookup.gids,
+        "lookup_flips": csr.lookup.flips,
     }
     return [
         (name, dt, np.ascontiguousarray(source[name], dtype=dt))
-        for name, dt in CSR_ARRAYS
+        for name, dt in _STORE_ARRAYS
     ]
 
 
@@ -208,17 +152,7 @@ def write_store(
     to sweep.
     """
     path = Path(path)
-    arrays = _contract_arrays(csr)
-    uv = _edge_uv(csr.edges)
-    lookup: Optional[EdgeLookup] = None
-    if uv is not None:
-        lookup = csr.lookup if csr.lookup is not None else build_edge_lookup(uv)
-        arrays += [
-            ("edge_uv", CSR_NODE_DTYPE, np.ascontiguousarray(uv.reshape(-1))),
-            ("lookup_keys", CSR_NODE_DTYPE, lookup.keys),
-            ("lookup_gids", CSR_OFFSET_DTYPE, lookup.gids),
-            ("lookup_flips", CSR_FLAG_DTYPE, lookup.flips),
-        ]
+    arrays = _store_arrays(csr)
 
     specs: List[Dict[str, Any]] = []
     offset = 0  # relative to the payload start
@@ -243,15 +177,12 @@ def write_store(
         "arrays": specs,
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
+        "edges_mode": "radix" if csr.edges.radix else "packed",
+        "vertex_radix": list(csr.edges.radix),
+        "lookup_base": csr.lookup.base,
     }
-    if uv is not None and lookup is not None:
-        header["edges_mode"] = "packed"
-        header["lookup_base"] = lookup.base
-    else:
-        header["edges_mode"] = "json"
-        header["edges"] = _encode_edges(csr.edges)
     # digest/offsets go into the header, so serialize twice: once to size
-    # the reserved region, once for real (the shard layout's trick)
+    # the reserved region, once for real
     head_blob = json.dumps(header, separators=(",", ":")).encode()
     digest_pad = 192  # > ,"sha256":"..","data_start":N,"blob_offset":N
     data_start = csr_aligned(_PREFIX.size + len(head_blob) + digest_pad)
@@ -415,24 +346,13 @@ def open_store(
     staleness checks).  ``payload_verify`` is ``"auto"`` (default, also
     via ``$REPRO_STORE_VERIFY``), ``"eager"`` or ``"lazy"`` — see the
     module docstring for the trade.  Filesystem errors surface as
-    ``OSError`` (transient, the file may be fine); validation failures
-    raise :class:`StoreIntegrityError` (the file is bad or stale).
+    ``OSError`` (transient, the file may be fine); validation failures,
+    a missing or mistyped header field included, raise
+    :class:`StoreIntegrityError` (the file is bad or stale).
     """
     path = Path(path)
     mode = _resolve_verify_mode(payload_verify)
-    size = path.stat().st_size
-    with open(path, "rb") as fh:
-        prefix = fh.read(_PREFIX.size)
-        if len(prefix) < _PREFIX.size or prefix[:8] != _MAGIC:
-            raise StoreIntegrityError(f"{path} is not a repro store file")
-        _, head_len = _PREFIX.unpack(prefix)
-        if _PREFIX.size + head_len > size:
-            raise StoreIntegrityError(f"{path}: truncated header")
-        head_blob = fh.read(head_len)
-    try:
-        header = json.loads(head_blob)
-    except ValueError as err:
-        raise StoreIntegrityError(f"{path}: bad header ({err})") from err
+    header = read_store_header(path)
     if header.get("schema") != STORE_SCHEMA:
         raise StoreIntegrityError(
             f"{path}: schema {header.get('schema')!r} != {STORE_SCHEMA}"
@@ -449,19 +369,28 @@ def open_store(
         and header.get("package_version") != expect_package_version
     ):
         raise StoreIntegrityError(f"{path}: package version mismatch")
-    data_start = int(header.get("data_start", 0))
-    payload = int(header.get("payload", 0))
-    blob_end = int(header.get("blob_offset", 0)) + int(header.get("blob_bytes", 0))
+    try:
+        view = _map_store(path, header)
+    except (KeyError, TypeError, ValueError) as err:
+        raise StoreIntegrityError(f"{path}: malformed header ({err!r})") from err
+    if mode == "eager" or (mode == "auto" and view.info.nbytes <= EAGER_VERIFY_LIMIT):
+        view.verify_payload()
+    return view
+
+
+def _map_store(path: Path, header: Dict[str, Any]) -> StoreView:
+    """Map the arrays of ``path`` where its parsed ``header`` places them."""
+    size = path.stat().st_size
+    data_start = int(header["data_start"])
+    payload = int(header["payload"])
+    blob_end = int(header["blob_offset"]) + int(header["blob_bytes"])
     if data_start + payload > size or blob_end > size:
         raise StoreIntegrityError(f"{path}: truncated payload")
 
     mm = np.memmap(path, dtype=np.uint8, mode="r")
     views: Dict[str, np.ndarray] = {}
-    by_name = {s["name"]: s for s in header.get("arrays", ())}
-    contract = CSR_ARRAYS + (
-        _LOOKUP_ARRAYS if header.get("edges_mode") == "packed" else ()
-    )
-    for field_name, dt in contract:
+    by_name = {s["name"]: s for s in header["arrays"]}
+    for field_name, dt in _STORE_ARRAYS:
         spec = by_name.get(field_name)
         if spec is None or spec["dtype"] != dt.str:
             raise StoreIntegrityError(
@@ -469,46 +398,37 @@ def open_store(
                 f"({spec and spec['dtype']} != {dt.str})"
             )
         lo = data_start + int(spec["offset"])
-        nbytes = int(spec["size"]) * dt.itemsize
-        if lo + nbytes > size:
+        hi = lo + int(spec["size"]) * dt.itemsize
+        if not data_start <= lo <= hi <= size:
             raise StoreIntegrityError(f"{path}: array {field_name!r} truncated")
-        views[field_name] = mm[lo : lo + nbytes].view(dt)
-
-    edges: Any
-    lookup: Optional[EdgeLookup] = None
-    if header.get("edges_mode") == "packed":
-        uv = views["edge_uv"].reshape(-1, 2)
-        edges = PackedEdges(uv)
-        lookup = EdgeLookup(
-            base=int(header["lookup_base"]),
-            keys=views["lookup_keys"],
-            gids=views["lookup_gids"],
-            flips=views["lookup_flips"],
-        )
-    else:
-        edges = _decode_edges(header.get("edges", ()))
+        views[field_name] = mm[lo:hi].view(dt)
 
     csr = PathCSR(
         host_n=int(header["host_n"]),
-        edges=edges,
+        edges=PackedEdges(
+            views["edge_uv"].reshape(-1, 2),
+            tuple(int(r) for r in header["vertex_radix"]),
+        ),
         nodes=views["nodes"],
         path_offsets=views["path_offsets"],
         bundle_offsets=views["bundle_offsets"],
         path_reversed=views["path_reversed"],
-        lookup=lookup,
+        lookup=EdgeLookup(
+            base=int(header["lookup_base"]),
+            keys=views["lookup_keys"],
+            gids=views["lookup_gids"],
+            flips=views["lookup_flips"],
+        ),
     )
     info = StoreInfo(
         path=str(path),
-        spec_key=header.get("spec_key", ""),
-        kind=header.get("kind", ""),
+        spec_key=str(header["spec_key"]),
+        kind=str(header["kind"]),
         nbytes=payload,
-        sha256=header.get("sha256", ""),
-        blob_bytes=int(header.get("blob_bytes", 0)),
+        sha256=str(header["sha256"]),
+        blob_bytes=int(header["blob_bytes"]),
         num_bundles=csr.num_bundles,
         num_paths=csr.num_paths,
-        edges_mode=header.get("edges_mode", "json"),
+        edges_mode=str(header["edges_mode"]),
     )
-    view = StoreView(path, header, csr, info, mm)
-    if mode == "eager" or (mode == "auto" and payload <= EAGER_VERIFY_LIMIT):
-        view.verify_payload()
-    return view
+    return StoreView(path, header, csr, info, mm)

@@ -1,16 +1,20 @@
 """The memmapped artifact store and the registry tiers built on it.
 
 Covers the instant-start contract end to end: a store file round-trips a
-CSR field-identically (packed int edges and JSON tuple edges alike), every
-corruption class is caught by the right checksum at the right time,
-transient filesystem errors never delete a healthy artifact, pre-store
-JSON artifacts are ignored, two racing processes produce exactly one
-build, and a fresh service serves its first batch off the mapped file
-without rebuilding anything.
+CSR field-identically (integer vertices packed as themselves, tuple
+vertices by radix), every corruption class is caught by the right
+checksum at the right time, a malformed or schema-1 header is a stale
+artifact the registry removes and rebuilds, transient filesystem errors
+never delete a healthy artifact, pre-store JSON artifacts are ignored, two
+racing processes produce exactly one build, and a fresh service serves its
+first batch off the mapped file without rebuilding anything.
 """
 
 import json
 import os
+import random
+import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -20,14 +24,22 @@ import pytest
 
 import repro
 from repro.core import embed_cycle_load1
+from repro.core.embedding import Embedding, MultiCopyEmbedding, MultiPathEmbedding
 from repro.core.fast_verify import embedding_csr
+from repro.qa.constructions import default_space
+from repro.service.api import RoutingService, disjoint_paths
 from repro.service.registry import (
     EmbeddingRegistry,
     decode_embedding,
     make_artifact,
 )
 from repro.service.shards import attach_shard
-from repro.service.specs import EmbeddingSpec, build_spec
+from repro.service.specs import (
+    BatchRouteResult,
+    EmbeddingSpec,
+    RouteRequest,
+    build_spec,
+)
 from repro.service.store import (
     EAGER_VERIFY_LIMIT,
     PackedEdges,
@@ -88,14 +100,16 @@ class TestRoundtrip:
         finally:
             view.close()
 
-    def test_tuple_vertex_edges_fall_back_to_json(self, tmp_path):
+    def test_tuple_vertex_edges_pack_by_radix(self, tmp_path):
         csr = embedding_csr(build_spec(EmbeddingSpec.make("grid", dims=(4, 4))))
         path, info = _write(tmp_path, csr, kind="grid")
-        assert info.edges_mode == "json"
+        assert info.edges_mode == "radix"
+        assert read_store_header(path)["vertex_radix"] == [4, 4]
         view = open_store(path)
         try:
-            assert view.csr.edges == csr.edges  # nested tuples, hashable
-            batch = list(csr.edges[:4])
+            assert view.csr.lookup is not None
+            assert list(view.csr.edges) == list(csr.edges)  # nested tuples
+            batch = list(csr.edges) + [(v, u) for u, v in csr.edges]
             got = view.csr.take(batch)
             want = csr.take(batch)
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
@@ -151,6 +165,15 @@ class TestPackedEdges:
         assert edges[:2] == [(0, 1), (2, 3)]
         assert list(edges) == [(0, 1), (2, 3), (4, 5)]
         assert all(isinstance(x, int) for e in edges for x in e)
+        # radix (3, 2) numbers the tuple vertex (x, y) as x * 2 + y
+        uv = np.array([[0, 2], [3, 5]], dtype=np.int64)
+        edges = PackedEdges(uv, (3, 2))
+        assert len(edges) == 2
+        assert edges[0] == ((0, 0), (1, 0))
+        assert edges[-1] == ((1, 1), (2, 1))
+        assert edges[:1] == [((0, 0), (1, 0))]
+        assert list(edges) == [((0, 0), (1, 0)), ((1, 1), (2, 1))]
+        assert all(isinstance(x, int) for e in edges for v in e for x in v)
 
 
 class TestIntegrity:
@@ -232,6 +255,25 @@ def _spec(n=6):
     return EmbeddingSpec.make("cycle", n=n)
 
 
+# same-length header tampers: the file keeps its size and payload digest
+_TAMPERS = {
+    "not-an-object": lambda head: b"[]".ljust(len(head)),
+    "missing-field": lambda head: head.replace(b'"host_n"', b'"host_x"', 1),
+    "schema-1": lambda head: head.replace(b'"schema":2', b'"schema":1', 1),
+}
+
+
+def _tamper_header(path, tamper):
+    prefix = struct.Struct("<8sQ")  # magic, header length
+    with open(path, "r+b") as fh:
+        _, head_len = prefix.unpack(fh.read(prefix.size))
+        head = fh.read(head_len)
+        tampered = tamper(head)
+        assert tampered != head and len(tampered) == len(head)
+        fh.seek(prefix.size)
+        fh.write(tampered)
+
+
 class TestRegistryTiers:
     def test_transient_error_spares_the_artifact(self, tmp_path, monkeypatch):
         reg = EmbeddingRegistry(cache_dir=tmp_path)
@@ -263,6 +305,23 @@ class TestRegistryTiers:
         assert fresh.get_store(spec) is None
         assert not path.exists()
         assert fresh.metrics.count("disk_corrupt") == 1
+
+    @pytest.mark.parametrize("tamper", sorted(_TAMPERS))
+    def test_stale_header_is_removed_and_rebuilt(self, tmp_path, tamper):
+        reg = EmbeddingRegistry(cache_dir=tmp_path)
+        spec = _spec()
+        reg.get_or_build(spec)
+        path = reg.path_for(spec)
+        _tamper_header(path, _TAMPERS[tamper])
+        with pytest.raises(StoreIntegrityError):
+            open_store(path)
+        fresh = EmbeddingRegistry(cache_dir=tmp_path)
+        assert fresh.get_store(spec) is None
+        assert fresh.metrics.count("disk_corrupt") == 1
+        assert not path.exists()
+        assert fresh.get_or_build(spec) is not None
+        assert fresh.metrics.count("builds") == 1
+        fresh.get_store(spec).close()  # the rebuilt store maps again
 
     def test_clear_sweeps_tmp_and_lock_orphans(self, tmp_path):
         reg = EmbeddingRegistry(cache_dir=tmp_path)
@@ -387,8 +446,6 @@ class TestCrossProcess:
 
 class TestFileBackedServing:
     def test_cold_service_serves_off_the_file(self, tmp_path):
-        from repro.service.api import RoutingService
-
         spec = _spec(8)
         warm = RoutingService(registry=EmbeddingRegistry(cache_dir=tmp_path))
         want = warm.route_batch(spec, [(0, 1), (3, 2)])
@@ -400,8 +457,7 @@ class TestFileBackedServing:
             want.paths(i) for i in range(2)
         ]
         shard = cold.shard_for(spec)
-        assert shard.info.backend == "file"  # no rebuild, no shm copy
-        assert shard.info.name.endswith(".rpstore")
+        assert shard.info.name.endswith(".rpstore")  # no rebuild
         assert cold.metrics.count("builds") == 0
         cold.close()
 
@@ -409,10 +465,90 @@ class TestFileBackedServing:
         csr = _csr()
         path, _ = _write(tmp_path, csr, spec_key="w" * 64)
         view = attach_shard(str(path))
-        assert view.info.backend == "file"
         assert view.info.spec_key == "w" * 64
         batch = list(csr.edges[:4])
         got = view.csr.take(batch)
         want = csr.take(batch)
         assert all(np.array_equal(g, w) for g, w in zip(got, want))
         view.close()
+
+    def test_first_shard_for_serves_the_store_file(self, tmp_path):
+        svc = RoutingService(registry=EmbeddingRegistry(cache_dir=tmp_path))
+        spec = _spec()
+        shard = svc.shard_for(spec)  # empty cache: build, admit, map
+        assert shard.info.name == str(svc.registry.path_for(spec))
+        assert svc.metrics.count("builds") == 1
+        svc.close()
+
+    def test_deleted_store_serves_the_in_memory_export(self, tmp_path):
+        svc = RoutingService(registry=EmbeddingRegistry(cache_dir=tmp_path))
+        spec = _spec()
+        emb = svc.get_embedding(spec)
+        svc.registry.path_for(spec).unlink()  # another process cleared it
+        batch = [(0, 1), (2, 1), (5, 4)]
+        got = svc.route_batch(spec, batch)
+        assert [got.paths(i) for i in range(3)] == [
+            disjoint_paths(emb, edge) for edge in batch
+        ]
+        assert svc.shard_for(spec).info.name == ""  # process-local
+        svc.close()
+
+    @pytest.mark.parametrize(
+        "kind, params, request_",
+        [
+            ("cycle", {"n": 6}, (0.5, 1)),
+            ("cycle", {"n": 6}, ("0", "1")),
+            ("grid", {"dims": (4, 4)}, (0.5, 1)),
+            ("grid", {"dims": (4, 4)}, ("0", "1")),
+            ("grid", {"dims": (4, 4)}, ((0.5, 0), (1, 0))),
+        ],
+        ids=["cycle-float", "cycle-str", "grid-float", "grid-str", "grid-coordinate"],
+    )
+    def test_non_integer_endpoints_are_unknown(
+        self, tmp_path, kind, params, request_
+    ):
+        spec = EmbeddingSpec.make(kind, **params)
+        emb = EmbeddingRegistry(cache_dir=tmp_path).get_or_build(spec)
+        with pytest.raises(KeyError):
+            disjoint_paths(emb, request_)  # the referee
+        cold = RoutingService(registry=EmbeddingRegistry(cache_dir=tmp_path))
+        valid = cold.shard_for(spec).csr.edges[0]  # off the store file
+        with pytest.raises(KeyError, match="not in embedding"):
+            cold.route_batch(spec, [request_])
+        # behind a valid request, the error still names the bad one
+        with pytest.raises(KeyError, match=re.escape(repr(request_))):
+            cold.route_batch(spec, [valid, request_])
+        cold.close()
+
+
+def _stored_edges(emb):
+    """Every guest edge ``emb`` stores, in the embedding's own order."""
+    if isinstance(emb, MultiCopyEmbedding):
+        return list(dict.fromkeys(e for c in emb.copies for e in _stored_edges(c)))
+    return list(emb.edge_paths)
+
+
+class TestResolverReferee:
+    def test_every_kind_resolves_like_disjoint_paths(self, tmp_path):
+        rng = random.Random(16)
+        checked = []
+        for construction in default_space():
+            emb = construction.build(construction.sample(rng))
+            if not isinstance(emb, (Embedding, MultiCopyEmbedding, MultiPathEmbedding)):
+                continue  # scenario subjects route nothing
+            edges = _stored_edges(emb)
+            batch = edges + [(v, u) for u, v in edges]
+            fresh = embedding_csr(emb)
+            path = tmp_path / f"{construction.kind}.rpstore"
+            write_store(path, fresh, "{}", spec_key="k" * 64, kind=construction.kind)
+            view = open_store(path)
+            requests = [RouteRequest(edge) for edge in batch]
+            for csr in (fresh, view.csr):
+                result = BatchRouteResult(requests, *csr.take(batch))
+                for i, edge in enumerate(batch):
+                    assert result.paths(i) == disjoint_paths(emb, edge), (
+                        construction.kind, edge,
+                    )
+            view.close()
+            checked.append(construction.kind)
+        assert len(checked) == 18, checked
