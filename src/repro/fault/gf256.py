@@ -1,14 +1,20 @@
 """GF(2^8) arithmetic built from scratch (substrate for Rabin's IDA).
 
 The field is F_2[x] / (x^8 + x^4 + x^3 + x + 1) (the AES polynomial).  Log
-and antilog tables over the generator 3 make multiplication and inversion
-O(1) table lookups; numpy-vectorized variants serve the matrix kernels in
-:mod:`repro.fault.ida`.
+and antilog tables over the generator 3 make the scalar operations O(1)
+lookups; they are the referee for the matrix kernels.
+
+The matrix kernels in :mod:`repro.fault.ida` read one read-only 256 x 256
+``uint8`` product table built at import (64 KiB), ``_MUL[a, b] = a * b``.
+A matrix product is one broadcast gather of every term
+``a[i, k] * b[k, j]`` followed by an XOR reduction over ``k`` (addition in
+characteristic 2), and Gauss-Jordan elimination clears a whole pivot
+column with one such gather.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -17,31 +23,33 @@ __all__ = ["GF256"]
 _POLY = 0x11B  # x^8 + x^4 + x^3 + x + 1
 
 
+def _log_tables() -> Tuple[List[int], List[int]]:
+    exp = [0] * 512
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = x
+        log[x] = i
+        # multiply x by the generator 3 = x + 1: x*3 = (x << 1) ^ x
+        hi = x << 1
+        if hi & 0x100:
+            hi ^= _POLY
+        x = hi ^ x
+    for i in range(255, 512):
+        exp[i] = exp[i - 255]
+    return exp, log
+
+
+_EXP, _LOG = _log_tables()
+# log[0] is a placeholder, so the zero row and column are set explicitly
+_MUL = np.asarray(_EXP, dtype=np.uint8)[np.add.outer(_LOG, _LOG)]
+_MUL[0, :] = 0
+_MUL[:, 0] = 0
+_MUL.setflags(write=False)
+
+
 class GF256:
     """The Galois field GF(2^8) with table-based arithmetic."""
-
-    _exp: List[int] = []
-    _log: List[int] = []
-
-    @classmethod
-    def _init_tables(cls) -> None:
-        if cls._exp:
-            return
-        exp = [0] * 512
-        log = [0] * 256
-        x = 1
-        for i in range(255):
-            exp[i] = x
-            log[x] = i
-            # multiply x by the generator 3 = x + 1: x*3 = (x << 1) ^ x
-            hi = x << 1
-            if hi & 0x100:
-                hi ^= _POLY
-            x = hi ^ x
-        for i in range(255, 512):
-            exp[i] = exp[i - 255]
-        cls._exp = exp
-        cls._log = log
 
     # -- scalar ops ----------------------------------------------------------
 
@@ -52,17 +60,15 @@ class GF256:
 
     @classmethod
     def mul(cls, a: int, b: int) -> int:
-        cls._init_tables()
         if a == 0 or b == 0:
             return 0
-        return cls._exp[cls._log[a] + cls._log[b]]
+        return _EXP[_LOG[a] + _LOG[b]]
 
     @classmethod
     def inv(cls, a: int) -> int:
-        cls._init_tables()
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(256)")
-        return cls._exp[255 - cls._log[a]]
+        return _EXP[255 - _LOG[a]]
 
     @classmethod
     def div(cls, a: int, b: int) -> int:
@@ -70,77 +76,47 @@ class GF256:
 
     @classmethod
     def pow(cls, a: int, k: int) -> int:
-        cls._init_tables()
         if a == 0:
             return 0 if k else 1
-        return cls._exp[(cls._log[a] * k) % 255]
+        return _EXP[(_LOG[a] * k) % 255]
 
-    # -- vectorized ops ------------------------------------------------------
-
-    @classmethod
-    def mul_vec(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise product of two uint8 arrays."""
-        cls._init_tables()
-        exp = np.asarray(cls._exp, dtype=np.int64)
-        log = np.asarray(cls._log, dtype=np.int64)
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        out = exp[log[a] + log[b]]
-        out = np.where((a == 0) | (b == 0), 0, out)
-        return out.astype(np.uint8)
-
-    @classmethod
-    def matvec(cls, matrix: np.ndarray, vec: np.ndarray) -> np.ndarray:
-        """GF(256) matrix-vector product (XOR-accumulated)."""
-        rows = []
-        for r in range(matrix.shape[0]):
-            prod = cls.mul_vec(matrix[r], vec)
-            acc = 0
-            for p in prod:
-                acc ^= int(p)
-            rows.append(acc)
-        return np.asarray(rows, dtype=np.uint8)
+    # -- matrix ops ----------------------------------------------------------
 
     @classmethod
     def matmul(cls, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """GF(256) matrix product."""
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-        for j in range(b.shape[1]):
-            out[:, j] = cls.matvec(a, b[:, j])
+        """GF(256) matrix product of integer arrays with entries in [0, 256)."""
+        out: np.ndarray = np.bitwise_xor.reduce(_MUL[a[:, :, None], b[None, :, :]], axis=1)
         return out
 
     @classmethod
     def solve(cls, matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve ``matrix @ x = rhs`` by Gaussian elimination over GF(256).
 
-        ``rhs`` may be a matrix (multiple right-hand sides).
+        ``rhs`` may be a matrix (multiple right-hand sides).  Raises
+        ``ValueError`` when ``matrix`` is not square and
+        ``numpy.linalg.LinAlgError`` when it is singular.
         """
-        cls._init_tables()
-        m = matrix.astype(np.uint8).copy()
-        r = rhs.astype(np.uint8).copy()
+        m = matrix.astype(np.uint8)
+        r = rhs.astype(np.uint8)
         if r.ndim == 1:
             r = r[:, None]
         size = m.shape[0]
         if m.shape[1] != size:
             raise ValueError("matrix must be square")
         for col in range(size):
-            pivot = next(
-                (row for row in range(col, size) if m[row, col] != 0), None
-            )
-            if pivot is None:
+            nonzero = np.flatnonzero(m[col:, col])
+            if not nonzero.size:
                 raise np.linalg.LinAlgError("matrix is singular over GF(256)")
+            pivot = col + int(nonzero[0])
             if pivot != col:
                 m[[col, pivot]] = m[[pivot, col]]
                 r[[col, pivot]] = r[[pivot, col]]
             inv = cls.inv(int(m[col, col]))
-            inv_arr = np.full(m.shape[1], inv, dtype=np.uint8)
-            m[col] = cls.mul_vec(m[col], inv_arr)
-            r[col] = cls.mul_vec(r[col], np.full(r.shape[1], inv, dtype=np.uint8))
-            for row in range(size):
-                if row != col and m[row, col] != 0:
-                    factor = int(m[row, col])
-                    f_m = np.full(m.shape[1], factor, dtype=np.uint8)
-                    f_r = np.full(r.shape[1], factor, dtype=np.uint8)
-                    m[row] ^= cls.mul_vec(m[col], f_m)
-                    r[row] ^= cls.mul_vec(r[col], f_r)
-        return r if rhs.ndim > 1 else r[:, 0]
+            m[col] = _MUL[inv, m[col]]
+            r[col] = _MUL[inv, r[col]]
+            # clear the column in every other row: row ^= factor * pivot row
+            f = m[:, col].copy()
+            f[col] = 0
+            m ^= _MUL[f[:, None], m[col][None, :]]
+            r ^= _MUL[f[:, None], r[col][None, :]]
+        return r if rhs.ndim > 1 else r.ravel()

@@ -10,7 +10,8 @@ oracle registry; this package makes those checks *adversarial*:
 * :mod:`repro.qa.metamorphic` — automorphism-invariance of verification
   reports and simulated metrics;
 * :mod:`repro.qa.differential` — field-for-field agreement of the two
-  simulator engines plus networkx max-flow width cross-checks;
+  simulator engines, the serving and IDA kernels against their referees,
+  plus networkx max-flow width cross-checks;
 * :mod:`repro.qa.fuzzer` — the sample/check/shrink loop;
 * :mod:`repro.qa.corpus` — replayable on-disk reproducers.
 
@@ -24,6 +25,7 @@ from repro.qa.differential import (
     WormDivergence,
     cold_start_differential,
     differential_check,
+    ida_differential,
     max_flow_width_check,
     route_batch_differential,
     run_pair,
@@ -55,6 +57,7 @@ __all__ = [
     "WormDivergence",
     "cold_start_differential",
     "differential_check",
+    "ida_differential",
     "max_flow_width_check",
     "route_batch_differential",
     "run_pair",

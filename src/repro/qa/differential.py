@@ -34,6 +34,12 @@ fast/reference pair: the flat CSR gather behind
 edges drawn in both orientations — the batch answer must be
 *field-identical*, path for path, node for node.
 
+:func:`ida_differential` referees the fault-tolerant path's kernels:
+table-driven :func:`~repro.fault.ida.disperse` against a dispersal
+computed from the field's definition (shift-and-xor products reduced by
+``0x11B``, no tables), and :func:`~repro.fault.ida.reconstruct` against
+the message itself, from every m-subset of the pieces.
+
 Independently, :func:`max_flow_width_check` cross-examines claimed
 edge-disjoint widths with an algorithm that shares no code with the
 verifier: networkx max-flow over the directed hypercube with unit
@@ -46,11 +52,14 @@ means the bundle double-counted an edge.
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.verification import InvariantCheck
+from repro.fault.ida import disperse, reconstruct
 from repro.obs.recorder import LinkRecorder
 from repro.qa.schedules import (
     Schedule,
@@ -77,6 +86,8 @@ __all__ = [
     "verification_differential",
     "route_batch_differential",
     "cold_start_differential",
+    "gf256_mul_reference",
+    "ida_differential",
     "max_flow_width_check",
 ]
 
@@ -662,6 +673,132 @@ def cold_start_differential(
             )
         finally:
             view.close()
+    return checks
+
+
+# -- IDA kernels ---------------------------------------------------------------
+
+_IDA_SUBSETS = 64  # every m-subset up to this many, else this many sampled
+
+
+def gf256_mul_reference(a: int, b: int) -> int:
+    """GF(256) product by shift-and-xor, reduced by ``0x11B``; no tables."""
+    out = 0
+    while b:
+        if b & 1:
+            out ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return out
+
+
+def _gf256_inv_reference(a: int) -> int:
+    """``a^254``: the inverse of a nonzero ``a`` (the unit group has order 255)."""
+    out, k = 1, 254
+    while k:
+        if k & 1:
+            out = gf256_mul_reference(out, a)
+        a = gf256_mul_reference(a, a)
+        k >>= 1
+    return out
+
+
+def _disperse_reference(message: bytes, w: int, m: int) -> List[Tuple[int, bytes]]:
+    """IDA dispersal from its definition, one scalar product at a time.
+
+    The layout is the wire contract: a 4-byte big-endian length header,
+    zero padding to ``m`` equal rows, and piece ``i`` = row ``i`` of the
+    ``w x m`` Cauchy matrix ``1/(x_i + y_j)`` (``x = m..m+w-1``,
+    ``y = 0..m-1``) times those rows.
+    """
+    framed = len(message).to_bytes(4, "big") + message
+    cols = -(-len(framed) // m)
+    framed += b"\0" * (m * cols - len(framed))
+    pieces = []
+    for i, x in enumerate(range(m, m + w)):
+        piece = bytearray(cols)
+        for k in range(m):
+            coeff = _gf256_inv_reference(x ^ k)
+            for j in range(cols):
+                piece[j] ^= gf256_mul_reference(coeff, framed[k * cols + j])
+        pieces.append((i, bytes(piece)))
+    return pieces
+
+
+def ida_differential(subject: Any, rng: random.Random) -> List[InvariantCheck]:
+    """Referee the table-driven IDA kernels against the field's definition.
+
+    Draws four cases, each with ``w`` in [1, 12], ``m`` in [1, w] and a
+    message of 0 bytes, 1 byte, or up to 300 random bytes (two cases).
+    :func:`~repro.fault.ida.disperse` must match
+    :func:`_disperse_reference` byte for byte.
+    :func:`~repro.fault.ida.reconstruct` must return the message from
+    every m-subset of the pieces (64 sampled subsets when there are more),
+    given in shuffled order with one piece duplicated, and must raise
+    ``ValueError`` when given ``m - 1`` distinct pieces.  Dispersal does
+    not depend on the construction, so ``subject`` is not consulted; it
+    is taken to share the signature of the other stages.
+    """
+    checks: List[InvariantCheck] = []
+    for size in (0, 1, rng.randint(0, 300), rng.randint(0, 300)):
+        w = rng.randint(1, 12)
+        m = rng.randint(1, w)
+        message = rng.randbytes(size)
+        label = f"w={w},m={m},len={size}"
+        pieces = disperse(message, w, m)
+        if pieces != _disperse_reference(message, w, m):
+            checks.append(
+                InvariantCheck(
+                    f"diff:ida:disperse:{label}",
+                    False,
+                    "table-driven pieces differ from the shift-and-xor reference",
+                )
+            )
+        if math.comb(w, m) <= _IDA_SUBSETS:
+            subsets = list(itertools.combinations(range(w), m))
+        else:
+            subsets = [tuple(rng.sample(range(w), m)) for _ in range(_IDA_SUBSETS)]
+        lost = 0
+        for subset in subsets:
+            given = [pieces[i] for i in subset] + [pieces[rng.choice(subset)]]
+            rng.shuffle(given)
+            try:
+                lost += reconstruct(given, w, m) != message
+            except ValueError:
+                lost += 1
+        if lost:
+            checks.append(
+                InvariantCheck(
+                    f"diff:ida:reconstruct:{label}",
+                    False,
+                    f"{lost} of {len(subsets)} m-subset(s) did not "
+                    f"reconstruct the message",
+                )
+            )
+        short = [pieces[i] for i in rng.sample(range(w), m - 1)]
+        try:
+            reconstruct(short + short[:1], w, m)
+        except ValueError:
+            pass
+        else:
+            checks.append(
+                InvariantCheck(
+                    f"diff:ida:threshold:{label}",
+                    False,
+                    f"reconstruct accepted {m - 1} distinct piece(s)",
+                )
+            )
+    checks.append(
+        InvariantCheck(
+            "diff:ida",
+            not checks,
+            f"{len(checks)} IDA kernel check(s) failed"
+            if checks
+            else "disperse matches the reference and every subset reconstructs",
+        )
+    )
     return checks
 
 

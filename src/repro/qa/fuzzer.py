@@ -31,7 +31,13 @@ For each point the fuzzer runs, in order:
    a real memmapped store file must hydrate field-identical to the
    fresh in-memory export and resolve fuzzed requests identically
    (:func:`repro.qa.differential.cold_start_differential`);
-8. **flow** — networkx max-flow cross-examination of claimed widths.
+8. **flow** — networkx max-flow cross-examination of claimed widths;
+9. **ida_differential** — the table-driven GF(256) IDA kernels must match
+   a shift-and-xor dispersal byte for byte and reconstruct fuzzed
+   messages from every m-subset of their pieces
+   (:func:`repro.qa.differential.ida_differential`).  It runs last, so
+   the earlier stages' draws from the point seed, which saved
+   reproducers replay, do not depend on it.
 
 A failing point is shrunk against the construction's own ``shrink``
 candidates (greedily, preserving the failing stage) and saved to the
@@ -57,6 +63,7 @@ from repro.qa.differential import (
     batched_wormhole_differential_check,
     cold_start_differential,
     differential_check,
+    ida_differential,
     max_flow_width_check,
     route_batch_differential,
     verification_differential,
@@ -82,6 +89,7 @@ STAGES = (
     "batched_differential",
     "cold_start_differential",
     "flow",
+    "ida_differential",
 )
 
 
@@ -298,6 +306,14 @@ class Fuzzer:
                 if not check.passed:
                     return FuzzFailure(
                         kind, params, "flow", f"{check.name}: {check.detail}"
+                    )
+
+        if "ida_differential" in self.checks:
+            for check in ida_differential(subject, rng):
+                if not check.passed:
+                    return FuzzFailure(
+                        kind, params, "ida_differential",
+                        f"{check.name}: {check.detail}",
                     )
         return None
 

@@ -245,16 +245,15 @@ class RoutingService:
             if model is None or model.path_alive(p)
         )
         failed = tuple(i for i in range(w) if i not in alive)
+        if len(alive) < m:  # undeliverable: the outcome carries no pieces
+            self.metrics.incr("delivery_failures")
+            return DeliveryOutcome(False, None, w, alive, failed, m)
         pieces = disperse(payload, w, m)
-        survivors = [pieces[i] for i in alive]
-        if len(survivors) >= m:
-            recovered = reconstruct(survivors, w, m)
-            if recovered != payload:
-                raise AssertionError("IDA reconstruction mismatch")
-            self.metrics.incr("deliveries")
-            return DeliveryOutcome(True, recovered, w, alive, failed, m)
-        self.metrics.incr("delivery_failures")
-        return DeliveryOutcome(False, None, w, alive, failed, m)
+        recovered = reconstruct([pieces[i] for i in alive], w, m)
+        if recovered != payload:
+            raise AssertionError("IDA reconstruction mismatch")
+        self.metrics.incr("deliveries")
+        return DeliveryOutcome(True, recovered, w, alive, failed, m)
 
     # -- observability ---------------------------------------------------------
 

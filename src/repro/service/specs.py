@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -75,7 +76,11 @@ class EmbeddingSpec:
         return dict(self.params)
 
     def cache_key(self) -> str:
-        """Deterministic content address of this request."""
+        """Deterministic content address of this request (memoized)."""
+        return self._cache_key
+
+    @cached_property  # per instance: params may be unhashable lists or dicts
+    def _cache_key(self) -> str:
         doc = {
             "kind": self.kind,
             "params": _canonical(self.param_dict()),
@@ -83,6 +88,12 @@ class EmbeddingSpec:
         }
         text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(text.encode()).hexdigest()
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # the memo is derived state: pickle the fields only
+        state = dict(self.__dict__)
+        state.pop("_cache_key", None)
+        return state
 
     def describe(self) -> str:
         args = ", ".join(f"{k}={v}" for k, v in self.params)

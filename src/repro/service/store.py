@@ -401,7 +401,9 @@ def _map_store(path: Path, header: Dict[str, Any]) -> StoreView:
         hi = lo + int(spec["size"]) * dt.itemsize
         if not data_start <= lo <= hi <= size:
             raise StoreIntegrityError(f"{path}: array {field_name!r} truncated")
-        views[field_name] = mm[lo:hi].view(dt)
+        # plain ndarray views: indexing a memmap subclass costs every request
+        # memmap.__getitem__; the base chain still holds the mapping
+        views[field_name] = mm[lo:hi].view(dtype=dt, type=np.ndarray)
 
     csr = PathCSR(
         host_n=int(header["host_n"]),

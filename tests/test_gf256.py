@@ -56,33 +56,65 @@ class TestFieldAxioms:
 
 
 class TestVectorized:
-    @given(st.lists(byte, min_size=1, max_size=32), st.lists(byte, min_size=1, max_size=32))
-    def test_mul_vec_matches_scalar(self, xs, ys):
-        size = min(len(xs), len(ys))
-        a = np.array(xs[:size], dtype=np.uint8)
-        b = np.array(ys[:size], dtype=np.uint8)
-        out = GF256.mul_vec(a, b)
-        for i in range(size):
-            assert out[i] == GF256.mul(int(a[i]), int(b[i]))
+    @given(
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=6),
+        st.integers(min_value=1, max_value=6),
+        st.data(),
+    )
+    def test_matmul_matches_scalar(self, rows, inner, cols, data):
+        a = np.array(
+            data.draw(st.lists(byte, min_size=rows * inner, max_size=rows * inner)),
+            dtype=np.uint8,
+        ).reshape(rows, inner)
+        b = np.array(
+            data.draw(st.lists(byte, min_size=inner * cols, max_size=inner * cols)),
+            dtype=np.uint8,
+        ).reshape(inner, cols)
+        out = GF256.matmul(a, b)
+        assert out.shape == (rows, cols) and out.dtype == np.uint8
+        for i in range(rows):
+            for j in range(cols):
+                acc = 0
+                for k in range(inner):
+                    acc ^= GF256.mul(int(a[i, k]), int(b[k, j]))
+                assert out[i, j] == acc
 
-    def test_matvec(self):
+    def test_matmul_column_vector(self):
         m = np.array([[1, 2], [3, 4]], dtype=np.uint8)
-        v = np.array([5, 6], dtype=np.uint8)
-        out = GF256.matvec(m, v)
-        assert out[0] == GF256.mul(1, 5) ^ GF256.mul(2, 6)
-        assert out[1] == GF256.mul(3, 5) ^ GF256.mul(4, 6)
+        v = np.array([[5], [6]], dtype=np.uint8)
+        out = GF256.matmul(m, v)
+        assert out.shape == (2, 1)
+        assert out[0, 0] == GF256.mul(1, 5) ^ GF256.mul(2, 6)
+        assert out[1, 0] == GF256.mul(3, 5) ^ GF256.mul(4, 6)
+
+    def test_matmul_is_every_product_exhaustively(self):
+        # the product table against both the log tables and the
+        # table-free shift-and-xor multiply, all 65,536 pairs
+        from repro.qa.differential import gf256_mul_reference
+
+        values = np.arange(256, dtype=np.uint8)
+        table = GF256.matmul(values[:, None], values[None, :])
+        for a in range(256):
+            row = table[a].tolist()
+            assert row == [GF256.mul(a, b) for b in range(256)], a
+            assert row == [gf256_mul_reference(a, b) for b in range(256)], a
 
     def test_solve_roundtrip(self):
         rng = np.random.default_rng(0)
+        solved_any = False
         for _ in range(10):
             m = rng.integers(0, 256, size=(4, 4)).astype(np.uint8)
-            x = rng.integers(0, 256, size=4).astype(np.uint8)
-            rhs = GF256.matvec(m, x)
+            rhs = rng.integers(0, 256, size=(4, 3)).astype(np.uint8)
             try:
                 solved = GF256.solve(m, rhs)
+                column = GF256.solve(m, rhs[:, 0])
             except np.linalg.LinAlgError:
                 continue  # singular draw
-            assert np.array_equal(GF256.matvec(m, solved), rhs)
+            solved_any = True
+            assert np.array_equal(GF256.matmul(m, solved), rhs)
+            assert np.array_equal(column, solved[:, 0])
+        assert solved_any
 
     def test_solve_singular_raises(self):
         m = np.zeros((2, 2), dtype=np.uint8)

@@ -28,6 +28,13 @@ class TestCauchy:
         with pytest.raises(ValueError):
             cauchy_matrix(0, 1)
 
+    def test_cached_matrix_is_read_only(self):
+        # one cached array serves every caller, so none may write into it
+        a = cauchy_matrix(5, 3)
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+        assert cauchy_matrix(5, 3) is a
+
 
 class TestIDA:
     @given(

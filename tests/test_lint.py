@@ -495,6 +495,25 @@ class TestKernelParity:
             for f in rule_findings(report, "R9")
         )
 
+    def test_ida_kernels_need_their_differential(self, tmp_path):
+        # the IDA kernels are in parity_kernels: a differential module
+        # that stops calling disperse() leaves it unrefereed
+        for rel in ("fault/ida.py", "qa/differential.py", "qa/fuzzer.py"):
+            dest = tmp_path / rel
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(REPO_SRC / rel, dest)
+        baseline = run_lint([tmp_path], LintConfig(select=("R9",)))
+        assert baseline.findings == []
+
+        differential = tmp_path / "qa" / "differential.py"
+        mutated = differential.read_text().replace("disperse", "scatter")
+        differential.write_text(mutated)
+        report = run_lint([tmp_path], LintConfig(select=("R9",)))
+        messages = [f.message for f in rule_findings(report, "R9")]
+        assert messages == [
+            "serving kernel disperse() is never referenced by qa/differential.py"
+        ]
+
 
 class TestAsyncRaces:
     FIXTURE = "races/service/frontend.py"

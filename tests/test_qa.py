@@ -198,6 +198,52 @@ class TestColdStartDifferential:
         assert report.points == 4
 
 
+def _flip_last_piece_byte(message, w, m):
+    """A broken dispersal: the last piece's last byte is off by one bit."""
+    from repro.fault.ida import disperse
+
+    pieces = disperse(message, w, m)
+    idx, data = pieces[-1]
+    pieces[-1] = (idx, data[:-1] + bytes([data[-1] ^ 1]))
+    return pieces
+
+
+class TestIdaDifferential:
+    def test_clean_kernels_pass(self):
+        from repro.qa import ida_differential
+
+        checks = ida_differential(embed_cycle_load1(4), random.Random(0))
+        assert [c.name for c in checks] == ["diff:ida"]
+        assert checks[0].passed, checks[0].detail
+
+    def test_corrupted_piece_is_caught(self, monkeypatch):
+        import repro.qa.differential as differential
+
+        monkeypatch.setattr(differential, "disperse", _flip_last_piece_byte)
+        checks = differential.ida_differential(None, random.Random(0))
+        failed = [c.name for c in checks if not c.passed]
+        assert "diff:ida" in failed
+        assert any(name.startswith("diff:ida:disperse:") for name in failed)
+
+    def test_stage_is_wired_into_fuzzer_and_replay(self, tmp_path, monkeypatch):
+        import repro.qa.differential as differential
+
+        corpus = Corpus(str(tmp_path))
+        report = Fuzzer(
+            corpus=corpus, seed=5, checks=("build", "ida_differential"),
+        ).run(seeds=4)
+        assert report.ok, report.failures
+        assert report.points == 4
+
+        monkeypatch.setattr(differential, "disperse", _flip_last_piece_byte)
+        entry = CorpusEntry(
+            kind="cycle", params={"n": 4}, stage="ida_differential",
+            detail="broken dispersal", point_seed="5:point:0",
+        )
+        replayed = Fuzzer(corpus=corpus).replay(entry)
+        assert replayed is not None and replayed.stage == "ida_differential"
+
+
 class TestWormholeDifferential:
     def test_twenty_five_schedules_agree(self):
         # tier-1 smoke: the flit-loop reference and the vectorized frontier

@@ -120,6 +120,14 @@ class TestCampaign:
         assert rep.ida.delivered_fraction == 1.0
         assert rep.reconstructions == rep.reconstruction_checks > 0
 
+    def test_every_delivered_payload_is_reconstructed(self):
+        rep = run_campaign(
+            CampaignConfig(n=6, load=2.0, kill_links=6, seed=2)
+        )
+        assert rep.ida.delivered_messages > 64
+        assert rep.reconstruction_checks == rep.ida.delivered_messages
+        assert rep.reconstructions == rep.reconstruction_checks
+
     def test_ida_failover_beats_single(self):
         rep = run_campaign(
             CampaignConfig(n=8, kill_links=4, kill_step=0, seed=0)

@@ -58,7 +58,11 @@ class TestSpecs:
         import pickle
 
         spec = EmbeddingSpec.make("tree", m=2)
-        assert pickle.loads(pickle.dumps(spec)) == spec
+        pickled = pickle.dumps(spec)
+        key = spec.cache_key()  # memoized on the instance
+        assert pickle.dumps(spec) == pickled
+        back = pickle.loads(pickled)
+        assert back == spec and back.cache_key() == key
         assert len({spec, EmbeddingSpec.make("tree", m=2)}) == 1
 
 
@@ -306,6 +310,27 @@ class TestRoutingService:
         )
         assert not out.delivered and out.message is None
         assert svc.metrics.count("delivery_failures") == 1
+
+    def test_undeliverable_message_is_never_dispersed(self, tmp_path, monkeypatch):
+        import repro.service.api as api
+
+        def fail(*args):
+            raise AssertionError("disperse called for an undeliverable message")
+
+        monkeypatch.setattr(api, "disperse", fail)
+        svc = self._service(tmp_path)
+        spec = cycle_spec(8)
+        emb = svc.get_embedding(spec)
+        paths = svc.route(spec, RouteRequest((0, 1))).paths
+        failed = {emb.host.edge_id(p[0], p[1]) for p in paths}
+        out = svc.route_fault_tolerant(
+            spec,
+            RouteRequest(
+                (0, 1), message=b"gone", faults=FaultModel(emb.host, failed)
+            ),
+        )
+        assert not out.delivered and out.alive_paths == ()
+        assert out.failed_paths == tuple(range(len(paths)))
 
     def test_pieces_needed_tradeoff(self, tmp_path):
         svc = self._service(tmp_path)

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
@@ -62,6 +63,8 @@ def _run_worker(probe: str) -> subprocess.CompletedProcess:
 class TestPublishAttach:
     def test_attached_arrays_are_read_only(self, tmp_path):
         view = attach_shard(_store(tmp_path))
+        # plain ndarray views of the mapping, not memmap subclasses
+        assert type(view.csr.nodes) is type(view.csr.lookup.keys) is np.ndarray
         with pytest.raises((ValueError, RuntimeError)):
             view.csr.nodes[0] = 99
         with pytest.raises((ValueError, RuntimeError)):
