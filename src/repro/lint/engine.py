@@ -94,13 +94,14 @@ class LintConfig:
     contract_oracles: str = "qa/oracles.py"
     # R3: the scenario registry; every @register_scenario kind needs an oracle
     contract_scenarios: str = "scenarios/generators.py"
-    # R9: the QA modules that prove kernel parity, and the serving and IDA
-    # kernels (beyond engine classes) that must appear in the differential
-    # module
+    # R9: the QA modules that prove kernel parity, and the serving, IDA
+    # and schedule-normalization kernels (beyond engine classes) that must
+    # appear in the differential module
     parity_differential: str = "qa/differential.py"
     parity_fuzzer: str = "qa/fuzzer.py"
     parity_kernels: Tuple[str, ...] = (
-        "embedding_csr", "open_store", "disperse", "reconstruct"
+        "embedding_csr", "open_store", "disperse", "reconstruct",
+        "normalize_schedule",
     )
 
 

@@ -11,8 +11,10 @@ same cross-file way R3 ties builders to oracles:
   module (``qa/differential.py``) — an unreferenced engine has no parity
   harness at all;
 * every kernel function named in ``parity_kernels`` (the CSR resolver
-  ``embedding_csr``, the mapped-store opener ``open_store`` and the IDA
-  kernels ``disperse``/``reconstruct``) must be referenced there too;
+  ``embedding_csr``, the mapped-store opener ``open_store``, the IDA
+  kernels ``disperse``/``reconstruct`` and the schedule normalizer
+  ``normalize_schedule`` both packet engines share) must be referenced
+  there too;
 * every public differential check *defined* in the differential module
   must be referenced by the fuzzer (``qa/fuzzer.py``) — a check that is
   never registered as a stage runs only when a human remembers to.

@@ -10,8 +10,8 @@ oracle registry; this package makes those checks *adversarial*:
 * :mod:`repro.qa.metamorphic` — automorphism-invariance of verification
   reports and simulated metrics;
 * :mod:`repro.qa.differential` — field-for-field agreement of the two
-  simulator engines, the serving and IDA kernels against their referees,
-  plus networkx max-flow width cross-checks;
+  simulator engines, the serving, IDA and schedule-normalization kernels
+  against their referees, plus networkx max-flow width cross-checks;
 * :mod:`repro.qa.fuzzer` — the sample/check/shrink loop;
 * :mod:`repro.qa.corpus` — replayable on-disk reproducers.
 
@@ -30,6 +30,7 @@ from repro.qa.differential import (
     route_batch_differential,
     run_pair,
     run_wormhole_pair,
+    schedule_differential,
     verification_differential,
     wormhole_differential_check,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "route_batch_differential",
     "run_pair",
     "run_wormhole_pair",
+    "schedule_differential",
     "verification_differential",
     "wormhole_differential_check",
     "Fuzzer",

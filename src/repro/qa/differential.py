@@ -40,6 +40,12 @@ computed from the field's definition (shift-and-xor products reduced by
 ``0x11B``, no tables), and :func:`~repro.fault.ida.reconstruct` against
 the message itself, from every m-subset of the pieces.
 
+:func:`schedule_differential` referees what both packet engines share,
+so no engine pair can: the single-pass columnar
+:func:`~repro.routing.api.normalize_schedule` against the per-item
+algorithm that builds one :class:`~repro.routing.api.SimRequest` per
+item, on every accepted item shape and on malformed items.
+
 Independently, :func:`max_flow_width_check` cross-examines claimed
 edge-disjoint widths with an algorithm that shares no code with the
 verifier: networkx max-flow over the directed hypercube with unit
@@ -55,8 +61,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
+
+import numpy as np
 
 from repro.core.verification import InvariantCheck
 from repro.fault.ida import disperse, reconstruct
@@ -64,11 +73,12 @@ from repro.obs.recorder import LinkRecorder
 from repro.qa.schedules import (
     Schedule,
     WormSchedule,
+    embedding_schedule,
     shrink_batch,
     shrink_schedule,
     shrink_worm_schedule,
 )
-from repro.routing.api import SimResult
+from repro.routing.api import SimRequest, SimResult, normalize_schedule
 from repro.routing.batched import BatchedStoreForward, BatchedWormhole
 from repro.routing.simulator import StoreForwardSimulator
 from repro.routing.wormhole import WormholeDeadlock, WormholeSimulator
@@ -88,6 +98,7 @@ __all__ = [
     "cold_start_differential",
     "gf256_mul_reference",
     "ida_differential",
+    "schedule_differential",
     "max_flow_width_check",
 ]
 
@@ -797,6 +808,181 @@ def ida_differential(subject: Any, rng: random.Random) -> List[InvariantCheck]:
             f"{len(checks)} IDA kernel check(s) failed"
             if checks
             else "disperse matches the reference and every subset reconstructs",
+        )
+    )
+    return checks
+
+
+# -- schedule normalization ----------------------------------------------------
+
+
+class _Items(Sequence):
+    """An accepted item or path container that is neither a tuple nor a list."""
+
+    def __init__(self, items: Any) -> None:
+        self._items = tuple(items)
+
+    def __getitem__(self, index: Any) -> Any:
+        return self._items[index]
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __repr__(self) -> str:
+        return f"_Items({self._items!r})"
+
+
+# items normalization must reject, each with the reference's exception
+_MALFORMED = (
+    42,
+    None,
+    np.array([0, 1]),
+    [True, 1],
+    (0.5, 1),
+    [(0, 1)],
+    ([0, 1], 1, 1, 1),
+    [],
+    _Items(()),
+    ((), 1),
+    ([], 2, 0),
+    ([0, 1], 0),
+    ([0, 1], -3),
+    ([0, 1], 0, 0),
+    ([0, 1], 1, 0),
+    (_Items([0, 1]), 0),
+    ([0, 1], "x"),
+)
+
+
+def _normalize_reference(schedule: Any) -> List[SimRequest]:
+    """Schedule normalization item by item, one :class:`SimRequest` each.
+
+    The algorithm :func:`~repro.routing.api.normalize_schedule` replaced:
+    every item passes the ``Sequence`` ABC checks and becomes a validated
+    request, so each shape and each error comes from one obvious branch.
+    """
+    out: List[SimRequest] = []
+    for item in schedule:
+        if isinstance(item, SimRequest):
+            out.append(item)
+            continue
+        if not isinstance(item, Sequence):
+            raise TypeError(f"schedule item {item!r} is not a path or tuple")
+        if len(item) == 0:
+            raise ValueError("packet path must contain at least one node")
+        first = item[0]
+        if isinstance(first, int) and not isinstance(first, bool):
+            out.append(SimRequest(tuple(item)))  # bare path
+        elif isinstance(first, Sequence):
+            path, rest = tuple(first), tuple(item[1:])
+            if len(rest) == 1:
+                out.append(SimRequest(path, int(rest[0])))
+            elif len(rest) == 2:
+                out.append(SimRequest(path, int(rest[0]), int(rest[1])))
+            else:
+                raise TypeError(
+                    "tuple schedule items must be (path, release[, service])"
+                )
+        else:
+            raise TypeError(f"schedule item {item!r} is not a path or tuple")
+    return out
+
+
+def _normalized(normalize: Callable[[Any], Any], schedule: Any) -> Dict[str, Any]:
+    """What normalizing ``schedule`` yields, field by field, or its error."""
+    try:
+        out = normalize(schedule)
+    except Exception as err:  # noqa: BLE001 - the error is the outcome compared
+        return {"error": (type(err).__name__, str(err))}
+    if isinstance(out, list):  # the reference's requests, as columns
+        paths = [tuple(r.path) for r in out]
+        release = ("int64", [int(r.release_step) for r in out])
+        service = ("int64", [int(r.service_time) for r in out])
+    else:
+        paths = list(out.paths)
+        release = (out.release.dtype.name, out.release.tolist())
+        service = (out.service.dtype.name, out.service.tolist())
+    return {
+        "paths": paths,
+        "path_types": sorted({type(p).__name__ for p in paths}),
+        "release": release,
+        "service": service,
+    }
+
+
+def _reshaped(path: Tuple[int, ...], release: int, rng: random.Random) -> Any:
+    """``(path, release)`` re-emitted in a randomly drawn accepted shape."""
+    container = rng.choice((tuple, list, _Items))
+    body = rng.choice((tuple, list, _Items))(path)
+    if rng.random() < 0.25:
+        release = np.int64(release)  # schedules built with numpy carry these
+    shape = rng.choice(("bare", "pair", "triple", "request"))
+    if shape == "bare" and release == 1:
+        return container(path)
+    if shape == "triple":
+        return container((body, release, rng.choice((1, 1, 2, 3))))
+    if shape == "request":
+        return SimRequest(
+            rng.choice((tuple, list))(path), release, rng.choice((1, 1, 2))
+        )
+    return container((body, release))
+
+
+def schedule_differential(subject: Any, rng: random.Random) -> List[InvariantCheck]:
+    """Referee the columnar schedule normalizer against the per-item one.
+
+    Draws up to 40 packets of the embedding's own paths
+    (:func:`~repro.qa.schedules.embedding_schedule`) and re-emits each in a
+    randomly drawn accepted shape: a bare path (release 1 only), a pair, a
+    triple or an explicit :class:`SimRequest`, with a tuple, list or other
+    ``Sequence`` for the item and for its path, and a plain or numpy
+    release.  :func:`~repro.routing.api.normalize_schedule` must return
+    what :func:`_normalize_reference` does, field by field: the paths, as
+    tuples, and ``int64`` release and service columns.  Then each of
+    ``_MALFORMED``, placed after a random prefix of that schedule and
+    before a second bad item, must raise the reference's exception type
+    and message.
+    """
+    checks: List[InvariantCheck] = []
+    schedule = [
+        _reshaped(path, release, rng)
+        for path, release in embedding_schedule(subject, rng, max_packets=40)
+    ]
+    want = _normalized(_normalize_reference, schedule)
+    got = _normalized(normalize_schedule, iter(schedule))
+    for name in sorted(want.keys() | got.keys()):
+        if got.get(name) != want.get(name):
+            checks.append(
+                InvariantCheck(
+                    f"diff:schedule:{name}",
+                    False,
+                    f"normalize_schedule gives {got.get(name)!r} but the "
+                    f"per-item reference gives {want.get(name)!r}",
+                )
+            )
+    for k, bad in enumerate(_MALFORMED):
+        prefix = schedule[: rng.randint(0, len(schedule))]
+        case = prefix + [bad, _MALFORMED[k - 1]]
+        want = _normalized(_normalize_reference, case)
+        got = _normalized(normalize_schedule, case)
+        if got != want:
+            checks.append(
+                InvariantCheck(
+                    f"diff:schedule:reject:{bad!r}",
+                    False,
+                    f"after {len(prefix)} good item(s), normalize_schedule "
+                    f"gives {got.get('error', 'columns')!r} but the per-item "
+                    f"reference gives {want.get('error', 'columns')!r}",
+                )
+            )
+    checks.append(
+        InvariantCheck(
+            "diff:schedule",
+            not checks,
+            f"{len(checks)} schedule normalization check(s) failed"
+            if checks
+            else f"{len(schedule)} reshaped item(s) and {len(_MALFORMED)} "
+            f"malformed one(s) normalize as the per-item reference does",
         )
     )
     return checks

@@ -35,9 +35,15 @@ For each point the fuzzer runs, in order:
 9. **ida_differential** — the table-driven GF(256) IDA kernels must match
    a shift-and-xor dispersal byte for byte and reconstruct fuzzed
    messages from every m-subset of their pieces
-   (:func:`repro.qa.differential.ida_differential`).  It runs last, so
-   the earlier stages' draws from the point seed, which saved
-   reproducers replay, do not depend on it.
+   (:func:`repro.qa.differential.ida_differential`);
+10. **schedule_differential** — the columnar schedule normalizer both
+    packet engines share must match the per-item algorithm field by
+    field on every accepted item shape, and raise its exceptions on
+    malformed items (:func:`repro.qa.differential.schedule_differential`).
+
+Stages added later run after the earlier ones, so the earlier stages'
+draws from the point seed, which saved reproducers replay, do not depend
+on them.
 
 A failing point is shrunk against the construction's own ``shrink``
 candidates (greedily, preserving the failing stage) and saved to the
@@ -66,6 +72,7 @@ from repro.qa.differential import (
     ida_differential,
     max_flow_width_check,
     route_batch_differential,
+    schedule_differential,
     verification_differential,
     wormhole_differential_check,
 )
@@ -90,6 +97,7 @@ STAGES = (
     "cold_start_differential",
     "flow",
     "ida_differential",
+    "schedule_differential",
 )
 
 
@@ -313,6 +321,14 @@ class Fuzzer:
                 if not check.passed:
                     return FuzzFailure(
                         kind, params, "ida_differential",
+                        f"{check.name}: {check.detail}",
+                    )
+
+        if "schedule_differential" in self.checks:
+            for check in schedule_differential(subject, rng):
+                if not check.passed:
+                    return FuzzFailure(
+                        kind, params, "schedule_differential",
                         f"{check.name}: {check.detail}",
                     )
         return None

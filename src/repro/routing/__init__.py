@@ -16,10 +16,12 @@ send one message packet over each outgoing link.  This subpackage provides
 * :mod:`repro.routing.api` — the unified :class:`Simulator` protocol shared
   by the reference and vectorized engines: ``run(schedule, max_steps=...,
   recorder=...) -> SimResult``, with optional per-link instrumentation via
-  :mod:`repro.obs`.
+  :mod:`repro.obs`, and :func:`normalize_schedule`, which turns any accepted
+  schedule into the :class:`ScheduleColumns` both packet engines read.
 """
 
 from repro.routing.api import (
+    ScheduleColumns,
     SimRequest,
     SimResult,
     Simulator,
@@ -48,6 +50,7 @@ __all__ = [
     "WormholeSimulator",
     "PacketSchedule",
     "ScheduledPacket",
+    "ScheduleColumns",
     "SimRequest",
     "SimResult",
     "Simulator",

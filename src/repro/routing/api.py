@@ -13,10 +13,16 @@ where ``schedule`` is any iterable of packet descriptions (see
 :class:`SimResult` with identical fields across engines, so measurement
 code can swap engines freely (``isinstance(sim, Simulator)`` checks
 conformance at runtime).
+
+Both engines read a schedule through :func:`normalize_schedule`, which
+validates every item in one pass and returns :class:`ScheduleColumns`: a
+list of path tuples plus ``int64`` release and service arrays.  No
+per-packet object stands between the caller's schedule and an engine.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -25,13 +31,34 @@ from typing import (
     List,
     Optional,
     Protocol,
-    Sequence,
     Tuple,
     Union,
     runtime_checkable,
 )
 
-__all__ = ["SimRequest", "SimResult", "Simulator", "normalize_schedule"]
+import numpy as np
+
+__all__ = [
+    "ScheduleColumns",
+    "SimRequest",
+    "SimResult",
+    "Simulator",
+    "normalize_schedule",
+]
+
+# the item and path containers almost every schedule uses: an exact type
+# test on these skips the much slower ``Sequence`` ABC check
+_BUILTIN_SEQUENCES = (tuple, list)
+
+
+def _check_packet(path: Sequence, release: int, service: int) -> None:
+    """Raise the first of a packet's three validation errors, if any."""
+    if len(path) < 1:
+        raise ValueError("packet path must contain at least one node")
+    if release < 1:
+        raise ValueError("release step must be >= 1")
+    if service < 1:
+        raise ValueError("service time must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -43,12 +70,7 @@ class SimRequest:
     service_time: int = 1
 
     def __post_init__(self) -> None:
-        if len(self.path) < 1:
-            raise ValueError("packet path must contain at least one node")
-        if self.release_step < 1:
-            raise ValueError("release step must be >= 1")
-        if self.service_time < 1:
-            raise ValueError("service time must be >= 1")
+        _check_packet(self.path, self.release_step, self.service_time)
 
 
 # a schedule item: a bare path, (path, release), (path, release, service),
@@ -57,38 +79,74 @@ ScheduleItem = Union[Sequence[int], Tuple[Sequence[int], int],
                      Tuple[Sequence[int], int, int], SimRequest]
 
 
-def normalize_schedule(schedule: Iterable[ScheduleItem]) -> List[SimRequest]:
-    """Normalize the accepted schedule shapes to a list of :class:`SimRequest`.
+# eq=False: a generated __eq__ would truth-test ndarray comparisons and raise
+@dataclass(frozen=True, eq=False)
+class ScheduleColumns:
+    """A normalized schedule, one column per packet field, in schedule order.
+
+    ``paths[i]`` is packet ``i``'s host path as a tuple; ``release[i]`` and
+    ``service[i]`` are its release step and per-hop service time, both
+    ``int64`` arrays of ``len(paths)`` entries.
+    """
+
+    paths: List[Tuple[int, ...]]
+    release: np.ndarray
+    service: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.paths)
+
+
+def normalize_schedule(schedule: Iterable[ScheduleItem]) -> ScheduleColumns:
+    """Validate a schedule and return it as :class:`ScheduleColumns`.
 
     Each item may be a bare path (a sequence of node ids), a
     ``(path, release_step)`` pair, a ``(path, release_step, service_time)``
-    triple, or an explicit :class:`SimRequest`.
+    triple, or an explicit :class:`SimRequest`.  Items are checked as they
+    are read, so the first bad one raises :class:`SimRequest`'s own
+    ``ValueError``, or a ``TypeError`` for an item of no accepted shape.
     """
-    out: List[SimRequest] = []
+    paths: List[Tuple[int, ...]] = []
+    release: List[int] = []
+    service: List[int] = []
+    item: Any  # the exact-type tests below do the narrowing mypy cannot
     for item in schedule:
-        if isinstance(item, SimRequest):
-            out.append(item)
-            continue
-        if not isinstance(item, Sequence):
-            raise TypeError(f"schedule item {item!r} is not a path or tuple")
+        if type(item) not in _BUILTIN_SEQUENCES:
+            if isinstance(item, SimRequest):
+                paths.append(tuple(item.path))
+                release.append(item.release_step)
+                service.append(item.service_time)
+                continue
+            if not isinstance(item, Sequence):
+                raise TypeError(f"schedule item {item!r} is not a path or tuple")
         if len(item) == 0:
             raise ValueError("packet path must contain at least one node")
         first = item[0]
-        if isinstance(first, (int,)) and not isinstance(first, bool):
-            out.append(SimRequest(tuple(item)))  # bare path
-        elif isinstance(first, Sequence):
-            path, rest = tuple(first), tuple(item[1:])
-            if len(rest) == 1:
-                out.append(SimRequest(path, int(rest[0])))
-            elif len(rest) == 2:
-                out.append(SimRequest(path, int(rest[0]), int(rest[1])))
+        if type(first) is int or (
+            isinstance(first, int) and not isinstance(first, bool)
+        ):
+            path, r, s = tuple(item), 1, 1  # bare path
+        elif type(first) in _BUILTIN_SEQUENCES or isinstance(first, Sequence):
+            path, size = tuple(first), len(item)
+            if size == 2:
+                r, s = int(item[1]), 1
+            elif size == 3:
+                r, s = int(item[1]), int(item[2])
             else:
                 raise TypeError(
                     "tuple schedule items must be (path, release[, service])"
                 )
         else:
             raise TypeError(f"schedule item {item!r} is not a path or tuple")
-    return out
+        _check_packet(path, r, s)
+        paths.append(path)
+        release.append(r)
+        service.append(s)
+    return ScheduleColumns(
+        paths,
+        np.array(release, dtype=np.int64),
+        np.array(service, dtype=np.int64),
+    )
 
 
 @dataclass(frozen=True)

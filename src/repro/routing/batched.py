@@ -50,7 +50,12 @@ import numpy as np
 from repro.hypercube.graph import Hypercube
 from repro.hypercube.pathcode import path_edge_matrix
 from repro.obs.profile import profile_span
-from repro.routing.api import ScheduleItem, SimResult, normalize_schedule
+from repro.routing.api import (
+    ScheduleColumns,
+    ScheduleItem,
+    SimResult,
+    normalize_schedule,
+)
 from repro.routing.wormhole import Worm, WormholeDeadlock
 
 __all__ = ["BatchedStoreForward", "BatchedWormhole", "WormLaneOutcome"]
@@ -148,8 +153,8 @@ class BatchedStoreForward:
         by the QA batched differential.
         """
         lanes = [normalize_schedule(s) for s in schedules]
-        for reqs in lanes:
-            if any(r.service_time != 1 for r in reqs):
+        for cols in lanes:
+            if (cols.service != 1).any():
                 raise ValueError(
                     "BatchedStoreForward supports unit service time only; "
                     "use StoreForwardSimulator for atomic multi-packet "
@@ -160,7 +165,7 @@ class BatchedStoreForward:
         with profile_span(
             "sim.batched_store_forward",
             lanes=len(lanes),
-            packets=sum(len(reqs) for reqs in lanes),
+            packets=sum(len(cols) for cols in lanes),
         ):
             return self._run_lanes(lanes, max_steps, recs, fault_models)
 
@@ -175,13 +180,13 @@ class BatchedStoreForward:
 
     def _run_lanes(
         self,
-        lanes: List[List[Any]],
+        lanes: List[ScheduleColumns],
         max_steps: int,
         recorders: List[Any],
         fault_models: List[Any],
     ) -> List[SimResult]:
         num_lanes = len(lanes)
-        counts = np.array([len(reqs) for reqs in lanes], dtype=np.int64)
+        counts = np.array([len(cols) for cols in lanes], dtype=np.int64)
         offsets = np.concatenate(
             [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
         )
@@ -189,10 +194,6 @@ class BatchedStoreForward:
         n = self.host.n
         links = self.host.num_edges  # directed links per lane
 
-        paths = [r.path for reqs in lanes for r in reqs]
-        release = np.array(
-            [r.release_step for reqs in lanes for r in reqs], dtype=np.int64
-        )
         lane = np.repeat(np.arange(num_lanes, dtype=np.int64), counts)
 
         lane_steps = np.zeros(num_lanes, dtype=np.int64)
@@ -201,6 +202,10 @@ class BatchedStoreForward:
             done_step = np.zeros(0, dtype=np.int64)
         else:
             done_step = np.zeros(total, dtype=np.int64)
+            paths: List[Tuple[int, ...]] = []
+            for cols in lanes:
+                paths += cols.paths
+            release = np.concatenate([cols.release for cols in lanes])
             edges, lengths = path_edge_matrix(n, paths)
             active = lengths > 0
             hop = np.zeros(total, dtype=np.int64)
@@ -241,7 +246,7 @@ class BatchedStoreForward:
                         f"simulation exceeded {max_steps} steps"
                     )
                 ready = active & (release <= step)
-                idx = np.nonzero(ready)[0]
+                idx = ready.nonzero()[0]
                 if idx.size == 0:
                     # no lane has a ready packet: jump to the next release
                     # (idle steps are per-lane no-ops, so lane-local step
@@ -307,7 +312,7 @@ class BatchedStoreForward:
                     delivered=int((lane_done >= 0).sum()),
                     injected=hi - lo,
                     steps=int(lane_steps[b]),
-                    done_steps=tuple(int(d) for d in lane_done),
+                    done_steps=tuple(lane_done.tolist()),
                     engine=self.engine,
                     recorder=rec,
                 )
@@ -500,7 +505,7 @@ class BatchedWormhole:
         flits, head, done, eids_flat = flits_all, head_all, done_all, eids_all
 
         step = 0
-        while bool(np.any((lane_remaining > 0) & ~lane_dead)):
+        while ((lane_remaining > 0) & ~lane_dead).any():
             live = ~lane_dead[lane]
             undone = (done < 0) & live
             kept = rows.size
@@ -530,7 +535,7 @@ class BatchedWormhole:
                     moved_rev, tails = moved_rev[:kept], tails[:kept]
                     row_ids = row_ids[:kept]
                     undone = np.ones(kept, dtype=bool)
-            if not bool(np.any(undone & (release <= step + 1))):
+            if not (undone & (release <= step + 1)).any():
                 # every live lane is between releases: jump ahead (a lane
                 # with released undone worms blocks this jump, so per-lane
                 # step numbers — including deadlock steps — are exact)
@@ -547,11 +552,11 @@ class BatchedWormhole:
             # each free link (global order is lane-major, so the global
             # lowest index per shifted link is the lane's lowest ident)
             elig = act & (head < last_col)
-            pipe = np.nonzero(elig & (head >= 0))[0]
+            pipe = (elig & (head >= 0)).nonzero()[0]
             if pipe.size:
                 stalled = pipe[flits[pipe, head[pipe]] == 0]
                 elig[stalled] = False
-            cand = np.nonzero(elig)[0]
+            cand = elig.nonzero()[0]
             if cand.size:
                 want = eids_flat[cand, head[cand] + 1]
                 free_link = owner[want] < 0
@@ -578,7 +583,7 @@ class BatchedWormhole:
             # and is free iff it is the worm's last link or the downstream
             # node has buffer slack (g[i+1] < cap).  Everything runs as
             # full-array passes into the preallocated scratch.
-            if bool(np.any(act & (head >= 0))):
+            if (act & (head >= 0)).any():
                 np.subtract(flits[:, :-1], flits[:, 1:], out=gaps[:, 1:])
                 np.subtract(num_flits, flits[:, 0], out=gaps[:, 0])
                 np.greater_equal(gaps, 1, out=base)
@@ -598,19 +603,19 @@ class BatchedWormhole:
                 moved_rev &= rbase
                 moved = moved_rev[:, ::-1]
                 rows_moved = moved.any(axis=1)
-                if bool(rows_moved.any()):
+                if rows_moved.any():
                     np.add(flits, moved, out=flits, casting="unsafe")
                     lane_prog[lane[rows_moved]] = True
                     # a link frees the step its owner's tail crosses it
                     np.equal(flits, num_flits[:, None], out=tails)
                     tails &= moved
-                    trow, tcol = np.nonzero(tails)
+                    trow, tcol = tails.nonzero()
                     if trow.size:
                         owner[eids_flat[trow, tcol]] = -1
                     arrived_mask = act & (
                         flits[row_ids, last_col] == num_flits
                     )
-                    arrived = np.nonzero(arrived_mask)[0]
+                    arrived = arrived_mask.nonzero()[0]
                     if arrived.size:
                         done[arrived] = step
                         head_mask[arrived] = False
@@ -630,8 +635,8 @@ class BatchedWormhole:
                 & (lane_remaining > 0)
                 & (lane_max_release <= step)
             )
-            if bool(np.any(stuck)):
-                for b in np.nonzero(stuck)[0]:
+            if stuck.any():
+                for b in stuck.nonzero()[0]:
                     lane_dead[b] = True
                     lane_message[b] = (
                         f"{int(lane_remaining[b])} worms deadlocked "
@@ -651,18 +656,17 @@ class BatchedWormhole:
             link_counts = np.zeros(num_lanes * links, dtype=np.int64)
             np.add.at(link_counts, eids_all[valid], flits_all[valid])
 
+        # final per-worm state as plain Python ints, converted in bulk
+        flit_rows, hops = flits_all.tolist(), lengths.tolist()
+        heads, dones = head_all.tolist(), done_all.tolist()
         outcomes: List[WormLaneOutcome] = []
         for b in range(num_lanes):
             lo, hi = int(offsets[b]), int(offsets[b + 1])
             for i in range(lo, hi):
                 worm = worms[i]
-                worm.flits_crossed = [
-                    int(c) for c in flits_all[i, : lengths[i]]
-                ]
-                worm.head_link = int(head_all[i])
-                worm.done_step = (
-                    None if done_all[i] < 0 else int(done_all[i])
-                )
+                worm.flits_crossed = flit_rows[i][: hops[i]]
+                worm.head_link = heads[i]
+                worm.done_step = None if dones[i] < 0 else dones[i]
             row = owner[b * links:(b + 1) * links]
             held = np.nonzero(row >= 0)[0]
             lane_owner = {int(lid): int(row[lid] - lo) for lid in held}
@@ -671,9 +675,8 @@ class BatchedWormhole:
                 cnt = link_counts[b * links:(b + 1) * links]
                 used = np.nonzero(cnt)[0]
                 rec.add_link_counts(used, cnt[used])
-                rec.add_deliveries(
-                    int(done_all[i]) for i in range(lo, hi) if done_all[i] >= 0
-                )
+                lane_done = done_all[lo:hi]
+                rec.add_deliveries(lane_done[lane_done >= 0])
             outcomes.append(
                 WormLaneOutcome(
                     makespan=(

@@ -115,10 +115,12 @@ class StoreForwardSimulator:
         engine implements the identical semantics, so faulty runs stay
         differential-testable.
         """
-        requests = normalize_schedule(schedule)
+        cols = normalize_schedule(schedule)
         packets = [
-            SimPacket(r.path, r.release_step, r.service_time, ident=i)
-            for i, r in enumerate(requests)
+            SimPacket(path, release, service, ident=i)
+            for i, (path, release, service) in enumerate(
+                zip(cols.paths, cols.release.tolist(), cols.service.tolist())
+            )
         ]
         with profile_span("sim.store_forward", packets=len(packets)):
             last_done, steps = self._run_packets(

@@ -514,6 +514,29 @@ class TestKernelParity:
             "serving kernel disperse() is never referenced by qa/differential.py"
         ]
 
+    def test_schedule_normalizer_needs_its_differential(self, tmp_path):
+        # both packet engines share normalize_schedule, so no engine pair
+        # can referee it: a differential module that stops calling it
+        # leaves it unrefereed
+        for rel in ("routing/api.py", "qa/differential.py", "qa/fuzzer.py"):
+            dest = tmp_path / rel
+            dest.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy(REPO_SRC / rel, dest)
+        baseline = run_lint([tmp_path], LintConfig(select=("R9",)))
+        assert baseline.findings == []
+
+        differential = tmp_path / "qa" / "differential.py"
+        mutated = differential.read_text().replace(
+            "normalize_schedule", "columns_of"
+        )
+        differential.write_text(mutated)
+        report = run_lint([tmp_path], LintConfig(select=("R9",)))
+        messages = [f.message for f in rule_findings(report, "R9")]
+        assert messages == [
+            "serving kernel normalize_schedule() is never referenced by "
+            "qa/differential.py"
+        ]
+
 
 class TestAsyncRaces:
     FIXTURE = "races/service/frontend.py"

@@ -244,6 +244,79 @@ class TestIdaDifferential:
         assert replayed is not None and replayed.stage == "ida_differential"
 
 
+def _drop_one_release(schedule):
+    """A broken normalizer: the first packet released after step 1 is not."""
+    from repro.routing.api import ScheduleColumns, normalize_schedule
+
+    cols = normalize_schedule(schedule)
+    release = cols.release.copy()
+    late = (release != 1).nonzero()[0]
+    if late.size:
+        release[late[0]] = 1
+    return ScheduleColumns(cols.paths, release, cols.service)
+
+
+class TestScheduleDifferential:
+    def test_clean_normalizer_passes(self):
+        from repro.qa import schedule_differential
+
+        for seed in range(5):
+            checks = schedule_differential(
+                embed_cycle_load1(4), random.Random(seed)
+            )
+            assert [c.name for c in checks] == ["diff:schedule"]
+            assert checks[0].passed, checks[0].detail
+
+    def test_broken_normalizer_is_caught(self, monkeypatch):
+        import repro.qa.differential as differential
+        from repro.routing.api import normalize_schedule
+
+        monkeypatch.setattr(differential, "normalize_schedule", _drop_one_release)
+        checks = differential.schedule_differential(
+            embed_cycle_load1(4), random.Random(0)
+        )
+        failed = [c.name for c in checks if not c.passed]
+        assert failed == ["diff:schedule:release", "diff:schedule"]
+
+        # the malformed table referees errors too: a normalizer that words
+        # its TypeErrors differently fails on exactly those items
+        def reworded(schedule):
+            try:
+                return normalize_schedule(schedule)
+            except TypeError as err:
+                raise TypeError(f"bad item: {err}") from None
+
+        monkeypatch.setattr(differential, "normalize_schedule", reworded)
+        checks = differential.schedule_differential(
+            embed_cycle_load1(4), random.Random(0)
+        )
+        failed = [c.name for c in checks if not c.passed]
+        assert "diff:schedule:reject:42" in failed
+        assert "diff:schedule:reject:((), 1)" not in failed
+        assert failed[-1] == "diff:schedule"
+
+    def test_stage_is_wired_into_fuzzer_and_replay(self, tmp_path, monkeypatch):
+        import repro.qa.differential as differential
+        from repro.qa.fuzzer import STAGES
+
+        assert STAGES[-1] == "schedule_differential"
+        corpus = Corpus(str(tmp_path))
+        report = Fuzzer(
+            corpus=corpus, seed=5, checks=("build", "schedule_differential"),
+        ).run(seeds=4)
+        assert report.ok, report.failures
+        assert report.points == 4
+
+        monkeypatch.setattr(differential, "normalize_schedule", _drop_one_release)
+        entry = CorpusEntry(
+            kind="cycle", params={"n": 4}, stage="schedule_differential",
+            detail="dropped release", point_seed="5:point:0",
+        )
+        replayed = Fuzzer(corpus=corpus).replay(entry)
+        assert replayed is not None
+        assert replayed.stage == "schedule_differential"
+
+
 class TestWormholeDifferential:
     def test_twenty_five_schedules_agree(self):
         # tier-1 smoke: the flit-loop reference and the vectorized frontier

@@ -1,19 +1,57 @@
 """Tests for the unified simulator protocol (repro.routing.api)."""
 
+import json
+
+import numpy as np
 import pytest
 
 from repro.hypercube.graph import Hypercube
 from repro.obs import LinkRecorder
-from repro.routing.api import SimRequest, SimResult, Simulator, normalize_schedule
-from repro.routing.batched import BatchedStoreForward
+from repro.routing.api import (
+    ScheduleColumns,
+    SimRequest,
+    SimResult,
+    Simulator,
+    normalize_schedule,
+)
+from repro.routing.batched import BatchedStoreForward, BatchedWormhole
 from repro.routing.simulator import StoreForwardSimulator
 
 ENGINES = [StoreForwardSimulator, BatchedStoreForward]
 
 
+def _columns(cols):
+    """A ScheduleColumns as plain lists, with each column's dtype."""
+    return (
+        cols.paths,
+        cols.release.tolist(),
+        cols.service.tolist(),
+        cols.release.dtype,
+        cols.service.dtype,
+    )
+
+
+# malformed schedules, each with the exact exception type and message
+GARBAGE = [
+    ([42], TypeError, "schedule item 42 is not a path or tuple"),
+    ([[True, 1]], TypeError, "schedule item [True, 1] is not a path or tuple"),
+    ([([0, 1], 1, 1, 1)], TypeError,
+     "tuple schedule items must be (path, release[, service])"),
+    ([[]], ValueError, "packet path must contain at least one node"),
+    ([((), 1)], ValueError, "packet path must contain at least one node"),
+    ([([0, 1], 0)], ValueError, "release step must be >= 1"),
+    ([([0, 1], 1, 0)], ValueError, "service time must be >= 1"),
+    ([np.array([0, 1])], TypeError,
+     "schedule item array([0, 1]) is not a path or tuple"),
+    # items are validated as they are read: the first bad one raises
+    ([[0, 1], ([0, 1], 0), ([0, 1], 1, 0)], ValueError,
+     "release step must be >= 1"),
+]
+
+
 class TestNormalizeSchedule:
     def test_all_item_shapes(self):
-        reqs = normalize_schedule(
+        cols = normalize_schedule(
             [
                 [0, 1, 3],
                 ([0, 1], 5),
@@ -21,20 +59,42 @@ class TestNormalizeSchedule:
                 SimRequest((7, 6), release_step=9),
             ]
         )
-        assert reqs == [
-            SimRequest((0, 1, 3)),
-            SimRequest((0, 1), 5),
-            SimRequest((0, 4), 2, 3),
-            SimRequest((7, 6), 9),
-        ]
+        assert isinstance(cols, ScheduleColumns)
+        assert len(cols) == 4
+        assert _columns(cols) == (
+            [(0, 1, 3), (0, 1), (0, 4), (7, 6)],
+            [1, 5, 2, 9],
+            [1, 1, 3, 1],
+            np.int64,
+            np.int64,
+        )
+        assert all(type(p) is tuple for p in cols.paths)
+        empty = normalize_schedule([])
+        assert len(empty) == 0
+        assert _columns(empty) == ([], [], [], np.int64, np.int64)
 
     def test_rejects_garbage(self):
-        with pytest.raises(TypeError):
-            normalize_schedule([42])
-        with pytest.raises(TypeError):
-            normalize_schedule([([0, 1], 1, 1, 1)])
-        with pytest.raises(ValueError):
-            normalize_schedule([[]])
+        for schedule, error, message in GARBAGE:
+            with pytest.raises(error) as info:
+                normalize_schedule(schedule)
+            assert type(info.value) is error, schedule
+            assert str(info.value) == message
+
+    def test_range_path_normalizes_like_a_tuple(self):
+        for item, equal in [
+            (range(0, 3), (0, 1, 2)),
+            ((range(4, 6), 2), ((4, 5), 2)),
+            ((range(4, 6), 2, 3), ((4, 5), 2, 3)),
+        ]:
+            assert _columns(normalize_schedule([item])) == _columns(
+                normalize_schedule([equal])
+            )
+
+    def test_request_with_a_list_path_yields_a_tuple(self):
+        cols = normalize_schedule([SimRequest([0, 1, 3], 2)])
+        assert cols.paths == [(0, 1, 3)]
+        assert type(cols.paths[0]) is tuple
+        assert cols.release.tolist() == [2]
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -43,6 +103,53 @@ class TestNormalizeSchedule:
             SimRequest((0, 1), release_step=0)
         with pytest.raises(ValueError):
             SimRequest((0, 1), service_time=0)
+
+
+class TestPerCallDesign:
+    """The packet engines read columns; their outputs are plain ints."""
+
+    @staticmethod
+    def _schedule():
+        # 512 (path, release) packets on Q_8: two per node
+        return [
+            item
+            for u in range(256)
+            for item in (((u, u ^ 1, u ^ 3), 1 + u % 3), ((u, u ^ 4), 1))
+        ]
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_no_request_objects_per_packet(self, engine, monkeypatch):
+        built = []
+        check = SimRequest.__post_init__
+
+        def counting(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(SimRequest, "__post_init__", counting)
+        schedule = self._schedule()
+        assert len(schedule) == 512
+        res = engine(Hypercube(8)).run(schedule)
+        assert res.delivered == 512
+        assert built == []
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_packet_results_are_plain_ints(self, engine):
+        res = engine(Hypercube(8)).run(self._schedule())
+        assert all(type(d) is int for d in res.done_steps)
+        json.dumps(res.measured())
+
+    def test_worm_results_are_plain_ints(self):
+        host = Hypercube(4)
+        schedule = [((0, 1, 3, 7), 4, 1), ((1, 3, 7), 3, 2), ((8, 9), 2, 1)]
+        res = BatchedWormhole(host).run(schedule)
+        assert all(type(d) is int for d in res.done_steps)
+        json.dumps(res.measured())
+        [outcome] = BatchedWormhole(host).run_many([schedule])
+        for worm in outcome.worms:
+            assert all(type(c) is int for c in worm.flits_crossed)
+            assert type(worm.head_link) is int
+            assert type(worm.done_step) is int
 
 
 class TestProtocolConformance:
