@@ -1100,26 +1100,57 @@ def _cmd_qa(args) -> int:
             random_schedule_batch,
             random_worm_schedule_batch,
         )
+        from repro.routing.batched import _COMPACT_FLOOR
+
+        def draw_faults(rng, batch):
+            if rng.random() >= 0.5:
+                return None
+            return [
+                FaultModel.random_links(
+                    host, k=1, rng=rng, active_from=rng.choice([0, 1, 3]),
+                )
+                if rng.random() < 0.5
+                else None
+                for _ in batch
+            ]
+
+        def above_floor(draw):
+            # whole lanes until the batch outgrows the compaction floor, so
+            # both engines' row compaction runs under the differential too
+            batch = []
+            while sum(len(lane) for lane in batch) <= _COMPACT_FLOOR:
+                batch += draw()
+            return batch
 
         host = Hypercube(args.n)
         for i in range(args.seeds):
             rng = resolve_rng(f"{args.seed}:batched:{i}")
             batch = random_schedule_batch(host, rng, max_lanes=args.lanes)
-            faults = None
-            if rng.random() < 0.5:
-                faults = [
-                    FaultModel.random_links(
-                        host, k=1, rng=rng,
-                        active_from=rng.choice([0, 1, 3]),
-                    )
-                    if rng.random() < 0.5
-                    else None
-                    for _ in batch
-                ]
-            divergence = batched_differential_check(host, batch, faults=faults)
+            divergence = batched_differential_check(
+                host, batch, faults=draw_faults(rng, batch)
+            )
             if divergence is None:
                 worm_batch = random_worm_schedule_batch(
                     host, rng, max_lanes=min(3, args.lanes)
+                )
+                divergence = batched_wormhole_differential_check(
+                    host, worm_batch
+                )
+            if divergence is None:
+                batch = above_floor(
+                    lambda: random_schedule_batch(
+                        host, rng, max_lanes=8, max_packets=80,
+                        max_release=40,
+                    )
+                )
+                divergence = batched_differential_check(
+                    host, batch, faults=draw_faults(rng, batch)
+                )
+            if divergence is None:
+                worm_batch = above_floor(
+                    lambda: random_worm_schedule_batch(
+                        host, rng, max_lanes=8, max_worms=60,
+                    )
                 )
                 divergence = batched_wormhole_differential_check(
                     host, worm_batch
@@ -1128,7 +1159,8 @@ def _cmd_qa(args) -> int:
                 print(f"seed {i}: {divergence.describe()}")
                 return 1
         print(
-            f"{args.seeds} random batch(es) on Q_{args.n}: batched engines "
+            f"{args.seeds} random batch(es) on Q_{args.n}, each followed by "
+            f"one above the compaction floor per engine: batched engines "
             f"match the reference engines lane-for-lane"
         )
         return 0

@@ -28,6 +28,8 @@ from __future__ import annotations
 from collections import Counter as _TallyCounter
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+import numpy as np
+
 __all__ = ["NullRecorder", "NULL_RECORDER", "LinkRecorder"]
 
 
@@ -63,6 +65,14 @@ class NullRecorder:
 
 
 NULL_RECORDER = NullRecorder()
+
+
+def _as_ints(values: Iterable[int]) -> List[int]:
+    """Plain Python ints: one bulk ``tolist`` for an integer ndarray, else
+    ``int()`` per item."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.tolist()
+    return [int(v) for v in values]
 
 
 class LinkRecorder:
@@ -104,14 +114,13 @@ class LinkRecorder:
 
     def add_link_counts(self, eids: Iterable[int], counts: Iterable[int]) -> None:
         """Merge per-link transmission totals (unit service time)."""
-        for eid, c in zip(eids, counts):
-            eid, c = int(eid), int(c)
+        for eid, c in zip(_as_ints(eids), _as_ints(counts)):
             self.link_transmissions[eid] += c
             self.link_busy_steps[eid] += c
 
     def add_deliveries(self, steps: Iterable[int]) -> None:
         """Merge one arrival step per delivered packet."""
-        self.deliveries.update(int(s) for s in steps)
+        self.deliveries.update(_as_ints(steps))
 
     # -- derived measurements ------------------------------------------------
 

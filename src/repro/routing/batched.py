@@ -12,14 +12,14 @@ a step is amortized over the whole fleet.
 
 The trick is a **lane offset**: packet/worm rows carry a lane id, and every
 requested link id is shifted by ``lane * num_links`` before arbitration.
-Lanes can never collide on a shifted link, so one winner kernel (a
-``lexsort`` group-head pick for packets, an ``np.unique`` lowest-ident
-pick for worm heads) arbitrates all lanes at once and per-lane semantics
-are untouched.  Global injection order is lane-major, so a global
-priority array preserves each lane's local injection order; the global
-idle-jump only fires when *no* lane has a ready packet, and an idle step
-is a per-lane no-op, so every lane sees exactly the step numbers the
-reference engine would have simulated.
+Lanes can never collide on a shifted link, so one winner kernel (an
+``np.minimum.at`` scatter of dense arbitration ranks for packets, an
+``np.unique`` lowest-ident pick for worm heads) arbitrates all lanes at
+once and per-lane semantics are untouched.  Global injection order is
+lane-major, so a global priority array preserves each lane's local
+injection order; the global idle-jump only fires when *no* lane has a
+ready packet, and an idle step is a per-lane no-op, so every lane sees
+exactly the step numbers the reference engine would have simulated.
 
 Per-lane semantics are bit-identical to the reference engines:
 
@@ -28,10 +28,13 @@ Per-lane semantics are bit-identical to the reference engines:
   with an independent fault model per lane;
 * wormhole: two-phase head-acquisition/flit-advance steps, per-lane
   deadlock detection — a deadlocked lane freezes with the reference
-  engine's message while the other lanes keep running.  Once fewer than
-  half the worm rows are live, the working arrays shrink to the live rows
-  (above a floor of ``_COMPACT_FLOOR`` rows), so late ticks of a run whose
-  worms mostly arrived stop paying for the finished ones.
+  engine's message while the other lanes keep running.
+
+Both engines compact: once fewer than half the working rows are live, the
+per-row arrays shrink to the live rows (above a floor of
+``_COMPACT_FLOOR`` rows), so late ticks of a run whose packets or worms
+mostly arrived stop paying for the finished ones and a tick costs
+O(live rows).
 
 ``repro.qa`` referees the identity on fuzzed batches
 (:func:`repro.qa.differential.batched_differential_check`) with shrinking
@@ -62,9 +65,9 @@ __all__ = ["BatchedStoreForward", "BatchedWormhole", "WormLaneOutcome"]
 
 _NEVER = np.iinfo(np.int64).max
 
-# BatchedWormhole compacts its working rows to the live ones once fewer
-# than half are live, but never below this many rows: under it a compaction
-# costs more than the whole-array passes it would save
+# both engines compact their working rows to the live ones once fewer than
+# half are live, but never below this many rows: under it a compaction costs
+# more than the whole-array passes it would save
 _COMPACT_FLOOR = 256
 
 
@@ -173,7 +176,9 @@ class BatchedStoreForward:
         """Packet arbitration priorities: lower wins its link.
 
         Global injection order — lane-major, so within a lane it is exactly
-        the reference engine's injection-order priority.  This is the
+        the reference engine's injection-order priority.  Taken once per
+        run and turned into dense ranks by a stable sort, so equal
+        priorities resolve by injection order.  This is the
         arbitration-policy seam the QA mutation tests sabotage.
         """
         return np.arange(total, dtype=np.int64)
@@ -207,9 +212,27 @@ class BatchedStoreForward:
                 paths += cols.paths
             release = np.concatenate([cols.release for cols in lanes])
             edges, lengths = path_edge_matrix(n, paths)
+            # lane-shifted link ids, in place: lanes never collide, so one
+            # arbitration pass serves the whole fleet
+            edges += (lane * links)[:, None]
+            # each row's next lane-shifted link; only winners change it, so
+            # the tick loop never gathers from the 2-D matrix for losers
+            # (an all-zero-hop batch has no columns and no live rows)
+            link = (
+                edges[:, 0].copy()
+                if edges.shape[1]
+                else np.zeros(total, dtype=np.int64)
+            )
             active = lengths > 0
             hop = np.zeros(total, dtype=np.int64)
-            priority = self._priorities(total)
+            # dense arbitration ranks, taken once: a stable sort keeps equal
+            # priorities in injection order, so each rank is unique
+            rank = np.empty(total, dtype=np.int64)
+            rank[np.argsort(self._priorities(total), kind="stable")] = (
+                np.arange(total, dtype=np.int64)
+            )
+            # per-link lowest contending rank, reset after every tick
+            best = np.full(num_lanes * links, _NEVER, dtype=np.int64)
             lane_remaining = np.bincount(lane[active], minlength=num_lanes)
 
             # per-lane fail-stop faults: one flat (lanes * links) dead mask
@@ -237,9 +260,29 @@ class BatchedStoreForward:
                 else None
             )
 
+            # the tick loop works on a compacted set of rows: ``rows`` holds
+            # their global ids, every other per-row array is indexed by
+            # working row, and ``done_step`` stays global
+            rows = np.arange(total, dtype=np.int64)
             step = 0
             remaining = int(active.sum())
             while remaining > 0:
+                if (
+                    active.size > _COMPACT_FLOOR
+                    and 2 * remaining < active.size
+                ):
+                    # most rows are delivered or dropped: shrink every
+                    # working array to the live rows, so a tick costs
+                    # O(live rows) however large the batch started
+                    with profile_span(
+                        "sim.batched_store_forward.compact",
+                        step=step, rows=active.size, kept=remaining,
+                    ):
+                        rows, lane = rows[active], lane[active]
+                        release, lengths = release[active], lengths[active]
+                        edges, hop = edges[active], hop[active]
+                        rank, link = rank[active], link[active]
+                        active = np.ones(remaining, dtype=bool)
                 step += 1
                 if step > max_steps:
                     raise RuntimeError(
@@ -253,16 +296,14 @@ class BatchedStoreForward:
                     # numbers stay identical to the reference engine)
                     step = int(release[active].min()) - 1
                     continue
-                # lane-shifted link ids: lanes never collide, so one
-                # arbitration pass serves the whole fleet
-                want = lane[idx] * links + edges[idx, hop[idx]]
+                want = link[idx]
                 if dead_flat is not None:
                     armed = step >= fault_from[lane[idx]]
                     doomed = armed & dead_flat[want]
                     if doomed.any():
                         kill = idx[doomed]
                         active[kill] = False
-                        done_step[kill] = -1
+                        done_step[rows[kill]] = -1
                         remaining -= int(kill.size)
                         dec = np.bincount(lane[kill], minlength=num_lanes)
                         lane_remaining -= dec
@@ -271,23 +312,24 @@ class BatchedStoreForward:
                         want = want[~doomed]
                         if idx.size == 0:
                             continue
-                # one winner per (lane, link): sort by (link, priority),
-                # take group heads — the reference winner rule per lane
-                order = np.lexsort((priority[idx], want))
-                sorted_links = want[order]
-                head = np.empty(order.size, dtype=bool)
-                head[0] = True
-                np.not_equal(
-                    sorted_links[1:], sorted_links[:-1], out=head[1:]
-                )
-                winners = idx[order[head]]
+                # one winner per (lane, link): the lowest rank contending
+                # for it — the reference winner rule per lane
+                ranks = rank[idx]
+                np.minimum.at(best, want, ranks)
+                won = best[want] == ranks
+                best[want] = _NEVER
+                winners = idx[won]
                 if link_counts is not None:
-                    link_counts[sorted_links[head]] += 1
-                hop[winners] += 1
-                finished = winners[hop[winners] == lengths[winners]]
+                    link_counts[want[won]] += 1
+                hops = hop[winners] + 1
+                hop[winners] = hops
+                left = hops < lengths[winners]
+                moving = winners[left]
+                link[moving] = edges[moving, hops[left]]
+                finished = winners[~left]
                 if finished.size:
                     active[finished] = False
-                    done_step[finished] = step
+                    done_step[rows[finished]] = step
                     remaining -= int(finished.size)
                     dec = np.bincount(lane[finished], minlength=num_lanes)
                     lane_remaining -= dec

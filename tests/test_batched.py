@@ -3,7 +3,8 @@
 Three layers:
 
 * engine semantics — protocol conformance, empty/degenerate lanes,
-  per-lane fault drops and wormhole deadlock freezing;
+  per-lane fault drops, wormhole deadlock freezing, and both engines'
+  row compaction above the floor;
 * metamorphic properties — permuting a batch permutes results, a batch
   of one equals the reference engine, splitting a batch and concatenating
   the results is the identity;
@@ -14,9 +15,12 @@ Three layers:
   batch.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro.routing.batched as batched_module
 from repro._compat import resolve_rng
 from repro.fault.faults import FaultModel
 from repro.hypercube.graph import Hypercube
@@ -95,6 +99,9 @@ class TestProtocol:
         [res] = BatchedStoreForward(host).run_many([[(3,)]])
         assert res.delivered == 1
         assert res.done_steps == (0,)
+        # an all-zero-hop batch: its edge matrix has no columns at all
+        [res] = BatchedStoreForward(host).run_many([[((0,), 1), ((5,), 2)]])
+        assert res.done_steps == (0, 0) and res.makespan == 0
 
     def test_multi_packet_service_time_rejected(self):
         from repro.routing.api import SimRequest
@@ -230,6 +237,95 @@ class TestCompaction:
         lanes = self._batch()[1:2]
         assert sum(len(lane) for lane in lanes) <= 256
         BatchedWormhole(host, buffer_capacity=self.CAP).run_many(lanes)
+        assert self._compactions(registry) == 0
+
+
+class TestStoreForwardCompaction:
+    """Packet batches above the compaction floor: delivered and dropped
+    rows leave the working arrays mid-run, and every lane still matches
+    the reference engine and an uncompacted batch of one field-for-field,
+    recorder snapshot included."""
+
+    N = 5
+
+    def teardown_method(self):
+        disable_profiling()
+
+    def _batch(self):
+        rng = resolve_rng("sf-compaction")
+        size = 1 << self.N
+
+        def packets(count, last_release, zero_hop=0):
+            out = []
+            for _ in range(count):
+                u, v = rng.sample(range(size), 2)
+                path = _rotated_route(self.N, u, v, rng.randrange(self.N))
+                out.append((path, rng.randint(1, last_release)))
+            for _ in range(zero_hop):
+                out.append(((rng.randrange(size),), rng.randint(1, 5)))
+            rng.shuffle(out)
+            return out
+
+        # an early lane, and lanes whose late releases keep the run going
+        # after it: the rows shrink at least twice
+        return [
+            packets(200, 3, zero_hop=6),
+            packets(180, 40, zero_hop=4),
+            packets(200, 100),
+            packets(180, 160),
+        ]
+
+    def _faults(self, host):
+        rng = resolve_rng("sf-compaction-faults")
+        return [
+            FaultModel.random_links(host, k=3, rng=rng),
+            # armed mid-run, after the early lane's rows have left
+            FaultModel.random_links(host, k=4, rng=rng, active_from=25),
+            None,
+            FaultModel.random_links(host, k=2, rng=rng, active_from=60),
+        ]
+
+    def _compactions(self, registry):
+        timers = registry.snapshot()["timers"]
+        return timers.get("sim.batched_store_forward.compact", {}).get(
+            "count", 0
+        )
+
+    def _observable(self, result, recorder):
+        return result.measured(), recorder.snapshot()
+
+    def test_compacted_lanes_match_reference(self):
+        host = Hypercube(self.N)
+        batch, faults = self._batch(), self._faults(host)
+        registry = MetricsRegistry()
+        enable_profiling(registry, Tracer())
+        recs = [LinkRecorder(host=host) for _ in batch]
+        results = BatchedStoreForward(host).run_many(
+            batch, recorders=recs, faults=faults
+        )
+        disable_profiling()
+        assert sum(len(lane) for lane in batch) > 256
+        assert self._compactions(registry) >= 2
+        assert any(-1 in r.done_steps for r in results[:2])
+        for lane, fault, res, rec in zip(batch, faults, results, recs):
+            # every lane alone stays below the floor: the reference and the
+            # uncompacted batch of one must both match the compacted lane
+            assert len(lane) <= 256
+            single_rec = LinkRecorder(host=host)
+            [single] = BatchedStoreForward(host).run_many(
+                [lane], recorders=[single_rec], faults=[fault]
+            )
+            got = self._observable(res, rec)
+            assert got == _scalar(host, lane, faults=fault)
+            assert got == self._observable(single, single_rec)
+
+    def test_batches_below_the_floor_never_compact(self):
+        host = Hypercube(self.N)
+        registry = MetricsRegistry()
+        enable_profiling(registry, Tracer())
+        lanes = self._batch()[1:2]
+        assert sum(len(lane) for lane in lanes) <= 256
+        BatchedStoreForward(host).run_many(lanes)
         assert self._compactions(registry) == 0
 
 
@@ -400,6 +496,13 @@ class _ReversedArbitration(BatchedStoreForward):
         return np.arange(total - 1, -1, -1, dtype=np.int64)
 
 
+class _FlatPriorities(BatchedStoreForward):
+    """Every packet ties: arbitration must fall back to injection order."""
+
+    def _priorities(self, total):
+        return np.zeros(total, dtype=np.int64)
+
+
 class TestMutation:
     def _colliding_batch(self):
         # lane 0: three packets contending for node 1's outgoing links;
@@ -438,3 +541,21 @@ class TestMutation:
         assert (
             batched_differential_check(host, self._colliding_batch()) is None
         )
+
+    def test_tied_priorities_resolve_by_injection_order(self):
+        host = Hypercube(3)
+        batches = [self._colliding_batch()]
+        for i in range(20):
+            rng = resolve_rng(f"flat-priorities:{i}")
+            batches.append(random_schedule_batch(host, rng, max_lanes=3))
+        for batch in batches:
+            assert (
+                batched_differential_check(
+                    host, batch, batched_cls=_FlatPriorities
+                )
+                is None
+            )
+
+    def test_arbitration_is_sort_free(self):
+        source = Path(batched_module.__file__).read_text()
+        assert "lexsort" not in source
