@@ -32,7 +32,6 @@ Usage examples::
     python -m repro obs trace cycle --n 8             # profiled build spans
     python -m repro obs export cycle --n 8 --format json
     python -m repro qa fuzz --seeds 200 --budget 120s # fuzz every construction
-    python -m repro qa diff --seeds 50 --n 6          # simulator differential
     python -m repro qa corpus                         # list saved reproducers
     python -m repro qa replay <entry-id>              # re-run one reproducer
 """
@@ -351,17 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--images", type=int, default=4,
         help="automorphism images per point (metamorphic stage)",
     )
-    qd = qa_sub.add_parser(
-        "diff",
-        help="differential-test the batched store-and-forward engine "
-        "against the reference engine",
-    )
-    qd.add_argument("--seeds", type=int, default=50, help="random schedules")
-    qd.add_argument("--n", type=int, default=6, help="hypercube dimension")
-    qd.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    qd.add_argument(
-        "--packets", type=int, default=40, help="max packets per schedule"
-    )
     qb = qa_sub.add_parser(
         "batched",
         help="differential-test multi-lane batched runs against the "
@@ -615,11 +603,10 @@ def _cmd_scenarios(args) -> int:
         print(format_sweep_rows(rows))
         return 0
 
-    # smoke: every registered generator builds and routes identically on
-    # the reference and batched engines
+    # smoke: every registered generator builds deterministically and
+    # routes identically on the reference and batched engines
     from repro.hypercube.graph import Hypercube
-    from repro.routing.batched import BatchedStoreForward
-    from repro.routing.simulator import StoreForwardSimulator
+    from repro.qa.differential import batched_differential_check
 
     host = Hypercube(args.n)
     failures = 0
@@ -630,21 +617,19 @@ def _cmd_scenarios(args) -> int:
         rebuilt = build_schedule(
             name, host, load=0.5, horizon=4, seed=f"smoke:{name}"
         )
-        ref = StoreForwardSimulator(host, tie_break="priority").run(schedule)
-        batched = BatchedStoreForward(host).run(schedule)
+        divergence = batched_differential_check(host, [schedule])
         ok = (
             schedule_digest(schedule) == schedule_digest(rebuilt)
-            and ref.measured() == batched.measured()
+            and divergence is None
         )
         failures += not ok
-        print(
-            f"{'ok' if ok else 'FAIL':<5} {name:<14} "
-            f"{len(schedule):>4} packet(s)  makespan {batched.makespan}"
-        )
+        print(f"{'ok' if ok else 'FAIL':<5} {name:<14} {len(schedule):>4} packet(s)")
+        if divergence is not None:
+            print(f"      {divergence.describe()}")
     if not failures:
         print(
             f"{len(scenario_names())} generator(s) on Q_{args.n}: reference "
-            f"and batched engines agree field-for-field"
+            f"and batched engines agree field-for-field, recorder included"
         )
     return 1 if failures else 0
 
@@ -1066,27 +1051,6 @@ def _cmd_qa(args) -> int:
         if report.failures:
             print(f"reproducers saved under {corpus.directory}")
         return 0 if report.ok else 1
-
-    if args.qa_command == "diff":
-        from repro._compat import resolve_rng
-        from repro.hypercube.graph import Hypercube
-        from repro.qa import differential_check, random_schedule
-
-        host = Hypercube(args.n)
-        for i in range(args.seeds):
-            rng = resolve_rng(f"{args.seed}:diff:{i}")
-            schedule = random_schedule(host, rng, max_packets=args.packets)
-            divergence = differential_check(host, schedule)
-            if divergence is not None:
-                print(f"seed {i}: {divergence.describe()}")
-                for path, release in divergence.schedule:
-                    print(f"    release {release}: {' -> '.join(map(str, path))}")
-                return 1
-        print(
-            f"{args.seeds} random schedule(s) on Q_{args.n}: reference and "
-            f"batched engines agree field-for-field"
-        )
-        return 0
 
     if args.qa_command == "batched":
         from repro._compat import resolve_rng

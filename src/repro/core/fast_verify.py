@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, NoReturn, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 

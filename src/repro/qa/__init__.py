@@ -15,24 +15,18 @@ oracle registry; this package makes those checks *adversarial*:
 * :mod:`repro.qa.fuzzer` — the sample/check/shrink loop;
 * :mod:`repro.qa.corpus` — replayable on-disk reproducers.
 
-CLI: ``repro qa {fuzz,diff,replay,corpus}``.
+CLI: ``repro qa {fuzz,batched,replay,corpus}``.
 """
 
 from repro.qa.constructions import ConstructionSpace, FuzzConstruction, default_space
 from repro.qa.corpus import Corpus, CorpusEntry, default_corpus_dir
 from repro.qa.differential import (
-    Divergence,
-    WormDivergence,
     cold_start_differential,
-    differential_check,
     ida_differential,
     max_flow_width_check,
     route_batch_differential,
-    run_pair,
-    run_wormhole_pair,
     schedule_differential,
     verification_differential,
-    wormhole_differential_check,
 )
 from repro.qa.fuzzer import Fuzzer, FuzzFailure, FuzzReport
 from repro.qa.metamorphic import map_schedule, metamorphic_check
@@ -54,18 +48,12 @@ __all__ = [
     "Corpus",
     "CorpusEntry",
     "default_corpus_dir",
-    "Divergence",
-    "WormDivergence",
     "cold_start_differential",
-    "differential_check",
     "ida_differential",
     "max_flow_width_check",
     "route_batch_differential",
-    "run_pair",
-    "run_wormhole_pair",
     "schedule_differential",
     "verification_differential",
-    "wormhole_differential_check",
     "Fuzzer",
     "FuzzFailure",
     "FuzzReport",

@@ -7,20 +7,21 @@ fast engine from :mod:`repro.routing.batched`.  The reference
 :class:`~repro.routing.batched.BatchedStoreForward` implement the same
 synchronous link-bound model with the same winner rule (lowest injection
 index per link per step), so on any unit-service schedule they must
-return *field-for-field identical* :class:`~repro.routing.api.SimResult`s.
-:func:`differential_check` asserts exactly that for a batch of one and, on
-divergence, shrinks the schedule to a minimal reproducer before
-reporting; :func:`batched_differential_check` does the same lane by lane
-for multi-lane batches with per-lane fault models.
+return *field-for-field identical* :class:`~repro.routing.api.SimResult`s
+and recorder snapshots.  :func:`batched_differential_check` asserts exactly
+that lane by lane, with per-lane fault models, and on divergence shrinks
+the batch to a minimal reproducer before reporting.  A single schedule is
+checked as a one-lane batch: ``batched_differential_check(host,
+[schedule])``.
 
 The same contract holds at flit granularity: the reference
 :class:`~repro.routing.wormhole.WormholeSimulator` and
 :class:`~repro.routing.batched.BatchedWormhole` implement identical
-two-phase step semantics, so :func:`wormhole_differential_check` and
-:func:`batched_wormhole_differential_check` demand identical makespans,
-per-worm final states, link ownership *and* recorder snapshots — and
-identical deadlocks, since a schedule that deadlocks one engine must
-deadlock the other at the same step.
+two-phase step semantics, so :func:`batched_wormhole_differential_check`
+demands identical makespans, per-worm final states, link ownership *and*
+recorder snapshots in every lane — and identical deadlocks, since a
+schedule that deadlocks one engine must deadlock the other at the same
+step.
 
 :func:`verification_differential` referees the third fast/reference pair:
 the vectorized ``verify()`` kernels against the scalar
@@ -84,12 +85,6 @@ from repro.routing.simulator import StoreForwardSimulator
 from repro.routing.wormhole import WormholeDeadlock, WormholeSimulator
 
 __all__ = [
-    "Divergence",
-    "WormDivergence",
-    "run_pair",
-    "differential_check",
-    "run_wormhole_pair",
-    "wormhole_differential_check",
     "BatchDivergence",
     "batched_differential_check",
     "batched_wormhole_differential_check",
@@ -103,86 +98,7 @@ __all__ = [
 ]
 
 
-@dataclass
-class Divergence:
-    """A schedule on which the two engines disagree, minimized."""
-
-    host_n: int
-    schedule: Schedule
-    fields: Tuple[str, ...]
-    reference: SimResult
-    fast: SimResult
-
-    def describe(self) -> str:
-        ref = {f: getattr(self.reference, f) for f in self.fields}
-        fst = {f: getattr(self.fast, f) for f in self.fields}
-        return (
-            f"engines diverge on Q_{self.host_n} with {len(self.schedule)} "
-            f"packet(s): reference {ref} vs batched {fst}"
-        )
-
-
-def run_pair(host: Any, schedule: Schedule) -> Tuple[SimResult, SimResult]:
-    """Run ``schedule`` through the reference and batched engines under the
-    shared winner rule."""
-    reference = StoreForwardSimulator(host, tie_break="priority").run(schedule)
-    fast = BatchedStoreForward(host).run(schedule)
-    return reference, fast
-
-
-def differential_check(host: Any, schedule: Schedule) -> Optional[Divergence]:
-    """None when the engines agree; otherwise a *shrunken* :class:`Divergence`.
-
-    Shrinking is greedy over :func:`repro.qa.schedules.shrink_schedule`:
-    keep any smaller schedule that still diverges, restart from it, stop at
-    a local minimum (every candidate agrees).
-    """
-    diverging = _diverging_fields(host, schedule)
-    if diverging is None:
-        return None
-    current = [(tuple(p), int(r)) for p, r in schedule]
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for candidate in shrink_schedule(current):
-            if _diverging_fields(host, candidate) is not None:
-                current = candidate
-                shrinking = True
-                break
-    reference, fast = run_pair(host, current)
-    return Divergence(
-        host.n, current, reference.diff_fields(fast), reference, fast
-    )
-
-
-def _diverging_fields(host: Any, schedule: Schedule) -> Optional[Tuple[str, ...]]:
-    reference, fast = run_pair(host, schedule)
-    fields = reference.diff_fields(fast)
-    return fields or None
-
-
 # -- wormhole engines --------------------------------------------------------
-
-
-@dataclass
-class WormDivergence:
-    """A worm schedule on which the two wormhole engines disagree, minimized."""
-
-    host_n: int
-    buffer_capacity: int
-    schedule: WormSchedule
-    fields: Tuple[str, ...]
-    reference: Dict[str, Any]
-    fast: Dict[str, Any]
-
-    def describe(self) -> str:
-        ref = {f: self.reference[f] for f in self.fields}
-        fst = {f: self.fast[f] for f in self.fields}
-        return (
-            f"wormhole engines diverge on Q_{self.host_n} "
-            f"(buffers={self.buffer_capacity}) with {len(self.schedule)} "
-            f"worm(s): reference {ref} vs batched {fst}"
-        )
 
 
 def _reference_worm_outcome(
@@ -239,52 +155,6 @@ def _batched_worm_outcomes(
         }
         for out, rec in zip(outs, recs)
     ]
-
-
-def run_wormhole_pair(
-    host: Any, schedule: WormSchedule, buffer_capacity: int = 1
-) -> Tuple[Dict[str, Any], Dict[str, Any]]:
-    """Run a worm schedule through the reference and batched engines."""
-    reference = _reference_worm_outcome(host, schedule, buffer_capacity)
-    [fast] = _batched_worm_outcomes(host, [schedule], buffer_capacity)
-    return reference, fast
-
-
-def _worm_diverging_fields(
-    host: Any, schedule: WormSchedule, buffer_capacity: int
-) -> Optional[Tuple[str, ...]]:
-    reference, fast = run_wormhole_pair(host, schedule, buffer_capacity)
-    fields = tuple(k for k in reference if reference[k] != fast[k])
-    return fields or None
-
-
-def wormhole_differential_check(
-    host: Any, schedule: WormSchedule, buffer_capacity: int = 1
-) -> Optional[WormDivergence]:
-    """None when the reference and batched wormhole engines agree on a
-    batch of one; else a shrunken divergence.
-
-    Agreement is total: makespan, deadlock-or-not (and the deadlock
-    message's step), per-worm final state, link ownership and recorder
-    snapshot must all match.  Shrinking mirrors :func:`differential_check`
-    over :func:`repro.qa.schedules.shrink_worm_schedule`.
-    """
-    if _worm_diverging_fields(host, schedule, buffer_capacity) is None:
-        return None
-    current = [(tuple(p), int(m), int(r)) for p, m, r in schedule]
-    shrinking = True
-    while shrinking:
-        shrinking = False
-        for candidate in shrink_worm_schedule(current):
-            if _worm_diverging_fields(host, candidate, buffer_capacity) is not None:
-                current = candidate
-                shrinking = True
-                break
-    reference, fast = run_wormhole_pair(host, current, buffer_capacity)
-    fields = tuple(k for k in reference if reference[k] != fast[k])
-    return WormDivergence(
-        host.n, buffer_capacity, current, fields, reference, fast
-    )
 
 
 # -- batched tensor engines --------------------------------------------------

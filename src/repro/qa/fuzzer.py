@@ -13,11 +13,12 @@ For each point the fuzzer runs, in order:
 4. **metamorphic** — random automorphism images must preserve the
    verification report and simulated metrics (:mod:`repro.qa.metamorphic`);
 5. **differential** — the reference and batched store-and-forward
-   engines must agree field-for-field on a schedule drawn from the
-   embedding's paths (:mod:`repro.qa.differential`), which also shrinks
-   any divergence, the wormhole pair (:class:`WormholeSimulator` vs
-   :class:`BatchedWormhole`) must agree on a random worm schedule
-   (:func:`repro.qa.differential.wormhole_differential_check`),
+   engines must agree field-for-field, recorder snapshot included, on a
+   schedule drawn from the embedding's paths, checked as a one-lane batch
+   (:func:`repro.qa.differential.batched_differential_check`, which also
+   shrinks any divergence), the wormhole pair (:class:`WormholeSimulator`
+   vs :class:`BatchedWormhole`) must agree on a random worm schedule
+   (:func:`repro.qa.differential.batched_wormhole_differential_check`),
    and the serving layer's batched CSR gather must be field-identical
    to per-call routing on a fuzzed request batch
    (:func:`repro.qa.differential.route_batch_differential`);
@@ -68,13 +69,11 @@ from repro.qa.differential import (
     batched_differential_check,
     batched_wormhole_differential_check,
     cold_start_differential,
-    differential_check,
     ida_differential,
     max_flow_width_check,
     route_batch_differential,
     schedule_differential,
     verification_differential,
-    wormhole_differential_check,
 )
 from repro.qa.metamorphic import metamorphic_check
 from repro.qa.schedules import (
@@ -149,8 +148,7 @@ class Fuzzer:
     """Drives the sample -> check -> shrink -> persist loop.
 
     ``images`` automorphism images and ``flow_samples`` max-flow probes run
-    per point; ``checks`` restricts the stages (mostly for tests and for
-    ``repro qa diff``, which wants the differential stage alone).
+    per point; ``checks`` restricts the stages (mostly for tests).
     """
 
     def __init__(
@@ -225,14 +223,16 @@ class Fuzzer:
             schedule = embedding_schedule(
                 subject, rng, max_packets=self.max_packets
             )
-            divergence = differential_check(subject.host, schedule)
+            divergence = batched_differential_check(subject.host, [schedule])
             if divergence is not None:
                 return FuzzFailure(
                     kind,
                     params,
                     "differential",
                     divergence.describe(),
-                    schedule=schedule_to_jsonable(divergence.schedule),
+                    schedule=schedule_to_jsonable(
+                        divergence.schedules[divergence.lane]
+                    ),
                 )
             for check in route_batch_differential(subject, rng):
                 if not check.passed:
@@ -241,8 +241,8 @@ class Fuzzer:
                         f"{check.name}: {check.detail}",
                     )
             worm_schedule = random_worm_schedule(subject.host, rng)
-            worm_divergence = wormhole_differential_check(
-                subject.host, worm_schedule
+            worm_divergence = batched_wormhole_differential_check(
+                subject.host, [worm_schedule]
             )
             if worm_divergence is not None:
                 return FuzzFailure(
@@ -341,7 +341,7 @@ class Fuzzer:
         Tries the construction's shrink candidates in order; any candidate
         that still fails at the same stage becomes the new point, until no
         candidate does (a local minimum).  Differential schedules shrink
-        separately inside :func:`differential_check`.
+        separately inside :func:`batched_differential_check`.
         """
         construction = self.space.get(failure.kind)
         improved = True
@@ -404,8 +404,9 @@ class Fuzzer:
 
         The stored point seed reproduces the original run's automorphism
         and schedule draws exactly.  For differential entries the saved
-        minimal schedule is re-checked directly as well, so a reproducer
-        stays meaningful even if the embedding-derived schedule drifts.
+        minimal schedule is re-checked directly as well, as a one-lane
+        batch, so a reproducer stays meaningful even if the
+        embedding-derived schedule drifts.
         """
         failure = self.check_point(entry.kind, dict(entry.params), entry.point_seed)
         if failure is not None:
@@ -419,8 +420,8 @@ class Fuzzer:
                     entry.kind, dict(entry.params), "build",
                     f"{type(err).__name__}: {err}",
                 )
-            divergence = differential_check(
-                subject.host, schedule_from_jsonable(entry.schedule)
+            divergence = batched_differential_check(
+                subject.host, [schedule_from_jsonable(entry.schedule)]
             )
             if divergence is not None:
                 return FuzzFailure(
@@ -428,6 +429,8 @@ class Fuzzer:
                     dict(entry.params),
                     "differential",
                     divergence.describe(),
-                    schedule=schedule_to_jsonable(divergence.schedule),
+                    schedule=schedule_to_jsonable(
+                        divergence.schedules[divergence.lane]
+                    ),
                 )
         return None

@@ -592,13 +592,11 @@ class BatchedWormhole:
 
             # Phase 1: head acquisitions — lowest lane-local ident wins
             # each free link (global order is lane-major, so the global
-            # lowest index per shifted link is the lane's lowest ident)
-            elig = act & (head < last_col)
-            pipe = (elig & (head >= 0)).nonzero()[0]
-            if pipe.size:
-                stalled = pipe[flits[pipe, head[pipe]] == 0]
-                elig[stalled] = False
-            cand = elig.nonzero()[0]
+            # lowest index per shifted link is the lane's lowest ident).
+            # A head flit crosses its link in the step the head acquires
+            # it (phase 2 below), so the reference's wait for the head
+            # flit never holds a worm back here.
+            cand = (act & (head < last_col)).nonzero()[0]
             if cand.size:
                 want = eids_flat[cand, head[cand] + 1]
                 free_link = owner[want] < 0

@@ -3,8 +3,9 @@
 Three layers:
 
 * engine semantics — protocol conformance, empty/degenerate lanes,
-  per-lane fault drops, wormhole deadlock freezing, and both engines'
-  row compaction above the floor;
+  per-lane fault drops, wormhole deadlock freezing, runs that end on a
+  boundary the engines compare against, and both engines' row
+  compaction above the floor;
 * metamorphic properties — permuting a batch permutes results, a batch
   of one equals the reference engine, splitting a batch and concatenating
   the results is the identity;
@@ -12,7 +13,7 @@ Three layers:
   fault-activation edge matrix across the reference engine and both
   batched entry points (``run`` and ``run_many``), and a mutation test
   proving an injected arbitration bug is caught and shrunk to a minimal
-  batch.
+  batch, by the lane check and by the fuzzer's ``differential`` stage.
 """
 
 from pathlib import Path
@@ -27,9 +28,10 @@ from repro.hypercube.graph import Hypercube
 from repro.obs import MetricsRegistry, Tracer, disable_profiling, enable_profiling
 from repro.obs.recorder import LinkRecorder
 from repro.qa.differential import (
+    _batched_worm_outcomes,
+    _reference_worm_outcome,
     batched_differential_check,
     batched_wormhole_differential_check,
-    run_wormhole_pair,
 )
 from repro.qa.fuzzer import STAGES, Fuzzer
 from repro.qa.schedules import (
@@ -227,7 +229,8 @@ class TestCompaction:
         for lane, out, rec in zip(batch, outs, recs):
             # every lane alone stays below the floor: reference and
             # uncompacted batch of one must both match the compacted lane
-            reference, single = run_wormhole_pair(host, lane, self.CAP)
+            reference = _reference_worm_outcome(host, lane, self.CAP)
+            [single] = _batched_worm_outcomes(host, [lane], self.CAP)
             assert _worm_observable(out, rec) == reference == single
 
     def test_batches_below_the_floor_never_compact(self):
@@ -327,6 +330,60 @@ class TestStoreForwardCompaction:
         assert sum(len(lane) for lane in lanes) <= 256
         BatchedStoreForward(host).run_many(lanes)
         assert self._compactions(registry) == 0
+
+
+class TestBoundaries:
+    """Runs that end exactly where a comparison in the batched engines
+    decides: the last step the budget allows, a deadlock in a lane's last
+    release step, an empty lane beside a busy one.  Flipping any of those
+    comparisons (``>`` to ``>=``, ``<=`` to ``<``) passes the random lane
+    differentials, so each case is pinned here against the reference."""
+
+    PACKETS = [((0, 1, 3), 1), ((0, 1, 3), 1), ((0, 1), 3)]  # done at step 3
+    WORMS = [((0, 1, 3), 3, 1), ((0, 1), 2, 1)]  # done at step 5
+
+    @staticmethod
+    def _reference_worms(host, schedule, max_steps=10_000_000):
+        sim = WormholeSimulator(host)
+        for path, flits, release in schedule:
+            sim.inject(path, flits, release)
+        return sim.run(max_steps)
+
+    def test_max_steps_admits_the_last_step(self):
+        host = Hypercube(2)
+        reference = StoreForwardSimulator(host, tie_break="priority")
+        runs = [
+            (3, lambda m: reference.run(self.PACKETS, max_steps=m).makespan),
+            (3, lambda m: BatchedStoreForward(host).run(
+                self.PACKETS, max_steps=m).makespan),
+            (5, lambda m: self._reference_worms(host, self.WORMS, m)),
+            (5, lambda m: BatchedWormhole(host).run(
+                self.WORMS, max_steps=m).makespan),
+        ]
+        for last, run in runs:
+            assert run(last) == last
+            with pytest.raises(RuntimeError, match="exceeded"):
+                run(last - 1)
+
+    def test_deadlock_in_the_last_release_step(self):
+        host = Hypercube(2)
+        # the four-worm cycle deadlocks early, but the lane is only stuck
+        # once its last worm, released at step 20 into a held link, is out
+        cycle = [(path, 8, 1) for path in
+                 ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))]
+        lane = cycle + [((0, 1), 2, 20)]
+        message = "5 worms deadlocked at step 20"
+        with pytest.raises(WormholeDeadlock, match=message):
+            self._reference_worms(host, lane)
+        [out] = BatchedWormhole(host).run_many([lane])
+        assert out.deadlock == message
+        assert batched_wormhole_differential_check(host, [lane]) is None
+
+    def test_empty_worm_lane_beside_a_busy_one(self):
+        host = Hypercube(2)
+        batch = [[], [((0, 1), 2, 1)]]
+        for lanes in (batch, batch[::-1]):
+            assert batched_wormhole_differential_check(host, lanes) is None
 
 
 class TestMetamorphic:
@@ -535,6 +592,25 @@ class TestMutation:
             Hypercube(3), self._colliding_batch()
         )
         assert divergence is not None
+
+    def test_differential_stage_saves_and_replays_the_shrunk_lane(
+        self, monkeypatch
+    ):
+        import repro.qa.differential as differential
+
+        monkeypatch.setattr(
+            differential, "BatchedStoreForward", _ReversedArbitration
+        )
+        failure = Fuzzer(checks=("build", "differential")).check_point(
+            "cycle", {"n": 4}, "0:point:0"
+        )
+        assert failure is not None and failure.stage == "differential"
+        assert len(failure.schedule) == 2  # shrunk to one contending pair
+        # with every stage off, replay still re-checks the saved schedule
+        entry = failure.to_entry("0:point:0")
+        replayed = Fuzzer(checks=("build",)).replay(entry)
+        assert replayed is not None and replayed.stage == "differential"
+        assert replayed.schedule == entry.schedule
 
     def test_clean_engine_passes_the_same_batch(self):
         host = Hypercube(3)

@@ -485,13 +485,14 @@ class TestKernelParity:
 
         fuzzer = tmp_path / "qa" / "fuzzer.py"
         mutated = fuzzer.read_text().replace(
-            "wormhole_differential_check", "wormhole_parity_probe"
+            "batched_wormhole_differential_check", "wormhole_parity_probe"
         )
         assert mutated != fuzzer.read_text()
         fuzzer.write_text(mutated)
         report = run_lint([tmp_path], LintConfig(select=("R9",)))
         assert any(
-            "wormhole_differential_check() is not registered" in f.message
+            "batched_wormhole_differential_check() is not registered"
+            in f.message
             for f in rule_findings(report, "R9")
         )
 

@@ -17,14 +17,16 @@ from repro.qa import (
     FuzzConstruction,
     Fuzzer,
     default_space,
-    differential_check,
     map_schedule,
     metamorphic_check,
     random_schedule,
-    run_pair,
     schedule_from_jsonable,
     schedule_to_jsonable,
     shrink_schedule,
+)
+from repro.qa.differential import (
+    batched_differential_check,
+    batched_wormhole_differential_check,
 )
 
 # one representative small parameter point per construction kind
@@ -144,18 +146,20 @@ class TestMetamorphic:
 class TestDifferential:
     def test_fifty_random_schedules_agree(self):
         # tier-1 differential smoke: the reference engine (priority
-        # tie-break) and the vectorized engine must agree field-for-field
+        # tie-break) and the vectorized engine must agree field-for-field,
+        # recorder snapshot included, on each schedule as a one-lane batch
         host = Hypercube(6)
         for i in range(50):
             rng = random.Random(f"diff-smoke:{i}")
             schedule = random_schedule(host, rng, max_packets=40)
-            reference, fast = run_pair(host, schedule)
-            assert reference.diff_fields(fast) == (), (i, schedule)
+            assert batched_differential_check(host, [schedule]) is None, (
+                i, schedule,
+            )
 
     def test_differential_check_passes_clean(self):
         host = Hypercube(5)
         schedule = random_schedule(host, random.Random(1), max_packets=30)
-        assert differential_check(host, schedule) is None
+        assert batched_differential_check(host, [schedule]) is None
 
     def test_shrink_schedule_proposals(self):
         schedule = [((0, 1), 2), ((0, 2), 1), ((1, 3), 3), ((2, 3), 1)]
@@ -323,25 +327,29 @@ class TestWormholeDifferential:
         # engine must agree on makespan, per-worm state, link ownership and
         # recorder totals — deadlocks included (rotated dimension orders
         # can produce cyclic waits)
-        from repro.qa import run_wormhole_pair, random_worm_schedule
+        from repro.qa import random_worm_schedule
 
         host = Hypercube(4)
         for i in range(25):
             rng = random.Random(f"worm-smoke:{i}")
             schedule = random_worm_schedule(host, rng, rotate=i % 2 == 1)
             cap = rng.choice([1, 1, 2, 4])
-            reference, fast = run_wormhole_pair(host, schedule, buffer_capacity=cap)
-            assert reference == fast, (i, cap, schedule)
+            assert batched_wormhole_differential_check(
+                host, [schedule], cap
+            ) is None, (i, cap, schedule)
 
     def test_check_passes_clean(self):
-        from repro.qa import random_worm_schedule, wormhole_differential_check
+        from repro.qa import random_worm_schedule
 
         host = Hypercube(3)
         schedule = random_worm_schedule(host, random.Random(2))
-        assert wormhole_differential_check(host, schedule) is None
+        assert batched_wormhole_differential_check(host, [schedule]) is None
 
     def test_deadlock_parity(self):
-        from repro.qa import run_wormhole_pair, wormhole_differential_check
+        from repro.qa.differential import (
+            _batched_worm_outcomes,
+            _reference_worm_outcome,
+        )
 
         host = Hypercube(2)
         # four worms chasing each other around the 4-cycle 0-1-3-2-0
@@ -351,9 +359,10 @@ class TestWormholeDifferential:
             ((3, 2, 0), 8, 1),
             ((2, 0, 1), 8, 1),
         ]
-        reference, fast = run_wormhole_pair(host, schedule)
+        reference = _reference_worm_outcome(host, schedule, 1)
+        [fast] = _batched_worm_outcomes(host, [schedule], 1)
         assert reference["deadlock"] and reference == fast
-        assert wormhole_differential_check(host, schedule) is None
+        assert batched_wormhole_differential_check(host, [schedule]) is None
 
     def test_worm_schedules_are_valid_and_jsonable(self):
         from repro.qa import random_worm_schedule
@@ -635,8 +644,15 @@ class TestQaCli:
         ) == 0
 
     def test_diff_smoke(self, capsys):
-        assert main(["qa", "diff", "--seeds", "5", "--n", "5"]) == 0
-        assert "agree" in capsys.readouterr().out
+        # a single schedule is a one-lane batch, so one-schedule checks
+        # run as `qa batched --lanes 1` and there is no `qa diff`
+        assert main(
+            ["qa", "batched", "--seeds", "5", "--n", "5", "--lanes", "1"]
+        ) == 0
+        assert "lane-for-lane" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["qa", "diff"])
+        assert err.value.code == 2
 
     def test_corpus_empty_then_listed(self, capsys, tmp_path):
         assert main(["qa", "corpus", "--corpus", str(tmp_path)]) == 0
