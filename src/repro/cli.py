@@ -828,7 +828,7 @@ def _cmd_serve(args) -> int:
     spec = _spec_from_args(args)
     shard = service.shard_for(spec)  # warm build + publish before the clock
     print(
-        f"serving {spec.describe()} from shard {shard.info.name or '(local)'} "
+        f"serving {spec.describe()} from shard {shard.info.path or '(local)'} "
         f"({shard.info.num_paths} path(s), {shard.info.nbytes / 1e6:.1f} MB)"
     )
     report = open_loop_load(
@@ -852,22 +852,10 @@ def _cmd_serve(args) -> int:
     return 0 if report.errors == 0 else 1
 
 
-def _all_paths(emb):
-    """Every host path the embedding provides, flattened across styles."""
-    if hasattr(emb, "copies"):  # multicopy: one path per guest edge per copy
-        return [p for c in emb.copies for p in c.edge_paths.values()]
-    paths = []
-    for entry in emb.edge_paths.values():
-        if entry and isinstance(entry[0], (tuple, list)):  # multipath bundle
-            paths.extend(entry)
-        else:
-            paths.append(entry)
-    return paths
-
-
 def _obs_delivery(args):
     """Build the spec'd embedding and simulate an instrumented delivery."""
     from repro.obs import LinkRecorder
+    from repro.qa.schedules import all_host_paths
     from repro.routing.simulator import StoreForwardSimulator
     from repro.service.specs import build_spec
 
@@ -876,7 +864,7 @@ def _obs_delivery(args):
     emb.verify()
     schedule = [
         (path, t + 1)
-        for path in _all_paths(emb)
+        for path in all_host_paths(emb)
         for t in range(args.packets)
     ]
     recorder = LinkRecorder(host=emb.host)

@@ -33,7 +33,7 @@ from typing import Any, Dict, Iterator, List, NoReturn, Optional, Sequence, Set,
 
 import numpy as np
 
-from repro.core.embedding import MultiCopyEmbedding, MultiPathEmbedding
+from repro.core.embedding import MultiCopyEmbedding, MultiPathEmbedding, _path_edge_ids
 from repro.core.verification import InvariantCheck, VerificationReport
 from repro.hypercube.pathcode import (
     CSR_FLAG_DTYPE,
@@ -56,11 +56,6 @@ __all__ = [
     "reference_verify_embedding",
     "reference_verify_multipath",
 ]
-
-
-def _path_edge_ids(host: Any, path: Sequence[int]) -> List[int]:
-    """Directed host edge ids along a path (raises on non-edges)."""
-    return [host.edge_id(a, b) for a, b in zip(path, path[1:])]
 
 
 # -- vectorized kernels -------------------------------------------------------

@@ -509,8 +509,9 @@ def cold_start_differential(
         write_store(
             path, fresh, "{}", spec_key="cold-start-qa", kind="qa"
         )
-        view = open_store(path, payload_verify="eager")
+        view = open_store(path)
         try:
+            view.verify_payload()
             mapped = view.csr
             fields = ("nodes", "path_offsets", "bundle_offsets", "path_reversed")
             identical = mapped.host_n == fresh.host_n and all(

@@ -248,6 +248,9 @@ class Fuzzer:
                 return FuzzFailure(
                     kind, params, "differential",
                     worm_divergence.describe(),
+                    schedule=schedule_to_jsonable(
+                        worm_divergence.schedules[worm_divergence.lane]
+                    ),
                 )
 
         if "batched_differential" in self.checks:
@@ -297,6 +300,9 @@ class Fuzzer:
                     params,
                     "batched_differential",
                     worm_divergence.describe(),
+                    schedule=schedule_to_jsonable(
+                        worm_divergence.schedules[worm_divergence.lane]
+                    ),
                 )
 
         if "cold_start_differential" in self.checks:
@@ -403,15 +409,17 @@ class Fuzzer:
         """Re-run a corpus entry's point; None means it no longer fails.
 
         The stored point seed reproduces the original run's automorphism
-        and schedule draws exactly.  For differential entries the saved
-        minimal schedule is re-checked directly as well, as a one-lane
-        batch, so a reproducer stays meaningful even if the
-        embedding-derived schedule drifts.
+        and schedule draws exactly.  For ``differential`` and
+        ``batched_differential`` entries the saved minimal lane is
+        re-checked directly as well, as a one-lane batch, so a reproducer
+        stays meaningful even if the embedding-derived schedule drifts.
+        Worm lanes (``(path, num_flits, release)`` items) go to the
+        wormhole check, packet lanes to the store-and-forward one.
         """
         failure = self.check_point(entry.kind, dict(entry.params), entry.point_seed)
         if failure is not None:
             return failure
-        if entry.stage == "differential" and entry.schedule:
+        if entry.stage in ("differential", "batched_differential") and entry.schedule:
             construction = self.space.get(entry.kind)
             try:
                 subject = construction.build(dict(entry.params))
@@ -420,14 +428,18 @@ class Fuzzer:
                     entry.kind, dict(entry.params), "build",
                     f"{type(err).__name__}: {err}",
                 )
-            divergence = batched_differential_check(
-                subject.host, [schedule_from_jsonable(entry.schedule)]
+            lane = schedule_from_jsonable(entry.schedule)
+            check = (
+                batched_wormhole_differential_check
+                if len(lane[0]) == 3
+                else batched_differential_check
             )
+            divergence = check(subject.host, [lane])
             if divergence is not None:
                 return FuzzFailure(
                     entry.kind,
                     dict(entry.params),
-                    "differential",
+                    entry.stage,
                     divergence.describe(),
                     schedule=schedule_to_jsonable(
                         divergence.schedules[divergence.lane]

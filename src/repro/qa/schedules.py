@@ -268,11 +268,15 @@ def shrink_schedule(schedule: Sequence[Tuple[Tuple[int, ...], int]]) -> Iterator
         yield [(p, 1) for p, _ in items]
 
 
-def schedule_to_jsonable(schedule: Sequence[Tuple[Tuple[int, ...], int]]) -> list:
-    """A JSON-safe form of a ``(path, release)`` schedule."""
-    return [[list(p), int(r)] for p, r in schedule]
+def schedule_to_jsonable(schedule: Sequence[Sequence[Any]]) -> list:
+    """A JSON-safe form of a ``(path, release)`` packet schedule or a
+    ``(path, num_flits, release)`` worm schedule."""
+    return [[list(item[0]), *(int(x) for x in item[1:])] for item in schedule]
 
 
-def schedule_from_jsonable(data: Sequence) -> Schedule:
+def schedule_from_jsonable(data: Sequence) -> list:
     """Invert :func:`schedule_to_jsonable` (lists back to tuples)."""
-    return [(tuple(int(x) for x in p), int(r)) for p, r in data]
+    return [
+        (tuple(int(x) for x in item[0]), *(int(x) for x in item[1:]))
+        for item in data
+    ]

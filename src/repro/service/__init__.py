@@ -24,15 +24,18 @@ Quickstart::
 Modules:
 
 * :mod:`repro.service.specs`    — request/response vocabulary + cache keys;
-* :mod:`repro.service.registry` — content-addressed embedding cache;
-* :mod:`repro.service.store`    — binary memmapped artifact files;
-* :mod:`repro.service.engine`   — concurrent batch construction;
-* :mod:`repro.service.shards`   — store-file CSR shards + manager;
+* :mod:`repro.service.registry` — content-addressed embedding cache, the
+  one way an artifact is admitted (``get_or_build``);
+* :mod:`repro.service.store`    — binary memmapped artifact files and the
+  :class:`StoreView` every shard is;
+* :mod:`repro.service.engine`   — batch construction in worker processes
+  that write their own store files;
+* :mod:`repro.service.shards`   — the manager of published store views;
 * :mod:`repro.service.frontend` — batching ``serve()`` loop + load harness;
 * :mod:`repro.service.api`      — the :class:`RoutingService` facade.
 
-Metrics live on one :class:`repro.obs.MetricsRegistry`, which the whole
-layer threads through registry, engine and facade.
+Metrics live on the registry's :class:`repro.obs.MetricsRegistry`, which
+the engine and the facade share.
 """
 
 from repro.service.api import DeliveryOutcome, RoutingService, disjoint_paths
@@ -44,7 +47,7 @@ from repro.service.registry import (
     default_cache_dir,
     encode_embedding,
 )
-from repro.service.shards import ShardManager, ShardView, attach_shard
+from repro.service.shards import ShardManager
 from repro.service.store import (
     StoreIntegrityError,
     StoreView,
@@ -73,10 +76,8 @@ __all__ = [
     "RouteResponse",
     "RoutingService",
     "ShardManager",
-    "ShardView",
     "StoreIntegrityError",
     "StoreView",
-    "attach_shard",
     "build_spec",
     "decode_embedding",
     "default_cache_dir",

@@ -22,22 +22,21 @@ Everything is observable via :meth:`RoutingService.stats`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, List, Optional, Sequence, Tuple, Union
 
 from repro.core.embedding import MultiCopyEmbedding, MultiPathEmbedding
 from repro.core.fast_verify import embedding_csr
 from repro.fault.ida import disperse, reconstruct
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import profile_span
-from repro.service.engine import BuildEngine
 from repro.service.registry import EmbeddingRegistry
-from repro.service.shards import ShardManager, ShardView
+from repro.service.shards import ShardManager
 from repro.service.specs import (
     BatchRouteResult,
     EmbeddingSpec,
     RouteRequest,
     RouteResponse,
 )
+from repro.service.store import StoreView
 
 __all__ = ["RoutingService", "DeliveryOutcome", "disjoint_paths"]
 
@@ -114,25 +113,10 @@ def disjoint_paths(emb, guest_edge) -> Tuple[Tuple[int, ...], ...]:
 class RoutingService:
     """Facade: memoized embeddings + batch routing + fault tolerance."""
 
-    def __init__(
-        self,
-        registry: Optional[EmbeddingRegistry] = None,
-        engine: Optional[BuildEngine] = None,
-        metrics: Optional[MetricsRegistry] = None,
-        shards: Optional[ShardManager] = None,
-    ):
-        if metrics is None:
-            metrics = registry.metrics if registry is not None else MetricsRegistry()
-        self.metrics = metrics
-        self.registry = registry if registry is not None else EmbeddingRegistry(
-            metrics=metrics
-        )
-        self.engine = engine if engine is not None else BuildEngine(
-            self.registry, metrics=self.metrics
-        )
-        self.shards = shards if shards is not None else ShardManager(
-            metrics=self.metrics
-        )
+    def __init__(self, registry: Optional[EmbeddingRegistry] = None):
+        self.registry = registry if registry is not None else EmbeddingRegistry()
+        self.metrics = self.registry.metrics
+        self.shards = ShardManager(metrics=self.metrics)
 
     # -- embeddings ------------------------------------------------------------
 
@@ -141,23 +125,19 @@ class RoutingService:
         with self.metrics.time("get_embedding"):
             return self.registry.get_or_build(spec)
 
-    def warm(self, specs: Iterable[EmbeddingSpec], parallel: bool = True) -> int:
-        """Prefetch a batch of specs through the concurrent engine."""
-        return self.engine.warm(specs, parallel=parallel)
-
-    def shard_for(self, spec: EmbeddingSpec) -> ShardView:
+    def shard_for(self, spec: EmbeddingSpec) -> StoreView:
         """The (published-on-first-use) CSR shard serving ``spec``.
 
-        A shard is the spec's memmapped store file.  Resolution order is
-        the cold-start story: an already-published shard, else the
-        registry's store, served straight off the file (O(ms), no
-        embedding object), else build + verify + admit, which writes the
-        store, and then that store.  ``.info.name`` is the store path
-        worker processes pass to
-        :func:`repro.service.shards.attach_shard`.  Only if the store
-        still cannot be mapped (another process removed it, or a
-        transient open error) does the in-memory export serve as a
-        process-local shard, with an empty name.
+        A shard is the :class:`StoreView` of the spec's memmapped store
+        file.  Resolution order is the cold-start story: an
+        already-published shard, else the registry's store, served
+        straight off the file (O(ms), no embedding object), else build +
+        verify + admit, which writes the store, and then that store.
+        ``.info.path`` is the store path other processes pass to
+        :func:`repro.service.store.open_store`.  Only if the store still
+        cannot be mapped (another process removed it, or a transient open
+        error) does the in-memory export serve as a process-local shard,
+        with an empty path.
         """
         key = spec.cache_key()
         existing = self.shards.get(key)
@@ -170,14 +150,10 @@ class RoutingService:
             emb = self.get_embedding(spec)
             store = self.registry.get_store(spec)
             if store is None:
-                return self.shards.publish_mapped(key, embedding_csr(emb))
-        return self.shards.publish_mapped(
-            key,
-            store.csr,
-            name=store.info.path,
-            nbytes=store.info.nbytes,
-            sha256=store.info.sha256,
-        )
+                store = StoreView.in_memory(
+                    embedding_csr(emb), spec_key=key, kind=spec.kind
+                )
+        return self.shards.publish_mapped(key, store)
 
     # -- routing -------------------------------------------------------------------
 
@@ -262,5 +238,5 @@ class RoutingService:
         return self.registry.stats()
 
     def close(self) -> None:
-        """Drop the published shards (the registry/engine stay usable)."""
+        """Drop the published shards (the registry stays usable)."""
         self.shards.close()

@@ -2,14 +2,17 @@
 
 Independent constructions (a sweep of ``n``, or a mixed
 cycle/grid/CCC/tree workload) are embarrassingly parallel, so the engine
-fans cache misses out to a ``ProcessPoolExecutor``.  Each worker builds
-the construction, **verifies** it (`.verify()` — the same invariants the
-theorems certify), and returns the encoded artifact text; only verified
-artifacts are admitted to the registry.
+fans cache misses out to a ``ProcessPoolExecutor``.  Each worker runs
+:meth:`EmbeddingRegistry.get_or_build` against the shared cache
+directory — build, **verify** (the same invariants the theorems certify)
+and write the store file — so only verified artifacts land on disk, and
+the parent reads the finished stores back instead of receiving the
+embeddings.
 
 Requests for the same cache key are deduplicated twice: within a batch
-(one build per unique key) and across concurrent callers (an in-flight
-table shares the pending future instead of building again).
+(one build per unique key) and across processes (the registry's lock
+file makes a second process that builds a key wait for the first
+admit).
 
 Environments where process pools are unavailable (restricted sandboxes)
 degrade gracefully to in-process serial builds — same results, no
@@ -19,43 +22,34 @@ parallelism.
 from __future__ import annotations
 
 import os
-import threading
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
-from repro.obs.metrics import MetricsRegistry
-from repro.service.registry import EmbeddingRegistry, make_artifact
-from repro.service.specs import EmbeddingSpec, build_spec
+from repro.service.registry import EmbeddingRegistry
+from repro.service.specs import EmbeddingSpec
 
-__all__ = ["BuildEngine", "build_artifact_text"]
+__all__ = ["BuildEngine"]
 
 
-def build_artifact_text(spec: EmbeddingSpec) -> str:
-    """Worker entry point: build + verify + encode one artifact.
+def _build_into(cache_dir: Path, spec: EmbeddingSpec) -> int:
+    """Worker entry point: admit ``spec`` into the store under ``cache_dir``.
 
-    Module-level so it pickles to worker processes; returns text rather
-    than the embedding object to keep inter-process traffic cheap and to
-    guarantee what lands on disk is exactly what was verified.
+    Module-level so it pickles to worker processes.  Returns how many
+    builds the worker ran: 0 when another process admitted the key first.
     """
-    emb = build_spec(spec)
-    emb.verify()
-    return make_artifact(spec, emb)
+    registry = EmbeddingRegistry(cache_dir=cache_dir)
+    registry.get_or_build(spec)
+    return registry.metrics.count("builds")
 
 
 class BuildEngine:
     """Fan out cache-missing constructions to worker processes."""
 
-    def __init__(
-        self,
-        registry: EmbeddingRegistry,
-        max_workers: Optional[int] = None,
-        metrics: Optional[MetricsRegistry] = None,
-    ):
+    def __init__(self, registry: EmbeddingRegistry, max_workers: Optional[int] = None):
         self.registry = registry
         self.max_workers = max_workers
-        self.metrics = metrics if metrics is not None else registry.metrics
-        self._lock = threading.Lock()
-        self._inflight: Dict[str, Future] = {}
+        self.metrics = registry.metrics
 
     def build_batch(
         self, specs: Iterable[EmbeddingSpec], parallel: bool = True
@@ -84,64 +78,30 @@ class BuildEngine:
             else:
                 to_build[key] = s
 
-        if to_build:
-            built = None
-            if parallel and self.max_workers != 0 and len(to_build) > 1:
-                built = self._build_parallel(to_build)
-            if built is None:
-                for key, s in to_build.items():
-                    resolved[key] = self.registry.get_or_build(s)
-            else:
-                resolved.update(built)
-
+        if parallel and self.max_workers != 0 and len(to_build) > 1:
+            self._build_parallel(list(to_build.values()))
+        for key, s in to_build.items():  # reads back what the workers wrote
+            resolved[key] = self.registry.get_or_build(s)
         return [resolved[s.cache_key()] for s in specs]
-
-    def warm(self, specs: Iterable[EmbeddingSpec], parallel: bool = True) -> int:
-        """Prefetch a batch into the cache; returns the batch size."""
-        return len(self.build_batch(specs, parallel=parallel))
 
     # -- internals ---------------------------------------------------------------
 
-    def _build_parallel(
-        self, to_build: Dict[str, EmbeddingSpec]
-    ) -> Optional[Dict[str, object]]:
-        workers = self.max_workers or min(len(to_build), os.cpu_count() or 2)
+    def _build_parallel(self, specs: List[EmbeddingSpec]) -> None:
+        workers = self.max_workers or min(len(specs), os.cpu_count() or 2)
         try:
             executor = ProcessPoolExecutor(max_workers=workers)
         except Exception:
             self.metrics.incr("pool_unavailable")
-            return None
-        futures: Dict[str, Future] = {}
-        owned: List[str] = []
-        results: Dict[str, object] = {}
+            return
         error: Optional[BaseException] = None
-        try:
-            with executor:
-                with self._lock:
-                    for key, s in to_build.items():
-                        fut = self._inflight.get(key)
-                        if fut is None:
-                            fut = executor.submit(build_artifact_text, s)
-                            self._inflight[key] = fut
-                            owned.append(key)
-                        else:
-                            self.metrics.incr("inflight_dedup")
-                        futures[key] = fut
-                with self.metrics.time("parallel_batch"):
-                    for key, fut in futures.items():
-                        try:
-                            text = fut.result()
-                        except BaseException as err:  # noqa: BLE001
-                            self.metrics.incr("build_errors")
-                            error = error or err
-                            continue
-                        spec = to_build[key]
-                        results[key] = self.registry.admit_artifact(spec, text)
-                        self.metrics.incr("builds")
-        finally:
-            with self._lock:
-                for key in owned:
-                    self._inflight.pop(key, None)
+        with executor, self.metrics.time("parallel_batch"):
+            cache_dir = self.registry.cache_dir
+            futures = [executor.submit(_build_into, cache_dir, s) for s in specs]
+            for fut in futures:
+                try:
+                    self.metrics.incr("builds", fut.result())
+                except BaseException as err:  # noqa: BLE001
+                    self.metrics.incr("build_errors")
+                    error = error or err
         if error is not None:
             raise error
-        return results

@@ -67,6 +67,10 @@ __all__ = [
 
 ARTIFACT_VERSION = 1
 
+# how long get_or_build waits on another process's build of the same key
+# before building itself
+BUILD_LOCK_TIMEOUT_S = 600.0
+
 AnyEmbedding = Union[Embedding, MultiPathEmbedding, MultiCopyEmbedding]
 
 
@@ -160,25 +164,18 @@ def _decode_artifact_text(artifact_text: str, key: str) -> AnyEmbedding:
 
 
 class EmbeddingRegistry:
-    """Two-tier (memory LRU over ``.rpstore`` files) verified-embedding cache.
-
-    ``build_lock_timeout`` bounds how long a process waits on another
-    process's in-flight build of the same key before building itself.
-    """
+    """Two-tier (memory LRU over ``.rpstore`` files) verified-embedding cache."""
 
     def __init__(
         self,
         cache_dir: Optional[Union[str, Path]] = None,
         memory_capacity: int = 32,
-        metrics: Optional[MetricsRegistry] = None,
-        build_lock_timeout: float = 600.0,
     ) -> None:
         if memory_capacity < 0:
             raise ValueError("memory_capacity must be >= 0")
         self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
         self.memory_capacity = memory_capacity
-        self.build_lock_timeout = build_lock_timeout
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._lock = threading.Lock()
         self._memory: "OrderedDict[str, AnyEmbedding]" = OrderedDict()
         self._tier_counts: Dict[str, List[int]] = {}  # tier -> [hits, lookups]
@@ -306,23 +303,13 @@ class EmbeddingRegistry:
         return None
 
     def put(self, spec: EmbeddingSpec, emb: AnyEmbedding) -> AnyEmbedding:
-        """Admit a *verified* embedding: write the store artifact atomically."""
-        return self.admit_artifact(spec, make_artifact(spec, emb), emb)
+        """Admit a *verified* embedding: write the store artifact atomically.
 
-    def admit_artifact(
-        self,
-        spec: EmbeddingSpec,
-        artifact_text: str,
-        emb: Optional[AnyEmbedding] = None,
-    ) -> AnyEmbedding:
-        """Write pre-encoded artifact text (engine workers encode remotely).
-
-        The store file gets the CSR arrays for memmapped serving plus
-        ``artifact_text`` verbatim as its blob; the write is tmp+fsync+
-        rename so concurrent admits and crashes cannot tear it.
+        The store file gets the CSR arrays for memmapped serving plus the
+        artifact text as its blob; the write is tmp+fsync+rename so
+        concurrent admits and crashes cannot tear it.
         """
-        if emb is None:
-            emb = _decode_artifact_text(artifact_text, spec.cache_key())
+        artifact_text = make_artifact(spec, emb)
         with self.metrics.time("csr_export"):
             csr = embedding_csr(emb)
         with self.metrics.time("store_write"):
@@ -388,7 +375,7 @@ class EmbeddingRegistry:
 
     def _await_other_build(self, spec: EmbeddingSpec) -> Optional[AnyEmbedding]:
         """Poll while another process builds this key; None on stale/timeout."""
-        deadline = time.monotonic() + self.build_lock_timeout
+        deadline = time.monotonic() + BUILD_LOCK_TIMEOUT_S
         path = self._lock_path_for(spec)
         while time.monotonic() < deadline:
             if not path.exists():
@@ -412,7 +399,7 @@ class EmbeddingRegistry:
         burning a duplicate multi-second build (``builds`` counts only
         real builds, so two racing processes observe one build total).
         A crashed builder's lock is detected dead and stolen; an
-        unresponsive one is abandoned after ``build_lock_timeout``.
+        unresponsive one is abandoned after ``BUILD_LOCK_TIMEOUT_S``.
 
         Verification goes through the structured report: a failed invariant
         counts under ``verify_failures`` before raising, and a passing

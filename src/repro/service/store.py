@@ -7,7 +7,8 @@ arrays, so :func:`open_store` hydrates a
 **zero-copy**: no rebuild, no JSON decode of a million paths, no Python
 dicts.  A Q_20 artifact (hundreds of MB) opens in milliseconds; the ~13s
 build+verify is paid exactly once, at admit.  Every serving shard is a
-store file mapped this way (:mod:`repro.service.shards`).
+store file mapped this way, and other processes map a shard by handing
+its ``info.path`` to :func:`open_store` (:mod:`repro.service.shards`).
 
 Next to the :data:`~repro.hypercube.pathcode.CSR_ARRAYS` a store file
 carries:
@@ -28,10 +29,10 @@ Integrity model: the header carries SHA-256 digests of the array payload
 and of the blob, both computed at write time from bytes that passed
 ``verify()``.  :func:`open_store` always validates magic, schema, spec
 key, package version, the dtype contract and every array's extent; the
-payload digest is re-hashed eagerly when the payload is small
-(``payload_verify="auto"``, bounded by ``EAGER_VERIFY_LIMIT``) — hashing
-hundreds of MB would turn O(ms) opens back into O(s), so huge artifacts
-defer the re-hash to :meth:`StoreView.verify_payload` (run by the QA
+payload digest is re-hashed on open when the payload is at most
+``EAGER_VERIFY_LIMIT`` bytes — hashing hundreds of MB would turn O(ms)
+opens back into O(s), so huge artifacts defer the re-hash to
+:meth:`StoreView.verify_payload` (run by the QA
 ``cold_start_differential`` stage).
 The blob digest is always checked when the blob is read: embedding
 materialization never trusts unchecksummed bytes.
@@ -79,11 +80,11 @@ STORE_SUFFIX = ".rpstore"
 _MAGIC = b"RPSTORE1"
 _PREFIX = struct.Struct("<8sQ")  # magic, header length
 
-# ``payload_verify="auto"`` re-hashes the array payload on open only up to
-# this size: a few-MB Q_12 artifact costs microseconds to check, a 378 MB
-# Q_20 payload would cost ~0.5s — the exact cold-start cost this tier
-# exists to delete.  Above the limit the payload digest is still stored
-# and still checked, just on demand (QA, tests).
+# open_store re-hashes the array payload only up to this size: a few-MB
+# Q_12 artifact costs microseconds to check, a 378 MB Q_20 payload would
+# cost ~0.5s — the exact cold-start cost this tier exists to delete.
+# Above the limit the payload digest is still stored and still checked,
+# just on demand (QA, tests).
 EAGER_VERIFY_LIMIT = 32 * 1024 * 1024
 
 # the packed edge table and its lookup ride behind the contract arrays
@@ -264,63 +265,71 @@ def read_store_header(path: Union[str, Path]) -> Dict[str, Any]:
     return header
 
 
-def _resolve_verify_mode(payload_verify: Optional[str]) -> str:
-    mode = payload_verify or os.environ.get("REPRO_STORE_VERIFY") or "auto"
-    if mode not in ("auto", "eager", "lazy"):
-        raise ValueError(f"unknown payload_verify mode {mode!r}")
-    return mode
-
-
 class StoreView:
     """A memmapped store artifact: ``.csr`` serves straight off the file.
 
     Holds one read-only ``numpy.memmap`` over the whole file; every CSR
-    array (and the packed edge lookup) is a zero-copy view into it.
-    ``close()`` drops the views and the mapping.
+    array (and the packed edge lookup) is a zero-copy view into it.  A
+    view from :meth:`in_memory` maps no file and has an empty
+    ``info.path``.  ``close()`` drops the views and the mapping.
     """
 
     def __init__(
         self,
-        path: Path,
-        header: Dict[str, Any],
         csr: PathCSR,
         info: StoreInfo,
-        mm: np.ndarray,
+        header: Optional[Dict[str, Any]] = None,
+        mm: Optional[np.ndarray] = None,
     ) -> None:
-        self.path = path
-        self.header = header
         self.csr = csr
         self.info = info
-        self._mm: Optional[np.ndarray] = mm
+        self.header = header if header is not None else {}
+        self._mm = mm
+
+    @classmethod
+    def in_memory(cls, csr: PathCSR, *, spec_key: str, kind: str) -> "StoreView":
+        """Serve an in-memory CSR export that no store file backs."""
+        info = StoreInfo(
+            path="",
+            spec_key=spec_key,
+            kind=kind,
+            nbytes=csr.nbytes(),
+            sha256="",
+            blob_bytes=0,
+            num_bundles=csr.num_bundles,
+            num_paths=csr.num_paths,
+            edges_mode="radix" if csr.edges.radix else "packed",
+        )
+        return cls(csr, info)
 
     def verify_payload(self) -> None:
         """Re-hash the full array payload against the header digest.
 
-        The on-demand half of the ``auto`` verification mode; raises
-        :class:`StoreIntegrityError` on mismatch.
+        The on-demand check for payloads above ``EAGER_VERIFY_LIMIT``;
+        raises :class:`StoreIntegrityError` on mismatch.
         """
         if self._mm is None:
-            raise StoreIntegrityError(f"{self.path}: view is closed")
+            raise StoreIntegrityError(f"{self.info.path!r}: view maps no file")
         lo = int(self.header["data_start"])
         hi = lo + int(self.header["payload"])
         digest = hashlib.sha256(self._mm[lo:hi]).hexdigest()
         if digest != self.header["sha256"]:
             raise StoreIntegrityError(
-                f"{self.path}: payload checksum mismatch "
+                f"{self.info.path}: payload checksum mismatch "
                 f"({digest[:12]} != {self.header['sha256'][:12]})"
             )
 
     def blob_text(self) -> str:
         """The artifact text serialized at admit time (always checksummed)."""
         if self._mm is None:
-            raise StoreIntegrityError(f"{self.path}: view is closed")
+            raise StoreIntegrityError(f"{self.info.path!r}: view maps no file")
         lo = int(self.header["blob_offset"])
         hi = lo + int(self.header["blob_bytes"])
         blob = bytes(self._mm[lo:hi])
         digest = hashlib.sha256(blob).hexdigest()
         if digest != self.header["blob_sha256"]:
             raise StoreIntegrityError(
-                f"{self.path}: blob checksum mismatch "
+                f"{self.info.path}: blob checksum mismatch "
                 f"({digest[:12]} != {self.header['blob_sha256'][:12]})"
             )
         return blob.decode()
@@ -336,22 +345,20 @@ def open_store(
     expect_key: Optional[str] = None,
     expect_package_version: Optional[str] = None,
     expect_artifact_version: Optional[int] = None,
-    payload_verify: Optional[str] = None,
 ) -> StoreView:
     """Map a store file zero-copy into a served :class:`PathCSR`.
 
     Always validates magic, schema, header integrity, the dtype contract,
     and every array extent against the actual file size; ``expect_*``
     pins spec key / package version / artifact version (the registry's
-    staleness checks).  ``payload_verify`` is ``"auto"`` (default, also
-    via ``$REPRO_STORE_VERIFY``), ``"eager"`` or ``"lazy"`` — see the
-    module docstring for the trade.  Filesystem errors surface as
-    ``OSError`` (transient, the file may be fine); validation failures,
-    a missing or mistyped header field included, raise
-    :class:`StoreIntegrityError` (the file is bad or stale).
+    staleness checks).  The payload digest is re-hashed here only up to
+    ``EAGER_VERIFY_LIMIT`` bytes — see the module docstring for the
+    trade.  Filesystem errors surface as ``OSError`` (transient, the file
+    may be fine); validation failures, a missing or mistyped header field
+    included, raise :class:`StoreIntegrityError` (the file is bad or
+    stale).
     """
     path = Path(path)
-    mode = _resolve_verify_mode(payload_verify)
     header = read_store_header(path)
     if header.get("schema") != STORE_SCHEMA:
         raise StoreIntegrityError(
@@ -373,7 +380,7 @@ def open_store(
         view = _map_store(path, header)
     except (KeyError, TypeError, ValueError) as err:
         raise StoreIntegrityError(f"{path}: malformed header ({err!r})") from err
-    if mode == "eager" or (mode == "auto" and view.info.nbytes <= EAGER_VERIFY_LIMIT):
+    if view.info.nbytes <= EAGER_VERIFY_LIMIT:
         view.verify_payload()
     return view
 
@@ -433,4 +440,4 @@ def _map_store(path: Path, header: Dict[str, Any]) -> StoreView:
         num_paths=csr.num_paths,
         edges_mode=str(header["edges_mode"]),
     )
-    return StoreView(path, header, csr, info, mm)
+    return StoreView(csr, info, header, mm)

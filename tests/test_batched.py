@@ -332,6 +332,69 @@ class TestStoreForwardCompaction:
         assert self._compactions(registry) == 0
 
 
+class TestCompactionNeverChangesAResult:
+    """Compaction is pure bookkeeping: with the floor at 0 (compact at
+    every chance) and at 10**9 (never) both engines give every lane the
+    same observable — measured fields and recorder snapshots, per-worm
+    final states, link owners and deadlock messages."""
+
+    SEEDS = 120
+    # four worms chasing each other around the 4-cycle 0-1-3-2-0: random
+    # lanes seldom deadlock, so every other batch carries this one
+    CYCLE = [(path, 8, 1) for path in ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))]
+
+    def teardown_method(self):
+        disable_profiling()
+
+    def _run(self, host, batch, faults, worm_batch):
+        recs = [LinkRecorder(host=host) for _ in batch]
+        results = BatchedStoreForward(host).run_many(
+            batch, recorders=recs, faults=faults
+        )
+        worm_recs = [LinkRecorder(host=host) for _ in worm_batch]
+        outs = BatchedWormhole(host).run_many(worm_batch, recorders=worm_recs)
+        return (
+            [(r.measured(), rec.snapshot()) for r, rec in zip(results, recs)],
+            [_worm_observable(o, rec) for o, rec in zip(outs, worm_recs)],
+        )
+
+    def test_floor_zero_and_infinite_agree(self, monkeypatch):
+        results, compactions = {}, {}
+        for floor in (0, 10 ** 9):
+            monkeypatch.setattr(batched_module, "_COMPACT_FLOOR", floor)
+            registry = MetricsRegistry()
+            enable_profiling(registry, Tracer())
+            runs = []
+            for seed in range(self.SEEDS):
+                rng = resolve_rng(f"compaction-floor:{seed}")
+                host = Hypercube(3 + seed % 3)
+                batch = random_schedule_batch(host, rng, max_packets=20)
+                faults = [
+                    FaultModel.random_links(
+                        host, k=rng.randint(1, 3), rng=rng,
+                        active_from=rng.choice([0, 2, 5]),
+                    )
+                    if rng.random() < 0.5
+                    else None
+                    for _ in batch
+                ]
+                worm_batch = random_worm_schedule_batch(host, rng)
+                if seed % 2:
+                    worm_batch.append(self.CYCLE + worm_batch.pop())
+                runs.append(self._run(host, batch, faults, worm_batch))
+            disable_profiling()
+            timers = registry.snapshot()["timers"]
+            results[floor] = runs
+            compactions[floor] = tuple(
+                timers.get(f"sim.{engine}.compact", {}).get("count", 0)
+                for engine in ("batched_store_forward", "batched_wormhole")
+            )
+        assert results[0] == results[10 ** 9]
+        assert min(compactions[0]) > 0 and compactions[10 ** 9] == (0, 0)
+        # frozen lanes leave the rows too
+        assert any(w["deadlock"] for _, worms in results[0] for w in worms)
+
+
 class TestBoundaries:
     """Runs that end exactly where a comparison in the batched engines
     decides: the last step the budget allows, a deadlock in a lane's last
@@ -553,6 +616,13 @@ class _ReversedArbitration(BatchedStoreForward):
         return np.arange(total - 1, -1, -1, dtype=np.int64)
 
 
+class _ExtraBufferSlot(BatchedWormhole):
+    """Sabotaged: one more flit buffer slot than asked for."""
+
+    def __init__(self, host, buffer_capacity=1):
+        super().__init__(host, buffer_capacity=buffer_capacity + 1)
+
+
 class _FlatPriorities(BatchedStoreForward):
     """Every packet ties: arbitration must fall back to injection order."""
 
@@ -611,6 +681,30 @@ class TestMutation:
         replayed = Fuzzer(checks=("build",)).replay(entry)
         assert replayed is not None and replayed.stage == "differential"
         assert replayed.schedule == entry.schedule
+
+    @pytest.mark.parametrize(
+        "stage, point", [("differential", 1), ("batched_differential", 13)]
+    )
+    def test_worm_stages_save_and_replay_the_shrunk_lane(
+        self, monkeypatch, stage, point
+    ):
+        import repro.qa.differential as differential
+
+        seed = f"0:point:{point}"
+        monkeypatch.setattr(differential, "BatchedWormhole", _ExtraBufferSlot)
+        failure = Fuzzer(checks=("build", stage)).check_point(
+            "cycle", {"n": 4}, seed
+        )
+        assert failure is not None and failure.stage == stage
+        assert "wormhole" in failure.detail
+        assert failure.schedule and all(len(item) == 3 for item in failure.schedule)
+        # with every stage off, replay re-checks the saved worm lane
+        entry = failure.to_entry(seed)
+        replayed = Fuzzer(checks=("build",)).replay(entry)
+        assert replayed is not None and replayed.stage == stage
+        assert replayed.schedule == entry.schedule
+        monkeypatch.setattr(differential, "BatchedWormhole", BatchedWormhole)
+        assert Fuzzer(checks=("build",)).replay(entry) is None
 
     def test_clean_engine_passes_the_same_batch(self):
         host = Hypercube(3)

@@ -1,6 +1,6 @@
 """Tests for the service layer: registry, engine, facade, metrics."""
 
-import json
+import os
 import random
 import threading
 
@@ -236,8 +236,31 @@ class TestEngine:
 
     def test_warm(self, tmp_path):
         reg = EmbeddingRegistry(cache_dir=tmp_path)
-        assert BuildEngine(reg, max_workers=0).warm([cycle_spec()]) == 1
+        assert len(BuildEngine(reg, max_workers=0).build_batch([cycle_spec()])) == 1
         assert cycle_spec() in reg
+
+    def test_workers_write_the_stores(self, tmp_path, monkeypatch):
+        import repro.service.registry as registry_module
+
+        log = tmp_path / "writers.log"
+        real_write = registry_module.write_store
+
+        def logged_write(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_write(*args, **kwargs)
+
+        # forked workers inherit the wrapper along with the module global
+        monkeypatch.setattr(registry_module, "write_store", logged_write)
+        reg = EmbeddingRegistry(cache_dir=tmp_path / "cache")
+        out = BuildEngine(reg, max_workers=2).build_batch(
+            [cycle_spec(6), cycle_spec(8)]
+        )
+        assert [e.host.n for e in out] == [6, 8]
+        assert len(reg.ls()) == 2
+        writers = [int(line) for line in log.read_text().split()]
+        assert len(writers) == 2 and os.getpid() not in writers
+        assert reg.metrics.count("builds") == 2
 
 
 class TestRoutingService:

@@ -1,12 +1,13 @@
-"""Shard lifecycle: publish/attach/unlink, integrity, multi-process.
+"""Shard lifecycle: publish/open/unlink, integrity, multi-process.
 
-Every shard is a memmapped ``.rpstore`` file, and the layer has one
-safety story — publishers own their views, attachers are guests that map
-the same file — and these tests exercise it end to end: attached arrays
-are read-only, a tampered dtype contract is refused at attach, unlinking
-a shard never deletes its store, a crashing worker cannot take a shard
-from its publisher, and two workers can serve batches off one store file
-(the tier-1 smoke for the batch-serving redesign).
+Every shard is the ``StoreView`` of a memmapped ``.rpstore`` file, and
+the layer has one safety story — publishers own their views, other
+processes are guests that open the same file — and these tests exercise
+it end to end: mapped arrays are read-only, a tampered dtype contract is
+refused at open, unlinking a shard never deletes its store, a crashing
+worker cannot take a shard from its publisher, and two workers can serve
+batches off one store file (the tier-1 smoke for the batch-serving
+redesign).
 """
 
 import os
@@ -21,7 +22,7 @@ import repro
 from repro.core import embed_cycle_load1
 from repro.core.fast_verify import embedding_csr
 from repro.obs import MetricsRegistry
-from repro.service.shards import ShardManager, attach_shard
+from repro.service.shards import ShardManager
 from repro.service.store import StoreIntegrityError, open_store, write_store
 
 
@@ -36,14 +37,7 @@ def _store(tmp_path, n=6, key="test"):
 
 
 def _publish(mgr, key, path):
-    store = open_store(path)
-    return mgr.publish_mapped(
-        key,
-        store.csr,
-        name=path,
-        nbytes=store.info.nbytes,
-        sha256=store.info.sha256,
-    )
+    return mgr.publish_mapped(key, open_store(path))
 
 
 def _env():
@@ -62,7 +56,7 @@ def _run_worker(probe: str) -> subprocess.CompletedProcess:
 
 class TestPublishAttach:
     def test_attached_arrays_are_read_only(self, tmp_path):
-        view = attach_shard(_store(tmp_path))
+        view = open_store(_store(tmp_path))
         # plain ndarray views of the mapping, not memmap subclasses
         assert type(view.csr.nodes) is type(view.csr.lookup.keys) is np.ndarray
         with pytest.raises((ValueError, RuntimeError)):
@@ -79,7 +73,7 @@ class TestPublishAttach:
             fh.seek(0)
             fh.write(head.replace(b'"dtype":"<i8"', b'"dtype":"<i2"', 1))
         with pytest.raises(StoreIntegrityError, match="dtype contract"):
-            attach_shard(path)
+            open_store(path)
 
 
 class TestShardManager:
@@ -90,7 +84,7 @@ class TestShardManager:
             first = _publish(mgr, "k", path)
             again = _publish(mgr, "k", path)  # a racing publish of one key
             assert again is first
-            assert first.info.name == path
+            assert first.info.path == path
             assert metrics.count("shards_published") == 1
             assert metrics.snapshot()["gauges"]["shards_active"] == 1
             assert list(mgr.info()) == ["k"]
@@ -104,7 +98,7 @@ class TestShardManager:
         assert mgr.unlink("k") is False  # idempotent
         assert mgr.get("k") is None
         assert os.path.exists(path)  # the store belongs to the registry
-        attach_shard(path).close()
+        open_store(path).close()
         _publish(mgr, "k2", _store(tmp_path, n=4))
         mgr.close()
         assert mgr.info() == {}
@@ -134,18 +128,18 @@ class TestMultiProcess:
         view = _publish(mgr, "crashy", _store(tmp_path, key="crashy"))
         out = _run_worker(
             "import os;"
-            "from repro.service.shards import attach_shard;"
-            f"view = attach_shard({view.info.name!r});"
+            "from repro.service.store import open_store;"
+            f"view = open_store({view.info.path!r});"
             "view.csr.take([view.csr.edges[0]]);"
-            "print('attached-ok', flush=True);"
+            "print('opened-ok', flush=True);"
             "os._exit(17)"  # die without any cleanup
         )
-        assert "attached-ok" in out.stdout
+        assert "opened-ok" in out.stdout
         assert out.returncode == 17
         # the publisher keeps serving after the guest's death
         nodes, _, _ = mgr.get("crashy").csr.take([view.csr.edges[0]])
         assert nodes.size > 0
-        again = attach_shard(view.info.name)
+        again = open_store(view.info.path)
         assert again.info.spec_key == "crashy"
         again.close()
         mgr.close()
@@ -157,8 +151,8 @@ class TestMultiProcess:
         _, _, request_offsets = csr.take(batch)
         expected = int(request_offsets[-1])
         probe = (
-            "from repro.service.shards import attach_shard;"
-            f"view = attach_shard({path!r});"
+            "from repro.service.store import open_store;"
+            f"view = open_store({path!r});"
             f"batch = {batch!r};"
             "nodes, po, ro = view.csr.take(batch);"
             "print('paths', int(ro[-1]), flush=True);"

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 import repro
+import repro.service.store as store_module
 from repro.core import embed_cycle_load1
 from repro.core.embedding import Embedding, MultiCopyEmbedding, MultiPathEmbedding
 from repro.core.fast_verify import embedding_csr
@@ -33,7 +34,6 @@ from repro.service.registry import (
     decode_embedding,
     make_artifact,
 )
-from repro.service.shards import attach_shard
 from repro.service.specs import (
     BatchRouteResult,
     EmbeddingSpec,
@@ -195,25 +195,29 @@ class TestIntegrity:
 
     def test_payload_tamper_caught_eagerly_when_small(self, tmp_path):
         path, info = _write(tmp_path, _csr())
-        assert info.nbytes <= EAGER_VERIFY_LIMIT  # so "auto" hashes on open
+        assert info.nbytes <= EAGER_VERIFY_LIMIT  # so open_store re-hashes it
         _flip_byte(path, read_store_header(path)["data_start"])
         with pytest.raises(StoreIntegrityError):
             open_store(path)
 
-    def test_lazy_mode_defers_payload_hash(self, tmp_path):
+    def test_lazy_mode_defers_payload_hash(self, tmp_path, monkeypatch):
         path, _ = _write(tmp_path, _csr())
         _flip_byte(path, read_store_header(path)["data_start"])
-        view = open_store(path, payload_verify="lazy")  # open succeeds ...
+        monkeypatch.setattr(store_module, "EAGER_VERIFY_LIMIT", 0)  # "huge"
+        view = open_store(path)  # open succeeds ...
         try:
             with pytest.raises(StoreIntegrityError):
                 view.verify_payload()  # ... the on-demand re-hash balks
         finally:
             view.close()
 
-    def test_blob_tamper_caught_on_read_even_in_lazy_mode(self, tmp_path):
+    def test_blob_tamper_caught_on_read_even_in_lazy_mode(
+        self, tmp_path, monkeypatch
+    ):
         path, _ = _write(tmp_path, _csr(), blob='{"k": "v"}')
         _flip_byte(path, read_store_header(path)["blob_offset"])
-        view = open_store(path, payload_verify="lazy")
+        monkeypatch.setattr(store_module, "EAGER_VERIFY_LIMIT", 0)
+        view = open_store(path)
         try:
             with pytest.raises(StoreIntegrityError):
                 view.blob_text()  # blob reads are always digest-checked
@@ -233,18 +237,6 @@ class TestIntegrity:
             open_store(path, expect_package_version="9.9.9")
         with pytest.raises(StoreIntegrityError):
             open_store(path, expect_artifact_version=2)
-
-    def test_verify_mode_env_and_validation(self, tmp_path, monkeypatch):
-        path, _ = _write(tmp_path, _csr())
-        _flip_byte(path, read_store_header(path)["data_start"])
-        monkeypatch.setenv("REPRO_STORE_VERIFY", "lazy")
-        open_store(path).close()  # env wins: no eager hash, no error
-        monkeypatch.setenv("REPRO_STORE_VERIFY", "eager")
-        with pytest.raises(StoreIntegrityError):
-            open_store(path)
-        monkeypatch.setenv("REPRO_STORE_VERIFY", "bogus")
-        with pytest.raises(ValueError):
-            open_store(path)
 
     def test_missing_file_raises_oserror_not_integrity(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -423,13 +415,11 @@ class TestCrossProcess:
         spec = _spec()
         emb = build_spec(spec)
         emb.verify()
-        text = make_artifact(spec, emb)
         import threading
 
         regs = [EmbeddingRegistry(cache_dir=tmp_path) for _ in range(4)]
         threads = [
-            threading.Thread(target=r.admit_artifact, args=(spec, text, emb))
-            for r in regs
+            threading.Thread(target=r.put, args=(spec, emb)) for r in regs
         ]
         for t in threads:
             t.start()
@@ -457,14 +447,14 @@ class TestFileBackedServing:
             want.paths(i) for i in range(2)
         ]
         shard = cold.shard_for(spec)
-        assert shard.info.name.endswith(".rpstore")  # no rebuild
+        assert shard.info.path.endswith(".rpstore")  # no rebuild
         assert cold.metrics.count("builds") == 0
         cold.close()
 
     def test_attach_shard_by_store_path(self, tmp_path):
         csr = _csr()
         path, _ = _write(tmp_path, csr, spec_key="w" * 64)
-        view = attach_shard(str(path))
+        view = open_store(str(path))
         assert view.info.spec_key == "w" * 64
         batch = list(csr.edges[:4])
         got = view.csr.take(batch)
@@ -476,7 +466,7 @@ class TestFileBackedServing:
         svc = RoutingService(registry=EmbeddingRegistry(cache_dir=tmp_path))
         spec = _spec()
         shard = svc.shard_for(spec)  # empty cache: build, admit, map
-        assert shard.info.name == str(svc.registry.path_for(spec))
+        assert shard.info.path == str(svc.registry.path_for(spec))
         assert svc.metrics.count("builds") == 1
         svc.close()
 
@@ -490,7 +480,7 @@ class TestFileBackedServing:
         assert [got.paths(i) for i in range(3)] == [
             disjoint_paths(emb, edge) for edge in batch
         ]
-        assert svc.shard_for(spec).info.name == ""  # process-local
+        assert svc.shard_for(spec).info.path == ""  # process-local
         svc.close()
 
     @pytest.mark.parametrize(
