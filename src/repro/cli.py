@@ -1068,7 +1068,8 @@ def _cmd_qa(args) -> int:
 
         def above_floor(draw):
             # whole lanes until the batch outgrows the compaction floor, so
-            # both engines' row compaction runs under the differential too
+            # store-and-forward row compaction runs under the differential
+            # too, as do large wormhole batches
             batch = []
             while sum(len(lane) for lane in batch) <= _COMPACT_FLOOR:
                 batch += draw()
@@ -1077,6 +1078,9 @@ def _cmd_qa(args) -> int:
         host = Hypercube(args.n)
         for i in range(args.seeds):
             rng = resolve_rng(f"{args.seed}:batched:{i}")
+            # worm buffer capacity cycles 1-3 by seed index, drawing nothing
+            # from rng, so every batch stays the same
+            cap = 1 + i % 3
             batch = random_schedule_batch(host, rng, max_lanes=args.lanes)
             divergence = batched_differential_check(
                 host, batch, faults=draw_faults(rng, batch)
@@ -1086,7 +1090,7 @@ def _cmd_qa(args) -> int:
                     host, rng, max_lanes=min(3, args.lanes)
                 )
                 divergence = batched_wormhole_differential_check(
-                    host, worm_batch
+                    host, worm_batch, buffer_capacity=cap
                 )
             if divergence is None:
                 batch = above_floor(
@@ -1105,15 +1109,16 @@ def _cmd_qa(args) -> int:
                     )
                 )
                 divergence = batched_wormhole_differential_check(
-                    host, worm_batch
+                    host, worm_batch, buffer_capacity=cap
                 )
             if divergence is not None:
-                print(f"seed {i}: {divergence.describe()}")
+                print(f"seed {i} (worm buffer {cap}): {divergence.describe()}")
                 return 1
         print(
             f"{args.seeds} random batch(es) on Q_{args.n}, each followed by "
-            f"one above the compaction floor per engine: batched engines "
-            f"match the reference engines lane-for-lane"
+            f"one of over {_COMPACT_FLOOR} rows per engine, worm buffers "
+            f"cycling 1-3: batched engines match the reference engines "
+            f"lane-for-lane"
         )
         return 0
 

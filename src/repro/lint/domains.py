@@ -186,7 +186,7 @@ EXTENT: Dict[str, int] = {
     PACKED_EDGE: _Q20_NODES * _Q20_NODES + _Q20_NODES,  # ~1.1e12 — int64
     CSR_OFFSET: _CONTRACT_MAX,  # int64 by pathcode contract
     BYTE_OFFSET: _CONTRACT_MAX,  # mapped stores address > 4 GiB
-    FLIT_POS: (1 << 20),  # fits int32 — why batched.py's int32 flits are sound
+    FLIT_POS: (1 << 20),  # fits int32
     NODE_COUNT: _Q20_NODES,
     LINK_COUNT: _Q20_DIMS * _Q20_NODES,
     DIM_COUNT: _Q20_DIMS,

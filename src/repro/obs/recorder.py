@@ -114,7 +114,15 @@ class LinkRecorder:
 
     def add_link_counts(self, eids: Iterable[int], counts: Iterable[int]) -> None:
         """Merge per-link transmission totals (unit service time)."""
-        for eid, c in zip(_as_ints(eids), _as_ints(counts)):
+        pairs = list(zip(_as_ints(eids), _as_ints(counts)))
+        merged = dict(pairs)
+        if len(merged) == len(pairs):
+            # distinct links: one bulk update, a C-level dict.update when
+            # the counter is still empty
+            self.link_transmissions.update(merged)
+            self.link_busy_steps.update(merged)
+            return
+        for eid, c in pairs:  # a repeated link adds up
             self.link_transmissions[eid] += c
             self.link_busy_steps[eid] += c
 

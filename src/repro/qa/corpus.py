@@ -46,6 +46,9 @@ class CorpusEntry:
     ``oracle``, ``metamorphic``, ``differential``, ``flow``); ``point_seed``
     is the exact RNG seed the per-point checks ran under, so a replay
     draws the same automorphisms and schedules the original run did.
+    ``faults`` is the saved lane's fault model, when the shrunk
+    divergence kept one: ``{"failed": [...], "failed_nodes": [...],
+    "active_from": step}``, lists sorted.
     """
 
     kind: str
@@ -54,16 +57,18 @@ class CorpusEntry:
     detail: str
     point_seed: str
     schedule: Optional[List] = None
+    faults: Optional[Dict[str, Any]] = None
     version: int = _FORMAT_VERSION
     entry_id: str = field(default="")
 
     def __post_init__(self):
         if not self.entry_id:
+            hashed = [self.kind, self.params, self.stage, self.schedule]
+            if self.faults is not None:
+                # fault-free entries keep the ids they always had
+                hashed.append(self.faults)
             digest = hashlib.sha256(
-                json.dumps(
-                    [self.kind, self.params, self.stage, self.schedule],
-                    sort_keys=True,
-                ).encode()
+                json.dumps(hashed, sort_keys=True).encode()
             ).hexdigest()
             self.entry_id = f"{self.stage}-{self.kind}-{digest[:12]}"
 

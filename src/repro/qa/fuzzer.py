@@ -57,7 +57,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro._compat import resolve_rng
 from repro.core.verification import run_oracles
@@ -109,6 +109,7 @@ class FuzzFailure:
     stage: str
     detail: str
     schedule: Optional[List] = None
+    faults: Optional[Dict[str, Any]] = None
 
     def to_entry(self, point_seed: str) -> CorpusEntry:
         return CorpusEntry(
@@ -118,7 +119,21 @@ class FuzzFailure:
             detail=self.detail,
             point_seed=point_seed,
             schedule=self.schedule,
+            faults=self.faults,
         )
+
+
+def _lane_faults(divergence: Any) -> Optional[Dict[str, Any]]:
+    """The diverging lane's fault model in :class:`CorpusEntry` form, or
+    None when shrinking dropped the faults or the lane never had any."""
+    model = divergence.faults[divergence.lane] if divergence.faults else None
+    if model is None:
+        return None
+    return {
+        "failed": sorted(model.failed),
+        "failed_nodes": sorted(model.failed_nodes),
+        "active_from": int(model.active_from),
+    }
 
 
 @dataclass
@@ -289,6 +304,7 @@ class Fuzzer:
                     schedule=schedule_to_jsonable(
                         divergence.schedules[divergence.lane]
                     ),
+                    faults=_lane_faults(divergence),
                 )
             worm_batch = random_worm_schedule_batch(subject.host, rng)
             worm_divergence = batched_wormhole_differential_check(
@@ -414,7 +430,8 @@ class Fuzzer:
         re-checked directly as well, as a one-lane batch, so a reproducer
         stays meaningful even if the embedding-derived schedule drifts.
         Worm lanes (``(path, num_flits, release)`` items) go to the
-        wormhole check, packet lanes to the store-and-forward one.
+        wormhole check, packet lanes to the store-and-forward one, under
+        the entry's saved fault model when it has one.
         """
         failure = self.check_point(entry.kind, dict(entry.params), entry.point_seed)
         if failure is not None:
@@ -429,12 +446,24 @@ class Fuzzer:
                     f"{type(err).__name__}: {err}",
                 )
             lane = schedule_from_jsonable(entry.schedule)
-            check = (
-                batched_wormhole_differential_check
-                if len(lane[0]) == 3
-                else batched_differential_check
-            )
-            divergence = check(subject.host, [lane])
+            if len(lane[0]) == 3:
+                divergence = batched_wormhole_differential_check(
+                    subject.host, [lane]
+                )
+            else:
+                faults = None
+                if entry.faults is not None:
+                    faults = [
+                        FaultModel(
+                            subject.host,
+                            set(entry.faults["failed"]),
+                            set(entry.faults["failed_nodes"]),
+                            active_from=entry.faults["active_from"],
+                        )
+                    ]
+                divergence = batched_differential_check(
+                    subject.host, [lane], faults=faults
+                )
             if divergence is not None:
                 return FuzzFailure(
                     entry.kind,
@@ -444,5 +473,6 @@ class Fuzzer:
                     schedule=schedule_to_jsonable(
                         divergence.schedules[divergence.lane]
                     ),
+                    faults=_lane_faults(divergence),
                 )
         return None

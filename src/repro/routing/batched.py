@@ -26,15 +26,17 @@ Per-lane semantics are bit-identical to the reference engines:
 * store-and-forward: priority tie-break, fail-stop ``FaultModel`` drops
   (``done_steps`` of ``-1``) including ``active_from`` mid-run activation,
   with an independent fault model per lane;
-* wormhole: two-phase head-acquisition/flit-advance steps, per-lane
-  deadlock detection — a deadlocked lane freezes with the reference
-  engine's message while the other lanes keep running.
+* wormhole: event-driven — only head acquisitions are simulated, one
+  visited step per acquisition step, over the waiting heads alone; every
+  flit crossing, link release and arrival follows in closed form from the
+  steps each head acquired its links, and so does a deadlocked lane's
+  stop, with the reference engine's message and partial state, while the
+  other lanes run on.
 
-Both engines compact: once fewer than half the working rows are live, the
-per-row arrays shrink to the live rows (above a floor of
-``_COMPACT_FLOOR`` rows), so late ticks of a run whose packets or worms
-mostly arrived stop paying for the finished ones and a tick costs
-O(live rows).
+The store-and-forward engine compacts: once fewer than half the working
+rows are live, the per-row arrays shrink to the live rows (above a floor
+of ``_COMPACT_FLOOR`` rows), so late ticks of a run whose packets mostly
+arrived stop paying for the finished ones and a tick costs O(live rows).
 
 ``repro.qa`` referees the identity on fuzzed batches
 (:func:`repro.qa.differential.batched_differential_check`) with shrinking
@@ -64,10 +66,13 @@ from repro.routing.wormhole import Worm, WormholeDeadlock
 __all__ = ["BatchedStoreForward", "BatchedWormhole", "WormLaneOutcome"]
 
 _NEVER = np.iinfo(np.int64).max
+# a wormhole link whose holder's release step is not fixed yet: far above
+# any step, with headroom for the ``free_at + 1`` the event loop computes
+_HELD = 1 << 62
 
-# both engines compact their working rows to the live ones once fewer than
-# half are live, but never below this many rows: under it a compaction costs
-# more than the whole-array passes it would save
+# the store-and-forward engine compacts its working rows to the live ones
+# once fewer than half are live, but never below this many rows: under it a
+# compaction costs more than the whole-array passes it would save
 _COMPACT_FLOOR = 256
 
 
@@ -485,248 +490,186 @@ class BatchedWormhole:
         eids, lengths = path_edge_matrix(
             self.host.n, [w.path for w in worms]
         )
-        max_links = eids.shape[1]
-        num = total
-        # int32 everywhere the arrays are wide: the step loop is a fixed
-        # sequence of whole-array passes, so halving element width halves
-        # memory traffic (flit counts and link columns fit easily)
-        flits_all = np.zeros((num, max_links), dtype=np.int32)
-        head_all = np.full(num, -1, dtype=np.int64)
-        done_all = np.full(num, -1, dtype=np.int64)
         num_flits = np.fromiter(
-            (w.num_flits for w in worms), dtype=np.int32, count=num
+            (w.num_flits for w in worms), dtype=np.int64, count=total
         )
         release = np.fromiter(
-            (w.release_step for w in worms), dtype=np.int64, count=num
+            (w.release_step for w in worms), dtype=np.int64, count=total
         )
-        links = self.host.num_edges
-        # owner holds *global* row ids, so it survives row compaction
-        owner = np.full(num_lanes * links, -1, dtype=np.int32)
-        # lane-shifted link ids, gathered instead of recomputed per step
-        eids_all = lane[:, None] * links + eids
-
         cap = self.buffer_capacity
-        cols = np.arange(max_links, dtype=np.int32)[None, :]
+        links = self.host.num_edges
+        cols = np.arange(eids.shape[1], dtype=np.int64)
         valid = cols < lengths[:, None]
-        is_last = cols == (lengths - 1)[:, None]
-        last_col = lengths - 1
+        last = lengths - 1
+        # the link tables cover only the lane-shifted links the batch uses;
+        # ``slot`` maps every hop to its table entry (lanes never collide)
+        used, inverse = np.unique(
+            (eids + (lane * links)[:, None])[valid], return_inverse=True
+        )
+        slot = np.zeros_like(eids)
+        slot[valid] = inverse
+        # free_at: -1 never held, _HELD held with its release not yet fixed,
+        # else the step the holder's tail crossed it; free at s iff < s
+        free_at = np.full(used.size, -1, dtype=np.int64)
+        owner = np.full(used.size, -1, dtype=np.int64)  # global row ids
 
-        # scratch buffers, allocated once: the step loop below runs a fixed
-        # sequence of whole-array passes into these, so steady-state steps
-        # do no allocation at all
-        shape = (num, max_links)
-        gaps = np.zeros(shape, dtype=np.int32)
-        base = np.empty(shape, dtype=bool)
-        free = np.empty(shape, dtype=bool)
-        seed = np.empty(shape, dtype=np.int32)
-        block = np.empty(shape, dtype=np.int32)
-        moved_rev = np.empty(shape, dtype=bool)
-        tails = np.empty(shape, dtype=bool)
-        # cols <= head[:, None], maintained incrementally as heads advance;
-        # rows are cleared when their worm arrives or its lane deadlocks,
-        # which lets phase 2 skip separate active/valid masking passes
-        head_mask = np.zeros(shape, dtype=bool)
-        row_ids = np.arange(num, dtype=np.int64)
+        # Only head acquisitions are simulated.  With a_j the step a worm's
+        # head acquired link j and c the buffer capacity, flit k crosses
+        # link i at k + max over i <= j <= min(L - 1, i + k // c) of
+        # a_j - (j - i) * c (the head flit crosses each link in the step
+        # it is acquired), so the tail leaves link i as soon as the head
+        # holds link min(L - 1, i + (M - 1) // c), and every other
+        # observable follows at the end.  acq holds a_j, far below any
+        # step where the head has not acquired link j yet.
+        acq = np.full(eids.shape, -_HELD, dtype=np.int64)
+        head = np.full(total, -1, dtype=np.int64)
+        reach = (num_flits - 1) // cap
 
-        # per-lane bookkeeping: a lane deadlocks on its own (no progress
-        # once everything it will ever release is out), and freezes there
-        lane_remaining = counts.copy()
-        lane_dead = np.zeros(num_lanes, dtype=bool)
-        lane_message: List[Optional[str]] = [None] * num_lanes
-        lane_last_done = np.zeros(num_lanes, dtype=np.int64)
-        lane_max_release = np.zeros(num_lanes, dtype=np.int64)
-        for b in range(num_lanes):
-            lo, hi = int(offsets[b]), int(offsets[b + 1])
-            if hi > lo:
-                lane_max_release[b] = int(release[lo:hi].max())
-
-        # the step loop works on a compacted set of rows: ``rows`` holds
-        # their global ids, and every per-row array below is indexed by
-        # working row; the full-size ``*_all`` arrays keep final states
-        rows = np.arange(num, dtype=np.int32)
-        flits, head, done, eids_flat = flits_all, head_all, done_all, eids_all
-
-        step = 0
-        while ((lane_remaining > 0) & ~lane_dead).any():
-            live = ~lane_dead[lane]
-            undone = (done < 0) & live
-            kept = rows.size
-            if rows.size > _COMPACT_FLOOR:
-                kept = int(np.count_nonzero(undone))
-            if 2 * kept < rows.size:
-                # most rows are delivered or frozen in a deadlocked lane:
-                # write their final state back, then shrink every working
-                # array to the live rows so the passes below skip them
-                with profile_span(
-                    "sim.batched_wormhole.compact",
-                    step=step, rows=rows.size, kept=kept,
-                ):
-                    gone = ~undone
-                    flits_all[rows[gone]] = flits[gone]
-                    head_all[rows[gone]] = head[gone]
-                    done_all[rows[gone]] = done[gone]
-                    rows = rows[undone]
-                    flits, head, done = flits[undone], head[undone], done[undone]
-                    head_mask = head_mask[undone]
-                    eids_flat = eids_flat[undone]
-                    last_col, is_last = last_col[undone], is_last[undone]
-                    release, num_flits = release[undone], num_flits[undone]
-                    lane = lane[undone]
-                    gaps, base, free = gaps[:kept], base[:kept], free[:kept]
-                    seed, block = seed[:kept], block[:kept]
-                    moved_rev, tails = moved_rev[:kept], tails[:kept]
-                    row_ids = row_ids[:kept]
-                    undone = np.ones(kept, dtype=bool)
-            if not (undone & (release <= step + 1)).any():
-                # every live lane is between releases: jump ahead (a lane
-                # with released undone worms blocks this jump, so per-lane
-                # step numbers — including deadlock steps — are exact)
-                step = int(release[undone].min()) - 1
-            step += 1
+        # the waiting heads, in ascending global row order: their row, the
+        # table entry of their next link and the first step they may take it
+        # (never before step 1, the reference engine's first)
+        wait = np.arange(total, dtype=np.int64)
+        nxt = slot[:, 0].copy()
+        ready = np.maximum(release, 1)
+        while wait.size:
+            cand = np.maximum(ready, free_at[nxt] + 1)
+            step = int(cand.min())
+            if step >= _HELD:
+                # every waiting head wants a link whose release is unfixed,
+                # and only waiting heads could fix one: each of their lanes
+                # is deadlocked (a lane never waits on another)
+                break
             if step > max_steps:
                 raise RuntimeError(
                     f"wormhole simulation exceeded {max_steps} steps"
                 )
-            lane_prog = np.zeros(num_lanes, dtype=bool)
-            act = undone & (release <= step)
+            # one winner per link: the lowest global row, which is the
+            # lane's lowest ident since global order is lane-major
+            hit = (cand == step).nonzero()[0]
+            won_links, first = np.unique(nxt[hit], return_index=True)
+            win = hit[first]
+            rows = wait[win]
+            owner[won_links] = rows
+            free_at[won_links] = _HELD
+            h = head[rows] + 1
+            head[rows] = h
+            acq[rows, h] = step
+            arrived = h == last[rows]
 
-            # Phase 1: head acquisitions — lowest lane-local ident wins
-            # each free link (global order is lane-major, so the global
-            # lowest index per shifted link is the lane's lowest ident).
-            # A head flit crosses its link in the step the head acquires
-            # it (phase 2 below), so the reference's wait for the head
-            # flit never holds a worm back here.
-            cand = (act & (head < last_col)).nonzero()[0]
-            if cand.size:
-                want = eids_flat[cand, head[cand] + 1]
-                free_link = owner[want] < 0
-                cand, want = cand[free_link], want[free_link]
-                if cand.size:
-                    won_links, first = np.unique(want, return_index=True)
-                    winners = cand[first]
-                    owner[won_links] = rows[winners]
-                    head[winners] += 1
-                    head_mask[winners, head[winners]] = True
-                    lane_prog[lane[winners]] = True
+            # releases this acquisition fixes: link h - reach, and every link
+            # after it once the head holds the last one
+            fix_from = h - reach[rows]
+            fix_to = np.where(arrived, h, fix_from)
+            fixing = fix_to >= 0
+            if fixing.any():
+                fr = rows[fixing]
+                fix = (cols >= fix_from[fixing, None]) & (cols <= fix_to[fixing, None])
+                tail = (num_flits[fr] - 1)[:, None] + cols * cap + _suffix_max(
+                    acq[fr] - cols * cap
+                )
+                free_at[slot[fr][fix]] = tail[fix]
 
-            # Phase 2: flit movement.  The reference walks each worm's links
-            # head-to-tail so a flit cannot cascade across two links in one
-            # step: link i moves iff a flit waits upstream and the
-            # downstream node has slack *after* link i+1's same-step move.
-            # Slack never exceeds the buffer capacity, so a downstream move
-            # always frees exactly enough — the linear recurrence
-            # moved[i] = base[i] & (free[i] | moved[i+1]), solved by running
-            # maxima over the reversed link axis.  It runs over the flit
-            # *gap* array g[i] = flits[i-1] - flits[i] (g[0] counts against
-            # the source's M flits): a link can move iff a flit waits
-            # upstream (g[i] >= 1, which also implies the tail is not past),
-            # and is free iff it is the worm's last link or the downstream
-            # node has buffer slack (g[i+1] < cap).  Everything runs as
-            # full-array passes into the preallocated scratch.
-            if (act & (head >= 0)).any():
-                np.subtract(flits[:, :-1], flits[:, 1:], out=gaps[:, 1:])
-                np.subtract(num_flits, flits[:, 0], out=gaps[:, 0])
-                np.greater_equal(gaps, 1, out=base)
-                base &= head_mask
-                np.less(gaps[:, 1:], cap, out=free[:, :-1])
-                free[:, -1] = False
-                free |= is_last
-                rbase = base[:, ::-1]
-                np.logical_and(rbase, free[:, ::-1], out=moved_rev)
-                np.copyto(seed, -1)
-                np.copyto(seed, cols, where=moved_rev)
-                np.maximum.accumulate(seed, axis=1, out=seed)
-                np.copyto(block, cols)
-                np.copyto(block, -1, where=rbase)
-                np.maximum.accumulate(block, axis=1, out=block)
-                np.greater(seed, block, out=moved_rev)
-                moved_rev &= rbase
-                moved = moved_rev[:, ::-1]
-                rows_moved = moved.any(axis=1)
-                if rows_moved.any():
-                    np.add(flits, moved, out=flits, casting="unsafe")
-                    lane_prog[lane[rows_moved]] = True
-                    # a link frees the step its owner's tail crosses it
-                    np.equal(flits, num_flits[:, None], out=tails)
-                    tails &= moved
-                    trow, tcol = tails.nonzero()
-                    if trow.size:
-                        owner[eids_flat[trow, tcol]] = -1
-                    arrived_mask = act & (
-                        flits[row_ids, last_col] == num_flits
-                    )
-                    arrived = arrived_mask.nonzero()[0]
-                    if arrived.size:
-                        done[arrived] = step
-                        head_mask[arrived] = False
-                        lane_last_done[lane[arrived]] = step
-                        lane_remaining -= np.bincount(
-                            lane[arrived], minlength=num_lanes
-                        )
+            ready[win] = step + 1
+            moving_on = ~arrived
+            nxt[win[moving_on]] = slot[rows[moving_on], h[moving_on] + 1]
+            if arrived.any():
+                keep = np.ones(wait.size, dtype=bool)
+                keep[win[arrived]] = False
+                wait, nxt, ready = wait[keep], nxt[keep], ready[keep]
 
-            # per-lane deadlock: a live lane with worms left, everything it
-            # will ever release already out, and no progress this step is
-            # permanently stuck (releases only add contention; a stalled
-            # configuration is a fixed point) — same condition, same step,
-            # same message as the reference engine
-            stuck = (
-                ~lane_prog
-                & ~lane_dead
-                & (lane_remaining > 0)
-                & (lane_max_release <= step)
+        # final state from the acquisition steps: a worm whose head holds
+        # its last link is delivered M - 1 steps later with M flits on every
+        # link; a stuck worm with its head at h fills (h - i + 1) * c
+        # buffers behind link i, capped at M
+        lane_dead = np.zeros(num_lanes, dtype=bool)
+        lane_dead[lane[wait]] = True
+        delivered = head == last
+        done_step = np.where(
+            delivered, acq[np.arange(total), last] + num_flits - 1, -1
+        )
+        crossed = np.where(
+            cols <= head[:, None],
+            np.where(
+                delivered[:, None],
+                num_flits[:, None],
+                np.minimum(num_flits[:, None], (head[:, None] - cols + 1) * cap),
+            ),
+            0,
+        )
+
+        # a lane ends at its last arrival or, deadlocked, at the later of
+        # its last release and the step after its last flit crossing (the
+        # suffix max can overshoot a link's window, but only to below a
+        # later link's head crossing, so each row's maximum is exact)
+        row_end = done_step.copy()
+        dead_rows = lane_dead[lane].nonzero()[0]
+        if dead_rows.size:
+            flits = crossed[dead_rows]
+            last_cross = np.where(
+                flits > 0,
+                flits - 1 + cols * cap + _suffix_max(acq[dead_rows] - cols * cap),
+                0,
+            ).max(axis=1)
+            row_end[dead_rows] = np.maximum(last_cross + 1, release[dead_rows])
+        lane_end = np.zeros(num_lanes, dtype=np.int64)
+        np.maximum.at(lane_end, lane, row_end)
+        if int(lane_end.max()) > max_steps:
+            raise RuntimeError(
+                f"wormhole simulation exceeded {max_steps} steps"
             )
-            if stuck.any():
-                for b in stuck.nonzero()[0]:
-                    lane_dead[b] = True
-                    lane_message[b] = (
-                        f"{int(lane_remaining[b])} worms deadlocked "
-                        f"at step {step}"
-                    )
-                head_mask[stuck[lane]] = False
-
-        flits_all[rows] = flits
-        head_all[rows] = head
-        done_all[rows] = done
 
         link_counts = None
         if any(bool(r) for r in recorders):
-            # per-link crossing totals, recovered from the final flit
-            # profile in one pass: flits[i, j] counts every crossing of
-            # link j by worm i (partial rows of deadlocked lanes included)
-            link_counts = np.zeros(num_lanes * links, dtype=np.int64)
-            np.add.at(link_counts, eids_all[valid], flits_all[valid])
+            link_counts = np.zeros(used.size, dtype=np.int64)
+            np.add.at(link_counts, slot[valid], crossed[valid])
+        bounds = np.searchsorted(
+            used, np.arange(num_lanes + 1, dtype=np.int64) * links
+        ).tolist()
 
         # final per-worm state as plain Python ints, converted in bulk
-        flit_rows, hops = flits_all.tolist(), lengths.tolist()
-        heads, dones = head_all.tolist(), done_all.tolist()
+        for worm, flits, hops, h, done in zip(
+            worms, crossed.tolist(), lengths.tolist(), head.tolist(),
+            done_step.tolist(),
+        ):
+            worm.flits_crossed = flits[:hops]
+            worm.head_link = h
+            worm.done_step = None if done < 0 else done
         outcomes: List[WormLaneOutcome] = []
         for b in range(num_lanes):
             lo, hi = int(offsets[b]), int(offsets[b + 1])
-            for i in range(lo, hi):
-                worm = worms[i]
-                worm.flits_crossed = flit_rows[i][: hops[i]]
-                worm.head_link = heads[i]
-                worm.done_step = None if dones[i] < 0 else dones[i]
-            row = owner[b * links:(b + 1) * links]
-            held = np.nonzero(row >= 0)[0]
-            lane_owner = {int(lid): int(row[lid] - lo) for lid in held}
+            first_slot, end_slot = bounds[b], bounds[b + 1]
+            lane_links = used[first_slot:end_slot] - b * links
+            held = free_at[first_slot:end_slot] >= _HELD
+            lane_owner = dict(
+                zip(
+                    lane_links[held].tolist(),
+                    (owner[first_slot:end_slot][held] - lo).tolist(),
+                )
+            )
             rec = recorders[b]
             if rec:
-                cnt = link_counts[b * links:(b + 1) * links]
-                used = np.nonzero(cnt)[0]
-                rec.add_link_counts(used, cnt[used])
-                lane_done = done_all[lo:hi]
+                cnt = link_counts[first_slot:end_slot]
+                nonzero = cnt > 0
+                rec.add_link_counts(lane_links[nonzero], cnt[nonzero])
+                lane_done = done_step[lo:hi]
                 rec.add_deliveries(lane_done[lane_done >= 0])
+            message = None
+            if lane_dead[b]:
+                stuck_worms = int(np.count_nonzero(~delivered[lo:hi]))
+                message = (
+                    f"{stuck_worms} worms deadlocked at step {int(lane_end[b])}"
+                )
             outcomes.append(
                 WormLaneOutcome(
-                    makespan=(
-                        None
-                        if lane_message[b] is not None
-                        else int(lane_last_done[b])
-                    ),
-                    deadlock=lane_message[b],
+                    makespan=None if message else int(lane_end[b]),
+                    deadlock=message,
                     worms=lanes[b],
                     owner=lane_owner,
                 )
             )
         return outcomes
+
+
+def _suffix_max(values: np.ndarray) -> np.ndarray:
+    """Per row, the maximum of ``values`` from each column to the last."""
+    return np.maximum.accumulate(values[:, ::-1], axis=1)[:, ::-1]

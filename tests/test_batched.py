@@ -4,8 +4,8 @@ Three layers:
 
 * engine semantics — protocol conformance, empty/degenerate lanes,
   per-lane fault drops, wormhole deadlock freezing, runs that end on a
-  boundary the engines compare against, and both engines' row
-  compaction above the floor;
+  boundary the engines compare against, store-and-forward row
+  compaction above the floor, and a wormhole batch of that size;
 * metamorphic properties — permuting a batch permutes results, a batch
   of one equals the reference engine, splitting a batch and concatenating
   the results is the identity;
@@ -33,6 +33,7 @@ from repro.qa.differential import (
     batched_differential_check,
     batched_wormhole_differential_check,
 )
+from repro.qa.corpus import CorpusEntry
 from repro.qa.fuzzer import STAGES, Fuzzer
 from repro.qa.schedules import (
     random_schedule_batch,
@@ -167,15 +168,13 @@ def _rotated_route(n, u, v, rot):
 
 
 class TestCompaction:
-    """Batches above the compaction floor: rows of delivered worms and of a
-    deadlocked lane leave the working arrays mid-run, and every lane still
-    matches the reference engine field-for-field."""
+    """A wormhole batch above the store-and-forward compaction floor, with
+    a deadlocked lane beside lanes whose late releases keep the run going:
+    every lane matches the reference engine and a batch of one
+    field-for-field."""
 
     N = 5
     CAP = 2
-
-    def teardown_method(self):
-        disable_profiling()
 
     def _batch(self):
         rng = resolve_rng("compaction")
@@ -200,8 +199,7 @@ class TestCompaction:
         cycle = [(path, 8, 1) for path in
                  ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))]
         # an early lane, the deadlocking lane, and two lanes whose late
-        # releases keep the run going: the rows shrink twice, and the
-        # deadlocked lane's frozen rows leave at the second compaction
+        # releases keep the run going long after the deadlock
         return [
             worms(150, 3, rotate=False),
             cycle + worms(150, 3, rotate=True),
@@ -209,38 +207,19 @@ class TestCompaction:
             worms(250, 120, rotate=False),
         ]
 
-    def _compactions(self, registry):
-        timers = registry.snapshot()["timers"]
-        return timers.get("sim.batched_wormhole.compact", {}).get("count", 0)
-
     def test_compacted_lanes_match_reference(self):
         host = Hypercube(self.N)
         batch = self._batch()
-        registry = MetricsRegistry()
-        enable_profiling(registry, Tracer())
         recs = [LinkRecorder(host=host) for _ in batch]
         outs = BatchedWormhole(host, buffer_capacity=self.CAP).run_many(
             batch, recorders=recs
         )
-        disable_profiling()
         assert sum(len(lane) for lane in batch) > 256
-        assert self._compactions(registry) >= 2
         assert [o.deadlocked for o in outs] == [False, True, False, False]
         for lane, out, rec in zip(batch, outs, recs):
-            # every lane alone stays below the floor: reference and
-            # uncompacted batch of one must both match the compacted lane
             reference = _reference_worm_outcome(host, lane, self.CAP)
             [single] = _batched_worm_outcomes(host, [lane], self.CAP)
             assert _worm_observable(out, rec) == reference == single
-
-    def test_batches_below_the_floor_never_compact(self):
-        host = Hypercube(self.N)
-        registry = MetricsRegistry()
-        enable_profiling(registry, Tracer())
-        lanes = self._batch()[1:2]
-        assert sum(len(lane) for lane in lanes) <= 256
-        BatchedWormhole(host, buffer_capacity=self.CAP).run_many(lanes)
-        assert self._compactions(registry) == 0
 
 
 class TestStoreForwardCompaction:
@@ -334,9 +313,10 @@ class TestStoreForwardCompaction:
 
 class TestCompactionNeverChangesAResult:
     """Compaction is pure bookkeeping: with the floor at 0 (compact at
-    every chance) and at 10**9 (never) both engines give every lane the
-    same observable — measured fields and recorder snapshots, per-worm
-    final states, link owners and deadlock messages."""
+    every chance) and at 10**9 (never) the store-and-forward engine gives
+    every lane the same measured fields and recorder snapshot.  The
+    wormhole engine never compacts; its batches, every other one with a
+    deadlocked lane, are checked lane for lane against the reference."""
 
     SEEDS = 120
     # four worms chasing each other around the 4-cycle 0-1-3-2-0: random
@@ -346,17 +326,23 @@ class TestCompactionNeverChangesAResult:
     def teardown_method(self):
         disable_profiling()
 
-    def _run(self, host, batch, faults, worm_batch):
-        recs = [LinkRecorder(host=host) for _ in batch]
-        results = BatchedStoreForward(host).run_many(
-            batch, recorders=recs, faults=faults
-        )
-        worm_recs = [LinkRecorder(host=host) for _ in worm_batch]
-        outs = BatchedWormhole(host).run_many(worm_batch, recorders=worm_recs)
-        return (
-            [(r.measured(), rec.snapshot()) for r, rec in zip(results, recs)],
-            [_worm_observable(o, rec) for o, rec in zip(outs, worm_recs)],
-        )
+    def _batch(self, seed):
+        rng = resolve_rng(f"compaction-floor:{seed}")
+        host = Hypercube(3 + seed % 3)
+        batch = random_schedule_batch(host, rng, max_packets=20)
+        faults = [
+            FaultModel.random_links(
+                host, k=rng.randint(1, 3), rng=rng,
+                active_from=rng.choice([0, 2, 5]),
+            )
+            if rng.random() < 0.5
+            else None
+            for _ in batch
+        ]
+        worm_batch = random_worm_schedule_batch(host, rng)
+        if seed % 2:
+            worm_batch.append(self.CYCLE + worm_batch.pop())
+        return host, batch, faults, worm_batch
 
     def test_floor_zero_and_infinite_agree(self, monkeypatch):
         results, compactions = {}, {}
@@ -366,33 +352,30 @@ class TestCompactionNeverChangesAResult:
             enable_profiling(registry, Tracer())
             runs = []
             for seed in range(self.SEEDS):
-                rng = resolve_rng(f"compaction-floor:{seed}")
-                host = Hypercube(3 + seed % 3)
-                batch = random_schedule_batch(host, rng, max_packets=20)
-                faults = [
-                    FaultModel.random_links(
-                        host, k=rng.randint(1, 3), rng=rng,
-                        active_from=rng.choice([0, 2, 5]),
-                    )
-                    if rng.random() < 0.5
-                    else None
-                    for _ in batch
-                ]
-                worm_batch = random_worm_schedule_batch(host, rng)
-                if seed % 2:
-                    worm_batch.append(self.CYCLE + worm_batch.pop())
-                runs.append(self._run(host, batch, faults, worm_batch))
+                host, batch, faults, _ = self._batch(seed)
+                recs = [LinkRecorder(host=host) for _ in batch]
+                got = BatchedStoreForward(host).run_many(
+                    batch, recorders=recs, faults=faults
+                )
+                runs.append(
+                    [(r.measured(), rec.snapshot()) for r, rec in zip(got, recs)]
+                )
             disable_profiling()
             timers = registry.snapshot()["timers"]
             results[floor] = runs
-            compactions[floor] = tuple(
-                timers.get(f"sim.{engine}.compact", {}).get("count", 0)
-                for engine in ("batched_store_forward", "batched_wormhole")
-            )
+            compactions[floor] = timers.get(
+                "sim.batched_store_forward.compact", {}
+            ).get("count", 0)
         assert results[0] == results[10 ** 9]
-        assert min(compactions[0]) > 0 and compactions[10 ** 9] == (0, 0)
-        # frozen lanes leave the rows too
-        assert any(w["deadlock"] for _, worms in results[0] for w in worms)
+        assert compactions[0] > 0 and compactions[10 ** 9] == 0
+        deadlocked = 0
+        for seed in range(self.SEEDS):
+            host, _, _, worm_batch = self._batch(seed)
+            outcomes = _batched_worm_outcomes(host, worm_batch, 1)
+            for lane, got in zip(worm_batch, outcomes):
+                assert got == _reference_worm_outcome(host, lane, 1)
+                deadlocked += got["deadlock"] is not None
+        assert deadlocked
 
 
 class TestBoundaries:
@@ -623,6 +606,16 @@ class _ExtraBufferSlot(BatchedWormhole):
         super().__init__(host, buffer_capacity=buffer_capacity + 1)
 
 
+class _FaultBlind(BatchedStoreForward):
+    """Sabotaged: runs every lane as if no link had failed."""
+
+    def run_many(self, schedules, *, max_steps=10_000_000, recorders=None,
+                 faults=None):
+        return super().run_many(
+            schedules, max_steps=max_steps, recorders=recorders
+        )
+
+
 class _FlatPriorities(BatchedStoreForward):
     """Every packet ties: arbitration must fall back to injection order."""
 
@@ -704,6 +697,27 @@ class TestMutation:
         assert replayed is not None and replayed.stage == stage
         assert replayed.schedule == entry.schedule
         monkeypatch.setattr(differential, "BatchedWormhole", BatchedWormhole)
+        assert Fuzzer(checks=("build",)).replay(entry) is None
+
+    def test_fault_dependent_lane_replays_with_its_faults(self, monkeypatch):
+        import repro.qa.differential as differential
+
+        seed = "0:point:0"
+        monkeypatch.setattr(differential, "BatchedStoreForward", _FaultBlind)
+        failure = Fuzzer(checks=("build", "batched_differential")).check_point(
+            "cycle", {"n": 4}, seed
+        )
+        assert failure is not None and failure.stage == "batched_differential"
+        assert "faults=yes" in failure.detail
+        # the saved lane diverges only under its faults: replay must rebuild
+        # them, or it reports the bug fixed while the engine still has it
+        entry = CorpusEntry.from_json(failure.to_entry(seed).to_json())
+        replayed = Fuzzer(checks=("build",)).replay(entry)
+        assert replayed is not None and replayed.stage == "batched_differential"
+        assert entry.faults is not None and replayed.faults == entry.faults
+        monkeypatch.setattr(
+            differential, "BatchedStoreForward", BatchedStoreForward
+        )
         assert Fuzzer(checks=("build",)).replay(entry) is None
 
     def test_clean_engine_passes_the_same_batch(self):

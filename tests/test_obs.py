@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.hypercube.graph import Hypercube
@@ -117,6 +118,34 @@ class TestLinkRecorder:
         scalar.on_deliver(4)
         assert bulk.link_congestion_counts() == scalar.link_congestion_counts()
         assert bulk.step_histogram() == scalar.step_histogram()
+
+    @pytest.mark.parametrize(
+        "eids, counts",
+        [
+            ([3, 8, 5], [2, 1, 4]),  # distinct links
+            ([3, 8, 3, 3], [2, 1, 4, 1]),  # a repeated link adds up
+            ([3, 9], [0, 2]),  # a zero count still creates its key
+            (np.array([3, 8, 5]), np.array([2, 1, 4])),
+            (np.array([3, 8, 3], dtype=np.int32), np.array([0, 1, 4])),
+        ],
+    )
+    @pytest.mark.parametrize("fresh", [True, False])
+    def test_add_link_counts_is_the_per_pair_merge(self, eids, counts, fresh):
+        bulk, loop = LinkRecorder(), LinkRecorder()
+        if not fresh:
+            for rec in (bulk, loop):
+                rec.on_transmit(3, 1)
+                rec.on_transmit(7, 1, service_time=2)
+        bulk.add_link_counts(eids, counts)
+        for eid, c in zip(eids, counts):
+            loop.link_transmissions[int(eid)] += int(c)
+            loop.link_busy_steps[int(eid)] += int(c)
+        for got, want in (
+            (bulk.link_transmissions, loop.link_transmissions),
+            (bulk.link_busy_steps, loop.link_busy_steps),
+        ):
+            assert dict(got) == dict(want)
+            assert all(type(k) is int and type(v) is int for k, v in got.items())
 
     def test_snapshot_decodes_edges_with_host(self):
         host = Hypercube(3)
