@@ -24,11 +24,6 @@ def _paths(n=6, reps=4):
     ]
 
 
-def _load(sim, n=6, reps=4):
-    for p in _paths(n, reps):
-        sim.inject(p)
-
-
 def test_e16_buffer_sweep(benchmark):
     ref = StoreForwardSimulator(Hypercube(6))
     unbounded = ref.run(_paths()).makespan
@@ -36,9 +31,8 @@ def test_e16_buffer_sweep(benchmark):
     rows = [("unbounded", "-", unbounded)]
     for B, R in ((2, 0), (2, 1), (3, 2), (4, 2), (8, 4), (16, 4)):
         sim = BoundedBufferSimulator(Hypercube(6), B, injection_reserve=R)
-        _load(sim)
         try:
-            rows.append((B, R, sim.run()))
+            rows.append((B, R, sim.run(_paths()).makespan))
         except BufferDeadlock:
             rows.append((B, R, "DEADLOCK"))
     print_table(
@@ -53,7 +47,6 @@ def test_e16_buffer_sweep(benchmark):
 
     def run_b8():
         sim = BoundedBufferSimulator(Hypercube(6), 8, injection_reserve=4)
-        _load(sim)
-        return sim.run()
+        return sim.run(_paths()).makespan
 
     benchmark(run_b8)

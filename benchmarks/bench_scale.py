@@ -143,11 +143,8 @@ def test_scale_wormhole_q12(benchmark):
         ]
 
     def run_reference():
-        sim = WormholeSimulator(Hypercube(n))
-        for path, flits, release in work:
-            sim.inject(path, flits, release)
         t0 = time.perf_counter()
-        makespan = sim.run()
+        makespan = WormholeSimulator(Hypercube(n)).run(work).makespan
         return makespan, time.perf_counter() - t0
 
     def run_batched():

@@ -111,19 +111,10 @@ def _worm_work(n: int, num_flits: int, overlays: int) -> tuple:
     return Hypercube(n), work
 
 
-def _run_reference_worms(ctx) -> int:
-    from repro.routing.wormhole import WormholeSimulator
-
-    host, work = ctx
-    sim = WormholeSimulator(host)
-    for path, flits, release in work:
-        sim.inject(path, flits, release)
-    return sim.run()
-
-
 def _wormhole_workload(name: str, n: int, num_flits: int, overlays: int,
                        quick: bool) -> Workload:
     from repro.routing.batched import BatchedWormhole
+    from repro.routing.wormhole import WormholeSimulator
 
     return Workload(
         name=name,
@@ -133,7 +124,7 @@ def _wormhole_workload(name: str, n: int, num_flits: int, overlays: int,
         ),
         build=lambda: _worm_work(n, num_flits, overlays),
         fast=lambda ctx: BatchedWormhole(ctx[0]).run(ctx[1]).makespan,
-        reference=_run_reference_worms,
+        reference=lambda ctx: WormholeSimulator(ctx[0]).run(ctx[1]).makespan,
         agree=lambda ref, fast: ref == fast,
         quick=quick,
     )
@@ -174,24 +165,16 @@ def _batched_wormhole_workload(name: str, n: int, lanes: int, worms: int,
     from repro.routing.batched import BatchedWormhole
     from repro.routing.wormhole import WormholeSimulator
 
-    def fast(ctx):
-        host, batches = ctx
-        recs = [LinkRecorder(host=host) for _ in batches]
-        outs = BatchedWormhole(host).run_many(batches, recorders=recs)
-        return [
-            _lane_outcome(o.makespan, r) for o, r in zip(outs, recs)
-        ]
+    def lanes_on(engine):
+        def run(ctx):
+            host, batches = ctx
+            recs = [LinkRecorder(host=host) for _ in batches]
+            outs = engine(host).run_many(batches, recorders=recs)
+            return [
+                _lane_outcome(o.makespan, r) for o, r in zip(outs, recs)
+            ]
 
-    def reference(ctx):
-        host, batches = ctx
-        res = []
-        for sched in batches:
-            sim = WormholeSimulator(host)
-            rec = LinkRecorder(host=host)
-            for path, flits, release in sched:
-                sim.inject(path, flits, release)
-            res.append(_lane_outcome(sim.run(recorder=rec), rec))
-        return res
+        return run
 
     return Workload(
         name=name,
@@ -201,8 +184,8 @@ def _batched_wormhole_workload(name: str, n: int, lanes: int, worms: int,
             f"flits, per-lane congestion recorders vs the scalar loop"
         ),
         build=lambda: _batched_worm_work(n, lanes, worms, num_flits),
-        fast=fast,
-        reference=reference,
+        fast=lanes_on(BatchedWormhole),
+        reference=lanes_on(WormholeSimulator),
         agree=lambda ref, fast_out: ref == fast_out,
         quick=quick,
         repeats=1,

@@ -53,9 +53,9 @@ def _version() -> str:
 
 def _add_spec_arguments(parser: argparse.ArgumentParser) -> None:
     """Construction parameters shared by ``cache build`` and ``route``."""
-    parser.add_argument(
-        "kind", choices=["cycle", "cycle2", "grid", "ccc", "tree", "large-cycle"]
-    )
+    from repro.service.specs import KINDS
+
+    parser.add_argument("kind", choices=KINDS)
     parser.add_argument("--n", type=int, default=8, help="hypercube dimension")
     parser.add_argument("--m", type=int, default=2, help="butterfly levels (tree)")
     parser.add_argument("--dims", type=str, default="16x16", help="grid sides, AxBxC")
@@ -82,6 +82,8 @@ def _spec_from_args(args, n=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.service.specs import KINDS
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Routing Multiple Paths in Hypercubes (Greenberg & "
@@ -114,9 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--n", type=int, default=8, help="hypercube dimension")
 
     emb = sub.add_parser("embed", help="build, verify and report an embedding")
-    emb.add_argument(
-        "kind", choices=["cycle", "cycle2", "grid", "ccc", "tree", "large-cycle"]
-    )
+    emb.add_argument("kind", choices=KINDS)
     emb.add_argument("--n", type=int, default=8, help="hypercube dimension")
     emb.add_argument("--m", type=int, default=2, help="butterfly levels (tree)")
     emb.add_argument("--dims", type=str, default="16x16", help="grid sides, AxBxC")
@@ -195,6 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     sav.add_argument("--n", type=int, default=8)
     sav.add_argument("--dims", type=str, default="16x16")
     sav.add_argument("--torus", action="store_true")
+    sav.set_defaults(wide=False)  # no --wide: cycle2 saves its default form
 
     lod = sub.add_parser("load", help="load, re-verify and report a JSON embedding")
     lod.add_argument("path", help="input file")
@@ -424,32 +425,9 @@ def _cmd_figures(args) -> int:
 
 def _cmd_embed(args) -> int:
     from repro.analysis import report
+    from repro.service.specs import build_spec
 
-    if args.kind == "cycle":
-        from repro.core import embed_cycle_load1
-
-        emb = embed_cycle_load1(args.n)
-    elif args.kind == "cycle2":
-        from repro.core import embed_cycle_load2
-
-        emb = embed_cycle_load2(args.n, prefer_width=args.wide)
-    elif args.kind == "grid":
-        from repro.core import embed_grid_multipath
-
-        dims = tuple(int(x) for x in args.dims.lower().split("x"))
-        emb = embed_grid_multipath(dims, torus=args.torus)
-    elif args.kind == "ccc":
-        from repro.core import ccc_multicopy_embedding
-
-        emb = ccc_multicopy_embedding(args.n)
-    elif args.kind == "tree":
-        from repro.core import theorem5_embedding
-
-        emb = theorem5_embedding(args.m)
-    else:  # large-cycle
-        from repro.core import large_cycle_embedding
-
-        emb = large_cycle_embedding(args.n)
+    emb = build_spec(_spec_from_args(args))
     emb.verify()
     print("verified OK")
     print(report(emb))
@@ -658,20 +636,9 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_save(args) -> int:
     from repro.core.serialize import to_json
+    from repro.service.specs import build_spec
 
-    if args.kind == "cycle":
-        from repro.core import embed_cycle_load1
-
-        emb = embed_cycle_load1(args.n)
-    elif args.kind == "cycle2":
-        from repro.core import embed_cycle_load2
-
-        emb = embed_cycle_load2(args.n)
-    else:
-        from repro.core import embed_grid_multipath
-
-        dims = tuple(int(x) for x in args.dims.lower().split("x"))
-        emb = embed_grid_multipath(dims, torus=args.torus)
+    emb = build_spec(_spec_from_args(args))
     with open(args.path, "w") as fp:
         fp.write(to_json(emb))
     print(f"wrote {args.path}")
@@ -1049,10 +1016,11 @@ def _cmd_qa(args) -> int:
             batched_wormhole_differential_check,
         )
         from repro.qa.schedules import (
+            DEADLOCK_CYCLE,
             random_schedule_batch,
             random_worm_schedule_batch,
         )
-        from repro.routing.batched import _COMPACT_FLOOR
+        from repro.routing.batched import _COMPACT_FLOOR, BatchedWormhole
 
         def draw_faults(rng, batch):
             if rng.random() >= 0.5:
@@ -1075,7 +1043,17 @@ def _cmd_qa(args) -> int:
                 batch += draw()
             return batch
 
+        def check_worms(worm_batch, cap):
+            # count the batch's deadlocked lanes per capacity, so the
+            # summary shows the deadlock paths were refereed at each one
+            outs = BatchedWormhole(host, cap).run_many(worm_batch)
+            deadlocked[cap] += sum(out.deadlocked for out in outs)
+            return batched_wormhole_differential_check(
+                host, worm_batch, buffer_capacity=cap
+            )
+
         host = Hypercube(args.n)
+        deadlocked = {cap: 0 for cap in (1, 2, 3)}
         for i in range(args.seeds):
             rng = resolve_rng(f"{args.seed}:batched:{i}")
             # worm buffer capacity cycles 1-3 by seed index, drawing nothing
@@ -1089,9 +1067,12 @@ def _cmd_qa(args) -> int:
                 worm_batch = random_worm_schedule_batch(
                     host, rng, max_lanes=min(3, args.lanes)
                 )
-                divergence = batched_wormhole_differential_check(
-                    host, worm_batch, buffer_capacity=cap
-                )
+                if i % 2 and host.n >= 2:
+                    # random lanes seldom deadlock above c = 1: every other
+                    # seed leads its last lane with a cycle that deadlocks
+                    # at any c < 8 (and draws nothing from rng)
+                    worm_batch.append(DEADLOCK_CYCLE + worm_batch.pop())
+                divergence = check_worms(worm_batch, cap)
             if divergence is None:
                 batch = above_floor(
                     lambda: random_schedule_batch(
@@ -1108,17 +1089,16 @@ def _cmd_qa(args) -> int:
                         host, rng, max_lanes=8, max_worms=60,
                     )
                 )
-                divergence = batched_wormhole_differential_check(
-                    host, worm_batch, buffer_capacity=cap
-                )
+                divergence = check_worms(worm_batch, cap)
             if divergence is not None:
                 print(f"seed {i} (worm buffer {cap}): {divergence.describe()}")
                 return 1
+        per_cap = ", ".join(f"c={c}: {k}" for c, k in deadlocked.items())
         print(
             f"{args.seeds} random batch(es) on Q_{args.n}, each followed by "
             f"one of over {_COMPACT_FLOOR} rows per engine, worm buffers "
-            f"cycling 1-3: batched engines match the reference engines "
-            f"lane-for-lane"
+            f"cycling 1-3 (deadlocked lanes {per_cap}): batched engines "
+            f"match the reference engines lane-for-lane"
         )
         return 0
 

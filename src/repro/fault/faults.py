@@ -186,7 +186,9 @@ def multipath_delivery_experiment(
     Each guest edge disperses ``message`` into one piece per path
     (``w = number of paths``) and needs any ``pieces_needed`` (default
     ``ceil(w/2)``) surviving paths to reconstruct.  Co-located edges (trivial
-    paths) always deliver.
+    paths) always deliver.  Surviving paths are counted first: an edge with
+    fewer than ``pieces_needed`` of them cannot deliver, so its message is
+    never dispersed.
     """
     delivered = 0
     surviving: Dict[Tuple, int] = {}
@@ -200,13 +202,11 @@ def multipath_delivery_experiment(
         w = len(paths)
         m = pieces_needed if pieces_needed is not None else -(-w // 2)
         m = min(m, w)
-        pieces = disperse(message, w, m)
-        alive = [
-            pieces[i] for i, p in enumerate(paths) if faults.path_alive(p)
-        ]
+        alive = [i for i, p in enumerate(paths) if faults.path_alive(p)]
         surviving[edge] = len(alive)
         if len(alive) >= m:
-            if reconstruct(alive, w, m) != message:
+            pieces = disperse(message, w, m)
+            if reconstruct([pieces[i] for i in alive], w, m) != message:
                 raise AssertionError("IDA reconstruction mismatch")
             delivered += 1
     return DeliveryReport(total, delivered, surviving, pieces_needed or 0)

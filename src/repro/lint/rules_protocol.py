@@ -1,15 +1,16 @@
 """R4: structural check of the Simulator protocol, without importing.
 
-The unified simulator API (PR 3) fixed the engine surface: any class
+The unified simulator API fixed the engine surface: any class
 advertising itself as an engine (an ``engine = "<name>"`` class attribute
 plus a ``run`` method) must satisfy::
 
     run(self, schedule, *, max_steps=..., recorder=None) -> SimResult
 
 This rule checks that shape purely from the AST — no import, so a broken
-or heavy module still gets checked, and fixture trees never execute.
-Engines with a deliberately different surface (the flit-level wormhole
-kernel) carry ``# lint: protocol-exempt(reason)`` on the class header.
+or heavy module still gets checked, and fixture trees never execute.  An
+annotated ``run`` must say ``-> SimResult``; an unannotated one's class
+must construct one.  No engine is exempt; a class whose ``engine`` is a
+config field carries ``# lint: protocol-exempt(reason)`` on its header.
 """
 
 from __future__ import annotations
@@ -106,7 +107,13 @@ def simulator_protocol(
         }
         for name in sorted(missing_kw_defaults):
             problems.append(f"keyword-only parameter '{name}' needs a default")
-        if not _builds_sim_result(cls):
+        if run.returns is not None:
+            # the last dotted name of the annotation, quoted or not
+            returns = ast.unparse(run.returns).strip("'\"").split(".")[-1]
+            if returns != "SimResult":
+                problems.append("run() is annotated to return something "
+                                "other than SimResult")
+        elif not _builds_sim_result(cls):
             problems.append("class never constructs a SimResult")
 
         for problem in problems:

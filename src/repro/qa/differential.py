@@ -17,7 +17,8 @@ checked as a one-lane batch: ``batched_differential_check(host,
 The same contract holds at flit granularity: the reference
 :class:`~repro.routing.wormhole.WormholeSimulator` and
 :class:`~repro.routing.batched.BatchedWormhole` implement identical
-two-phase step semantics, so :func:`batched_wormhole_differential_check`
+wormhole semantics and answer the same ``run_many``, so
+:func:`batched_wormhole_differential_check` runs a batch through both and
 demands identical makespans, per-worm final states, link ownership *and*
 recorder snapshots in every lane — and identical deadlocks, since a
 schedule that deadlocks one engine must deadlock the other at the same
@@ -82,7 +83,7 @@ from repro.qa.schedules import (
 from repro.routing.api import SimRequest, SimResult, normalize_schedule
 from repro.routing.batched import BatchedStoreForward, BatchedWormhole
 from repro.routing.simulator import StoreForwardSimulator
-from repro.routing.wormhole import WormholeDeadlock, WormholeSimulator
+from repro.routing.wormhole import WormholeSimulator
 
 __all__ = [
     "BatchDivergence",
@@ -101,50 +102,19 @@ __all__ = [
 # -- wormhole engines --------------------------------------------------------
 
 
-def _reference_worm_outcome(
-    host: Any, schedule: WormSchedule, buffer_capacity: int
-) -> Dict[str, Any]:
-    """The reference engine's complete observable outcome on a worm schedule.
+def _worm_outcomes(engine: Any, batch: List[WormSchedule]) -> List[Dict[str, Any]]:
+    """Every lane's observable on either wormhole engine's ``run_many``.
 
-    Covers every surface the engines share: the returned makespan (or the
+    It covers every surface the engines share: the makespan (or the
     deadlock message), each worm's final ``(done_step, head_link,
     flits_crossed)``, the surviving link-ownership map, and the recorder
     snapshot (per-link flit counts + delivery histogram).
     """
-    sim = WormholeSimulator(host, buffer_capacity=buffer_capacity)
-    worms = [
-        sim.inject(tuple(path), int(flits), int(release))
-        for path, flits, release in schedule
-    ]
-    recorder = LinkRecorder(host=host)
-    makespan: Optional[int] = None
-    deadlock: Optional[str] = None
-    try:
-        makespan = sim.run(recorder=recorder)
-    except WormholeDeadlock as err:
-        deadlock = str(err)
-    return {
-        "makespan": makespan,
-        "deadlock": deadlock,
-        "worms": tuple(
-            (w.done_step, w.head_link, tuple(w.flits_crossed)) for w in worms
-        ),
-        "owner": dict(sim._owner),
-        "recorder": recorder.snapshot(),
-    }
-
-
-def _batched_worm_outcomes(
-    host: Any, batch: List[WormSchedule], buffer_capacity: int
-) -> List[Dict[str, Any]]:
-    """:func:`_reference_worm_outcome`'s observable for every batched lane."""
-    recs = [LinkRecorder(host=host) for _ in batch]
-    outs = BatchedWormhole(host, buffer_capacity=buffer_capacity).run_many(
-        batch, recorders=recs
-    )
+    recs = [LinkRecorder(host=engine.host) for _ in batch]
+    outs = engine.run_many(batch, recorders=recs)
     return [
         {
-            "makespan": None if out.deadlocked else out.makespan,
+            "makespan": out.makespan,
             "deadlock": out.deadlock,
             "worms": tuple(
                 (w.done_step, w.head_link, tuple(w.flits_crossed))
@@ -305,12 +275,12 @@ def _batched_worm_lane(
     host: Any, batch: List[WormSchedule], buffer_capacity: int
 ) -> Optional[Tuple[int, Tuple[str, ...], Dict[str, Any], Dict[str, Any]]]:
     """First lane where BatchedWormhole differs from WormholeSimulator."""
-    outcomes = _batched_worm_outcomes(host, batch, buffer_capacity)
-    for i, (schedule, got) in enumerate(zip(batch, outcomes)):
-        reference = _reference_worm_outcome(host, schedule, buffer_capacity)
-        fields = tuple(k for k in reference if reference[k] != got[k])
+    fast = _worm_outcomes(BatchedWormhole(host, buffer_capacity), batch)
+    reference = _worm_outcomes(WormholeSimulator(host, buffer_capacity), batch)
+    for i, (ref, got) in enumerate(zip(reference, fast)):
+        fields = tuple(k for k in ref if ref[k] != got[k])
         if fields:
-            return i, fields, reference, got
+            return i, fields, ref, got
     return None
 
 

@@ -23,6 +23,7 @@ import random
 from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
 __all__ = [
+    "DEADLOCK_CYCLE",
     "all_host_paths",
     "random_schedule",
     "random_worm_schedule",
@@ -39,6 +40,14 @@ __all__ = [
 Schedule = List[Tuple[Tuple[int, ...], int]]
 # wormhole traffic: (path, num_flits, release_step) per worm
 WormSchedule = List[Tuple[Tuple[int, ...], int, int]]
+
+# four 8-flit worms chasing each other around the 4-cycle 0-1-3-2-0 of any
+# Q_n with n >= 2: each head needs the link the next worm holds, so the
+# lane deadlocks at every buffer capacity below 8.  Random lanes seldom
+# deadlock; prefixing a lane with this one makes sure it does.
+DEADLOCK_CYCLE: WormSchedule = [
+    (path, 8, 1) for path in ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))
+]
 
 
 def all_host_paths(emb: Any) -> List[Tuple[int, ...]]:

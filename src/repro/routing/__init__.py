@@ -27,11 +27,7 @@ from repro.routing.api import (
     Simulator,
     normalize_schedule,
 )
-from repro.routing.batched import (
-    BatchedStoreForward,
-    BatchedWormhole,
-    WormLaneOutcome,
-)
+from repro.routing.batched import BatchedStoreForward, BatchedWormhole
 from repro.routing.schedule import (
     PacketSchedule,
     ScheduledPacket,
@@ -39,7 +35,12 @@ from repro.routing.schedule import (
     p_packet_cost_singlepath,
 )
 from repro.routing.simulator import StoreForwardSimulator
-from repro.routing.wormhole import Worm, WormholeDeadlock, WormholeSimulator
+from repro.routing.wormhole import (
+    Worm,
+    WormholeDeadlock,
+    WormholeSimulator,
+    WormLaneOutcome,
+)
 
 __all__ = [
     "BatchedStoreForward",

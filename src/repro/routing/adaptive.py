@@ -49,15 +49,13 @@ def adaptive_wormhole_experiment(
     moving = [e for e in edges if len(emb.edge_paths[e][0]) > 1]
     chosen = [moving[rng.randrange(len(moving))] for _ in range(num_messages)]
 
+    sim = WormholeSimulator(emb.host, buffer_capacity=flits)
     # oblivious: everyone on path 0
-    obl = WormholeSimulator(emb.host, buffer_capacity=flits)
-    for e in chosen:
-        obl.inject(emb.edge_paths[e][0], flits)
-    oblivious_time = obl.run()
+    oblivious = [(emb.edge_paths[e][0], flits, 1) for e in chosen]
 
     # adaptive: greedy least-loaded path in the bundle
     load: Counter = Counter()
-    ada = WormholeSimulator(emb.host, buffer_capacity=flits)
+    adaptive = []
     for e in chosen:
         best, best_cost = None, None
         for path in emb.edge_paths[e]:
@@ -69,11 +67,10 @@ def adaptive_wormhole_experiment(
                 best, best_cost = path, cost
         for i in _link_ids(emb, best):
             load[i] += 1
-        ada.inject(best, flits)
-    adaptive_time = ada.run()
+        adaptive.append((best, flits, 1))
     return {
         "messages": num_messages,
         "flits": flits,
-        "oblivious": oblivious_time,
-        "adaptive": adaptive_time,
+        "oblivious": sim.run(oblivious).makespan,
+        "adaptive": sim.run(adaptive).makespan,
     }

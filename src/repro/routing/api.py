@@ -1,23 +1,22 @@
 """The unified simulator API: one protocol, one schedule shape, one result.
 
-Every packet-level engine in this package — the reference FIFO
-:class:`~repro.routing.simulator.StoreForwardSimulator` and the batched
-:class:`~repro.routing.batched.BatchedStoreForward` (whose ``run`` is a
-batch of one) — accepts the same call::
+Every engine in this package is a function of its schedule, with no
+state kept between runs, and accepts the same call::
 
     result = sim.run(schedule, max_steps=..., recorder=...)
 
-where ``schedule`` is any iterable of packet descriptions (see
-:func:`normalize_schedule`), ``recorder`` is an optional
-:class:`repro.obs.recorder.LinkRecorder`-shaped sink, and the return is a
+where ``recorder`` is an optional
+:class:`repro.obs.recorder.LinkRecorder`-shaped sink and the return is a
 :class:`SimResult` with identical fields across engines, so measurement
 code can swap engines freely (``isinstance(sim, Simulator)`` checks
-conformance at runtime).
-
-Both engines read a schedule through :func:`normalize_schedule`, which
-validates every item in one pass and returns :class:`ScheduleColumns`: a
-list of path tuples plus ``int64`` release and service arrays.  No
-per-packet object stands between the caller's schedule and an engine.
+conformance at runtime).  The wormhole engines take
+``(path, num_flits, release_step)`` triples; the packet engines
+(:class:`~repro.routing.simulator.StoreForwardSimulator`,
+:class:`~repro.routing.batched.BatchedStoreForward`,
+:class:`~repro.routing.bounded_buffers.BoundedBufferSimulator`) read any
+schedule through :func:`normalize_schedule`, which validates every item
+in one pass and returns :class:`ScheduleColumns`: a list of path tuples
+plus ``int64`` release and service arrays.
 """
 
 from __future__ import annotations
@@ -186,9 +185,33 @@ class SimResult:
         )
 
 
+def _per_lane_recorders(recorders: Any, lanes: int) -> List[Any]:
+    """Normalize ``recorders`` to one (possibly None) sink per lane.
+
+    A single recorder is *not* broadcast — merging every lane's counts
+    into one sink silently corrupts per-run congestion profiles, so a
+    shared sink must be passed explicitly per lane.
+    """
+    if recorders is None:
+        return [None] * lanes
+    if not isinstance(recorders, (list, tuple)):
+        raise ValueError(
+            "recorders must be a per-lane sequence (one recorder or None "
+            "per lane); a single recorder is not broadcast because merging "
+            "lanes corrupts per-run congestion profiles"
+        )
+    per_lane = list(recorders)
+    if len(per_lane) != lanes:
+        raise ValueError(
+            f"need one recorder (or None) per lane: got {len(per_lane)} "
+            f"for {lanes} lane(s)"
+        )
+    return per_lane
+
+
 @runtime_checkable
 class Simulator(Protocol):
-    """Anything that can run a packet schedule and report a :class:`SimResult`."""
+    """Anything that can run a schedule and report a :class:`SimResult`."""
 
     def run(
         self,

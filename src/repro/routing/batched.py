@@ -47,8 +47,7 @@ reference engines (``storeforward:*``, ``wormhole:*`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,11 +58,12 @@ from repro.routing.api import (
     ScheduleColumns,
     ScheduleItem,
     SimResult,
+    _per_lane_recorders,
     normalize_schedule,
 )
-from repro.routing.wormhole import Worm, WormholeDeadlock
+from repro.routing.wormhole import Worm, WormItem, WormLaneOutcome, make_worms
 
-__all__ = ["BatchedStoreForward", "BatchedWormhole", "WormLaneOutcome"]
+__all__ = ["BatchedStoreForward", "BatchedWormhole"]
 
 _NEVER = np.iinfo(np.int64).max
 # a wormhole link whose holder's release step is not fixed yet: far above
@@ -92,30 +92,6 @@ def _per_lane_faults(faults: Any, lanes: int) -> List[Any]:
         raise ValueError(
             f"need one fault model per lane: got {len(per_lane)} for "
             f"{lanes} lane(s)"
-        )
-    return per_lane
-
-
-def _per_lane_recorders(recorders: Any, lanes: int) -> List[Any]:
-    """Normalize ``recorders`` to one (possibly None) sink per lane.
-
-    A single recorder is *not* broadcast — merging every lane's counts
-    into one sink silently corrupts per-run congestion profiles, so a
-    shared sink must be passed explicitly per lane.
-    """
-    if recorders is None:
-        return [None] * lanes
-    if not isinstance(recorders, (list, tuple)):
-        raise ValueError(
-            "recorders must be a per-lane sequence (one recorder or None "
-            "per lane); a single recorder is not broadcast because merging "
-            "lanes corrupts per-run congestion profiles"
-        )
-    per_lane = list(recorders)
-    if len(per_lane) != lanes:
-        raise ValueError(
-            f"need one recorder (or None) per lane: got {len(per_lane)} "
-            f"for {lanes} lane(s)"
         )
     return per_lane
 
@@ -367,32 +343,6 @@ class BatchedStoreForward:
         return results
 
 
-# one worm: (path, num_flits, release_step)
-WormItem = Tuple[Sequence[int], int, int]
-
-
-@dataclass
-class WormLaneOutcome:
-    """One lane's complete wormhole outcome.
-
-    ``makespan`` is the lane's last arrival step, or ``None`` when the lane
-    deadlocked (``deadlock`` then carries the reference engine's message,
-    ``"<k> worms deadlocked at step <s>"``).  ``worms`` holds the final
-    per-worm state exactly as the reference engine would leave it — including
-    the partial ``flits_crossed``/``head_link`` of a stuck worm — and
-    ``owner`` maps still-held link ids to lane-local worm idents.
-    """
-
-    makespan: Optional[int]
-    deadlock: Optional[str]
-    worms: List[Worm] = field(default_factory=list)
-    owner: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def deadlocked(self) -> bool:
-        return self.deadlock is not None
-
-
 class BatchedWormhole:
     """Flit-level wormhole simulation of B independent schedules at once."""
 
@@ -411,33 +361,13 @@ class BatchedWormhole:
         max_steps: int = 10_000_000,
         recorder: Optional[Any] = None,
     ) -> SimResult:
-        """Run one worm schedule (a batch of one lane).
-
-        Unlike the packet engines, schedule items are
-        ``(path, num_flits, release_step)`` worm triples.  Raises
-        :class:`~repro.routing.wormhole.WormholeDeadlock` exactly when the
-        reference wormhole engine would; otherwise returns a
-        :class:`~repro.routing.api.SimResult` with one delivery per worm.
-        """
+        """Run one worm schedule (a batch of one lane); raises
+        :class:`~repro.routing.wormhole.WormholeDeadlock` as the reference
+        engine does."""
         [outcome] = self.run_many(
             [schedule], max_steps=max_steps, recorders=[recorder]
         )
-        if outcome.deadlock is not None:
-            raise WormholeDeadlock(outcome.deadlock)
-        done = [
-            -1 if w.done_step is None else int(w.done_step)
-            for w in outcome.worms
-        ]
-        makespan = int(outcome.makespan or 0)
-        return SimResult(
-            makespan=makespan,
-            delivered=sum(1 for d in done if d >= 0),
-            injected=len(done),
-            steps=makespan,
-            done_steps=tuple(done),
-            engine=self.engine,
-            recorder=recorder,
-        )
+        return outcome.result(self.engine, recorder)
 
     def run_many(
         self,
@@ -452,14 +382,7 @@ class BatchedWormhole:
         records the reference engine's deadlock message and partial state —
         while every other lane keeps running to completion.
         """
-        lanes: List[List[Worm]] = []
-        for sched in schedules:
-            lanes.append(
-                [
-                    Worm(tuple(path), int(flits), int(release), ident=i)
-                    for i, (path, flits, release) in enumerate(sched)
-                ]
-            )
+        lanes = [make_worms(sched) for sched in schedules]
         recs = _per_lane_recorders(recorders, len(lanes))
         with profile_span(
             "sim.batched_wormhole",

@@ -18,9 +18,11 @@ detected and reported, mirroring the wormhole simulator.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Iterable, Optional
 
 from repro.hypercube.graph import Hypercube
+from repro.routing.api import ScheduleItem, SimResult, normalize_schedule
+from repro.routing.simulator import SimPacket
 
 __all__ = ["BoundedBufferSimulator", "BufferDeadlock"]
 
@@ -29,18 +31,10 @@ class BufferDeadlock(RuntimeError):
     """No packet can move: every candidate waits on a full buffer."""
 
 
-class _Packet:
-    __slots__ = ("path", "hop", "release", "done_step")
-
-    def __init__(self, path: Tuple[int, ...], release: int):
-        self.path = path
-        self.hop = 0
-        self.release = release
-        self.done_step: Optional[int] = None
-
-
 class BoundedBufferSimulator:
     """Synchronous link-bound simulator with per-node buffer capacity."""
+
+    engine = "bounded-buffer"
 
     def __init__(
         self, host: Hypercube, buffer_capacity: int, injection_reserve: int = 0
@@ -55,24 +49,43 @@ class BoundedBufferSimulator:
         self.host = host
         self.capacity = buffer_capacity
         self.injection_reserve = injection_reserve
-        self._pending: List[_Packet] = []
 
-    def inject(self, path: Sequence[int], release_step: int = 1) -> None:
-        if len(path) < 1:
-            raise ValueError("packet path must contain at least one node")
-        self._pending.append(_Packet(tuple(path), release_step))
+    def run(
+        self,
+        schedule: Iterable[ScheduleItem],
+        *,
+        max_steps: int = 10_000_000,
+        recorder: Optional[Any] = None,
+    ) -> SimResult:
+        """Run a unit-service packet schedule to completion.
 
-    def run(self, max_steps: int = 10_000_000) -> int:
+        Raises ``ValueError`` on a service time other than 1 and
+        :class:`BufferDeadlock` when every waiting packet faces a full
+        buffer.  ``recorder`` gets one ``on_transmit`` per link crossing
+        and one ``on_deliver`` per arrival (zero-hop packets at step 0).
+        """
+        cols = normalize_schedule(schedule)
+        if (cols.service != 1).any():
+            raise ValueError(
+                "BoundedBufferSimulator supports unit service time only; "
+                "use StoreForwardSimulator for atomic multi-packet messages"
+            )
+        packets = [
+            SimPacket(path, release)
+            for path, release in zip(cols.paths, cols.release.tolist())
+        ]
         # per-link FIFO queues of packets RESIDENT at the link's tail node
-        queues: Dict[int, Deque[_Packet]] = {}
+        queues: Dict[int, Deque[SimPacket]] = {}
         occupancy: Dict[int, int] = {}
         # external injection queues per source node (unbounded)
-        sources: Dict[int, Deque[_Packet]] = {}
+        sources: Dict[int, Deque[SimPacket]] = {}
         in_flight = 0
         last_done = 0
-        for pkt in self._pending:
+        for pkt in packets:
             if len(pkt.path) == 1:
                 pkt.done_step = 0
+                if recorder:
+                    recorder.on_deliver(0)
                 continue
             sources.setdefault(pkt.path[0], deque()).append(pkt)
             in_flight += 1
@@ -87,7 +100,7 @@ class BoundedBufferSimulator:
             inject_cap = self.capacity - self.injection_reserve
             for node, q in list(sources.items()):
                 while q and occupancy.get(node, 0) < inject_cap and \
-                        q[0].release <= step:
+                        q[0].release_step <= step:
                     pkt = q.popleft()
                     eid = self.host.edge_id(pkt.path[0], pkt.path[1])
                     queues.setdefault(eid, deque()).append(pkt)
@@ -122,21 +135,34 @@ class BoundedBufferSimulator:
                     pkt.hop += 1
                     processed.add(eid)
                     moved = progressed = True
+                    if recorder:
+                        recorder.on_transmit(eid, step)
                     if final:
                         pkt.done_step = step
                         last_done = step
                         in_flight -= 1
+                        if recorder:
+                            recorder.on_deliver(step)
                     else:
                         occupancy[v] = occupancy.get(v, 0) + 1
                         nxt = self.host.edge_id(v, pkt.path[pkt.hop + 1])
                         queues.setdefault(nxt, deque()).append(pkt)
             if not moved:
                 waiting_release = any(
-                    q and q[0].release > step for q in sources.values()
+                    q and q[0].release_step > step for q in sources.values()
                 )
                 if waiting_release:
                     continue
                 raise BufferDeadlock(
                     f"{in_flight} packets stuck on full buffers at step {step}"
                 )
-        return last_done
+        # every packet arrived: a stuck one raised BufferDeadlock above
+        return SimResult(
+            makespan=last_done,
+            delivered=len(packets),
+            injected=len(packets),
+            steps=step,
+            done_steps=tuple(pkt.done_step or 0 for pkt in packets),
+            engine=self.engine,
+            recorder=recorder,
+        )

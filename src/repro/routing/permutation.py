@@ -152,11 +152,12 @@ def permutation_baseline_time(
         raise ValueError(f"unknown mode {mode!r}")
     host = Hypercube(n)
     if mode == "wormhole":
-        wsim = WormholeSimulator(host)
-        for u, v in enumerate(perm):
-            if u != v:
-                wsim.inject(dimension_order_path(n, u, v), packets)
-        return wsim.run()
+        worms = [
+            (dimension_order_path(n, u, v), packets, 1)
+            for u, v in enumerate(perm)
+            if u != v
+        ]
+        return WormholeSimulator(host).run(worms).makespan
     schedule = []
     for u, v in enumerate(perm):
         if u == v:
@@ -206,13 +207,14 @@ def permutation_multicopy_time(
         # classical 1-flit wormhole would deadlock; per-node message buffers
         # (virtual cut-through) model the queueing the paper's Section 7
         # store-and-forward algorithms assume
-        wsim = WormholeSimulator(host, buffer_capacity=per_piece)
-        for u, v in enumerate(perm):
-            if u == v:
-                continue
-            for copy in mc.copies:
-                wsim.inject(ccc_copy_host_path(copy, n, u, v, rng), per_piece)
-        return wsim.run()
+        worms = [
+            (ccc_copy_host_path(copy, n, u, v, rng), per_piece, 1)
+            for u, v in enumerate(perm)
+            if u != v
+            for copy in mc.copies
+        ]
+        sim = WormholeSimulator(host, buffer_capacity=per_piece)
+        return sim.run(worms).makespan
     schedule = []
     for u, v in enumerate(perm):
         if u == v:

@@ -78,16 +78,6 @@ class StoreForwardSimulator:
         self.host = host
         self.port_limit = port_limit
         self.tie_break = tie_break
-        self._queues: Dict[int, Deque[SimPacket]] = {}
-        self._delivered: List[SimPacket] = []
-
-    def _enqueue(self, pkt: SimPacket) -> bool:
-        """Queue ``pkt`` on its next link; True when it still has hops."""
-        if pkt.hop >= len(pkt.path) - 1:
-            return False
-        eid = self.host.edge_id(pkt.path[pkt.hop], pkt.path[pkt.hop + 1])
-        self._queues.setdefault(eid, deque()).append(pkt)
-        return True
 
     def run(
         self,
@@ -147,16 +137,17 @@ class StoreForwardSimulator:
         faults: Optional[Any] = None,
     ) -> Tuple[int, int]:
         """Drive ``packets`` to completion; returns (last arrival, steps run)."""
-        # per-run state: without this reset, ``delivered`` accumulates
-        # across run() calls and mixes unrelated runs
-        self._queues = {}
-        self._delivered = []
+        queues: Dict[int, Deque[SimPacket]] = {}  # per-link FIFO queues
+
+        def enqueue(pkt: SimPacket) -> None:
+            eid = self.host.edge_id(pkt.path[pkt.hop], pkt.path[pkt.hop + 1])
+            queues.setdefault(eid, deque()).append(pkt)
+
         in_flight = 0
         releases: Dict[int, List[SimPacket]] = {}
         for pkt in packets:
             if len(pkt.path) == 1:
                 pkt.done_step = 0
-                self._delivered.append(pkt)
                 if recorder:
                     recorder.on_deliver(0)
             else:
@@ -167,7 +158,7 @@ class StoreForwardSimulator:
         last_done = 0
         transmitting: Dict[int, Tuple[SimPacket, int]] = {}  # eid -> (pkt, finish)
         while in_flight > 0:
-            if not self._queues and not transmitting and releases:
+            if not queues and not transmitting and releases:
                 # nothing queued or on a link: jump to the next release
                 # instead of spinning through guaranteed-empty steps
                 step = max(step, min(releases) - 1)
@@ -175,13 +166,13 @@ class StoreForwardSimulator:
             if step > max_steps:
                 raise RuntimeError(f"simulation exceeded {max_steps} steps")
             for pkt in releases.pop(step, []):
-                self._enqueue(pkt)
+                enqueue(pkt)
             if faults is not None and faults.active(step):
                 # every queued packet blocked by a dead link/node is dropped
                 # before arbitration; all packets queued on one link share
                 # its endpoints, so the whole queue lives or dies together
-                for eid in [e for e in self._queues if faults.hop_dead(e)]:
-                    in_flight -= len(self._queues.pop(eid))
+                for eid in [e for e in queues if faults.hop_dead(e)]:
+                    in_flight -= len(queues.pop(eid))
             # start transmissions on idle links (FIFO per link); with a port
             # limit, each node starts at most that many sends per step
             # (links already mid-transmission count against the budget)
@@ -190,7 +181,7 @@ class StoreForwardSimulator:
                 for eid in transmitting:
                     node = eid // self.host.n
                     ports[node] = ports.get(node, 0) + 1
-            for eid in sorted(self._queues):
+            for eid in sorted(queues):
                 if eid in transmitting:
                     continue
                 if self.port_limit is not None:
@@ -198,7 +189,7 @@ class StoreForwardSimulator:
                     if ports.get(node, 0) >= self.port_limit:
                         continue
                     ports[node] = ports.get(node, 0) + 1
-                q = self._queues[eid]
+                q = queues[eid]
                 if recorder:
                     recorder.on_queue_depth(eid, len(q))
                 if self.tie_break == "priority" and len(q) > 1:
@@ -208,7 +199,7 @@ class StoreForwardSimulator:
                 else:
                     pkt = q.popleft()
                 if not q:
-                    del self._queues[eid]
+                    del queues[eid]
                 transmitting[eid] = (pkt, step + pkt.service_time - 1)
                 if recorder:
                     recorder.on_transmit(eid, step, pkt.service_time)
@@ -218,15 +209,10 @@ class StoreForwardSimulator:
                 pkt.hop += 1
                 if pkt.hop >= len(pkt.path) - 1:
                     pkt.done_step = step
-                    self._delivered.append(pkt)
                     in_flight -= 1
                     last_done = step
                     if recorder:
                         recorder.on_deliver(step)
                 else:
-                    self._enqueue(pkt)
+                    enqueue(pkt)
         return last_done, step
-
-    @property
-    def delivered(self) -> List[SimPacket]:
-        return self._delivered

@@ -30,3 +30,15 @@ class NoResultEngine:
 
     def run(self, schedule, *, max_steps=1000, recorder=None):
         return 42
+
+
+class MisannotatedEngine:
+    """Builds a SimResult somewhere, but run() says it returns an int."""
+
+    engine = "misannotated"
+
+    def run(self, schedule, *, max_steps=1000, recorder=None) -> int:
+        return 42
+
+    def result(self):
+        return SimResult()

@@ -12,6 +12,19 @@ class GoodEngine:
         return SimResult()
 
 
+def _result_of(outcome):
+    return SimResult()
+
+
+class DelegatingEngine:
+    """Annotated -> SimResult: a shared helper builds the result."""
+
+    engine = "delegating"
+
+    def run(self, schedule, *, max_steps=10_000, recorder=None) -> SimResult:
+        return _result_of(schedule)
+
+
 class FlitEngine:  # lint: protocol-exempt(flit-level surface by design)
     engine = "flit"
 

@@ -28,14 +28,14 @@ from repro.hypercube.graph import Hypercube
 from repro.obs import MetricsRegistry, Tracer, disable_profiling, enable_profiling
 from repro.obs.recorder import LinkRecorder
 from repro.qa.differential import (
-    _batched_worm_outcomes,
-    _reference_worm_outcome,
+    _worm_outcomes,
     batched_differential_check,
     batched_wormhole_differential_check,
 )
 from repro.qa.corpus import CorpusEntry
 from repro.qa.fuzzer import STAGES, Fuzzer
 from repro.qa.schedules import (
+    DEADLOCK_CYCLE,
     random_schedule_batch,
     random_worm_schedule_batch,
 )
@@ -61,19 +61,6 @@ def _scalar(host, schedule, faults=None):
     # queue peaks are a reference-only sample with no batched counterpart
     rec.queue_peak.clear()
     return res.measured(), rec.snapshot()
-
-
-def _worm_observable(out, recorder):
-    return {
-        "makespan": None if out.deadlocked else out.makespan,
-        "deadlock": out.deadlock,
-        "worms": tuple(
-            (w.done_step, w.head_link, tuple(w.flits_crossed))
-            for w in out.worms
-        ),
-        "owner": out.owner,
-        "recorder": recorder.snapshot(),
-    }
 
 
 class TestProtocol:
@@ -136,11 +123,8 @@ class TestProtocol:
         # forever for the next one, held by the next worm
         cycle = [(0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1)]
         schedule = [(path, 4, 1) for path in cycle]
-        scalar = WormholeSimulator(host)
-        for path, flits, release in schedule:
-            scalar.inject(path, flits, release)
         with pytest.raises(WormholeDeadlock) as scalar_err:
-            scalar.run()
+            WormholeSimulator(host).run(schedule)
         with pytest.raises(WormholeDeadlock) as batched_err:
             BatchedWormhole(host).run(schedule)
         assert str(batched_err.value) == str(scalar_err.value)
@@ -194,15 +178,12 @@ class TestCompaction:
                 )
             return out
 
-        # four worms chasing each other around the 4-cycle 0-1-3-2-0, each
-        # longer than the node buffers: a cyclic wait that never clears
-        cycle = [(path, 8, 1) for path in
-                 ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))]
-        # an early lane, the deadlocking lane, and two lanes whose late
-        # releases keep the run going long after the deadlock
+        # an early lane, the deadlocking lane (its four-worm cycle is
+        # longer than the node buffers), and two lanes whose late releases
+        # keep the run going long after the deadlock
         return [
             worms(150, 3, rotate=False),
-            cycle + worms(150, 3, rotate=True),
+            DEADLOCK_CYCLE + worms(150, 3, rotate=True),
             worms(250, 70, rotate=False),
             worms(250, 120, rotate=False),
         ]
@@ -210,16 +191,18 @@ class TestCompaction:
     def test_compacted_lanes_match_reference(self):
         host = Hypercube(self.N)
         batch = self._batch()
-        recs = [LinkRecorder(host=host) for _ in batch]
-        outs = BatchedWormhole(host, buffer_capacity=self.CAP).run_many(
-            batch, recorders=recs
-        )
+        fast = BatchedWormhole(host, buffer_capacity=self.CAP)
+        outs = _worm_outcomes(fast, batch)
         assert sum(len(lane) for lane in batch) > 256
-        assert [o.deadlocked for o in outs] == [False, True, False, False]
-        for lane, out, rec in zip(batch, outs, recs):
-            reference = _reference_worm_outcome(host, lane, self.CAP)
-            [single] = _batched_worm_outcomes(host, [lane], self.CAP)
-            assert _worm_observable(out, rec) == reference == single
+        assert [o["deadlock"] is not None for o in outs] == [
+            False, True, False, False,
+        ]
+        reference = _worm_outcomes(
+            WormholeSimulator(host, buffer_capacity=self.CAP), batch
+        )
+        for lane, out, ref in zip(batch, outs, reference):
+            [single] = _worm_outcomes(fast, [lane])
+            assert out == ref == single
 
 
 class TestStoreForwardCompaction:
@@ -319,9 +302,6 @@ class TestCompactionNeverChangesAResult:
     deadlocked lane, are checked lane for lane against the reference."""
 
     SEEDS = 120
-    # four worms chasing each other around the 4-cycle 0-1-3-2-0: random
-    # lanes seldom deadlock, so every other batch carries this one
-    CYCLE = [(path, 8, 1) for path in ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))]
 
     def teardown_method(self):
         disable_profiling()
@@ -341,7 +321,8 @@ class TestCompactionNeverChangesAResult:
         ]
         worm_batch = random_worm_schedule_batch(host, rng)
         if seed % 2:
-            worm_batch.append(self.CYCLE + worm_batch.pop())
+            # random lanes seldom deadlock: every other batch carries one
+            worm_batch.append(DEADLOCK_CYCLE + worm_batch.pop())
         return host, batch, faults, worm_batch
 
     def test_floor_zero_and_infinite_agree(self, monkeypatch):
@@ -371,10 +352,10 @@ class TestCompactionNeverChangesAResult:
         deadlocked = 0
         for seed in range(self.SEEDS):
             host, _, _, worm_batch = self._batch(seed)
-            outcomes = _batched_worm_outcomes(host, worm_batch, 1)
-            for lane, got in zip(worm_batch, outcomes):
-                assert got == _reference_worm_outcome(host, lane, 1)
-                deadlocked += got["deadlock"] is not None
+            outcomes = _worm_outcomes(BatchedWormhole(host), worm_batch)
+            reference = _worm_outcomes(WormholeSimulator(host), worm_batch)
+            assert outcomes == reference
+            deadlocked += sum(o["deadlock"] is not None for o in outcomes)
         assert deadlocked
 
 
@@ -390,10 +371,7 @@ class TestBoundaries:
 
     @staticmethod
     def _reference_worms(host, schedule, max_steps=10_000_000):
-        sim = WormholeSimulator(host)
-        for path, flits, release in schedule:
-            sim.inject(path, flits, release)
-        return sim.run(max_steps)
+        return WormholeSimulator(host).run(schedule, max_steps=max_steps).makespan
 
     def test_max_steps_admits_the_last_step(self):
         host = Hypercube(2)
@@ -415,9 +393,7 @@ class TestBoundaries:
         host = Hypercube(2)
         # the four-worm cycle deadlocks early, but the lane is only stuck
         # once its last worm, released at step 20 into a held link, is out
-        cycle = [(path, 8, 1) for path in
-                 ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))]
-        lane = cycle + [((0, 1), 2, 20)]
+        lane = DEADLOCK_CYCLE + [((0, 1), 2, 20)]
         message = "5 worms deadlocked at step 20"
         with pytest.raises(WormholeDeadlock, match=message):
             self._reference_worms(host, lane)
@@ -480,21 +456,13 @@ class TestMetamorphic:
         host = Hypercube(3)
         rng = resolve_rng(f"worm-meta:{seed}")
         batch = random_worm_schedule_batch(host, rng, max_lanes=3)
-        recs = [LinkRecorder(host=host) for _ in batch]
-        outs = BatchedWormhole(host).run_many(batch, recorders=recs)
-        whole = [_worm_observable(o, r) for o, r in zip(outs, recs)]
+        engine = BatchedWormhole(host)
+        whole = _worm_outcomes(engine, batch)
         # a batch of one equals the same lane inside the batch
         for lane, expect in zip(batch, whole):
-            rec = LinkRecorder(host=host)
-            [out] = BatchedWormhole(host).run_many([lane], recorders=[rec])
-            assert _worm_observable(out, rec) == expect
+            assert _worm_outcomes(engine, [lane]) == [expect]
         # reversing the batch reverses the outcomes
-        recs_r = [LinkRecorder(host=host) for _ in batch]
-        outs_r = BatchedWormhole(host).run_many(batch[::-1], recorders=recs_r)
-        reversed_obs = [
-            _worm_observable(o, r) for o, r in zip(outs_r, recs_r)
-        ]
-        assert reversed_obs == whole[::-1]
+        assert _worm_outcomes(engine, batch[::-1]) == whole[::-1]
 
 
 class TestFaultActivationEdges:

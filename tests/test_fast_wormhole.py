@@ -9,6 +9,8 @@ import pytest
 
 from repro.hypercube.graph import Hypercube
 from repro.obs.recorder import LinkRecorder
+from repro.qa.differential import _worm_outcomes
+from repro.qa.schedules import DEADLOCK_CYCLE
 from repro.routing.batched import BatchedWormhole
 from repro.routing.wormhole import WormholeDeadlock, WormholeSimulator
 
@@ -57,35 +59,23 @@ class TestSemantics:
 
 
 class TestDeadlock:
-    CYCLE = ([0, 1, 3], [1, 3, 2], [3, 2, 0], [2, 0, 1])
-
-    def _schedule(self):
-        return [(path, 8, 1) for path in self.CYCLE]
-
     def test_cyclic_wait_detected(self):
         with pytest.raises(WormholeDeadlock):
-            BatchedWormhole(Hypercube(2)).run(self._schedule())
+            BatchedWormhole(Hypercube(2)).run(DEADLOCK_CYCLE)
 
     def test_cut_through_buffers_break_the_cycle(self):
         sim = BatchedWormhole(Hypercube(2), buffer_capacity=8)
-        assert sim.run(self._schedule()).makespan > 0
+        assert sim.run(DEADLOCK_CYCLE).makespan > 0
 
     def test_deadlocked_state_matches_reference(self):
-        ref = WormholeSimulator(Hypercube(2))
-        for path, flits, release in self._schedule():
-            ref.inject(path, flits, release)
+        host = Hypercube(2)
         with pytest.raises(WormholeDeadlock) as ref_err:
-            ref.run()
-        [out] = BatchedWormhole(Hypercube(2)).run_many([self._schedule()])
-        assert out.deadlock == str(ref_err.value)
+            WormholeSimulator(host).run(DEADLOCK_CYCLE)
+        [ref] = _worm_outcomes(WormholeSimulator(host), [DEADLOCK_CYCLE])
+        [out] = _worm_outcomes(BatchedWormhole(host), [DEADLOCK_CYCLE])
+        assert out["deadlock"] == ref["deadlock"] == str(ref_err.value)
         # the stuck partial state is reported, link ownership included
-        for a, b in zip(ref.worms, out.worms):
-            assert (a.done_step, a.head_link, a.flits_crossed) == (
-                b.done_step,
-                b.head_link,
-                b.flits_crossed,
-            )
-        assert ref._owner == out.owner
+        assert ref["owner"] and out == ref
 
 
 class TestReferenceParity:
@@ -95,11 +85,9 @@ class TestReferenceParity:
             ([4, 5, 7, 6], 3, 2),
             ([5, 1, 3], 8, 1),
         ]
-        ref = WormholeSimulator(Hypercube(3))
-        for path, flits, release in schedule:
-            ref.inject(path, flits, release)
+        [ref] = WormholeSimulator(Hypercube(3)).run_many([schedule])
         [out] = BatchedWormhole(Hypercube(3)).run_many([schedule])
-        assert ref.run() == out.makespan
+        assert ref.makespan == out.makespan
         for a, b in zip(ref.worms, out.worms):
             assert a.done_step == b.done_step
             assert a.head_link == b.head_link
@@ -108,23 +96,21 @@ class TestReferenceParity:
     def test_recorder_totals_match_reference(self):
         host = Hypercube(3)
         schedule = [([0, 1, 3], 6, 1), ([5, 1, 3], 6, 1), ([2, 3, 7], 2, 3)]
-        ref, ref_rec = WormholeSimulator(host), LinkRecorder(host=host)
-        fast_rec = LinkRecorder(host=host)
-        for path, flits, release in schedule:
-            ref.inject(path, flits, release)
-        ref.run(recorder=ref_rec)
+        ref_rec, fast_rec = LinkRecorder(host=host), LinkRecorder(host=host)
+        WormholeSimulator(host).run(schedule, recorder=ref_rec)
         BatchedWormhole(host).run(schedule, recorder=fast_rec)
         assert ref_rec.snapshot() == fast_rec.snapshot()
 
     def test_repeat_run_resumes_like_reference(self):
-        # the reference resumes a finished run and returns the same
-        # makespan immediately (regression: it used to hang here); the
-        # batched engine holds no state, so a repeat run agrees with it
-        ref = WormholeSimulator(Hypercube(3))
-        fast = BatchedWormhole(Hypercube(3))
-        schedule = [([0, 1, 3], 4, 1)]
-        ref.inject(*schedule[0])
-        assert ref.run() == fast.run(schedule).makespan
-        assert ref.run(max_steps=100) == fast.run(
-            schedule, max_steps=100
-        ).makespan
+        # neither engine keeps state between runs: a second run on one
+        # instance equals a fresh instance's run, and the engines agree
+        # (regression: the reference used to resume a finished run)
+        schedule = [([0, 1, 3], 4, 1), ([5, 1, 3], 3, 2)]
+        runs = []
+        for engine in (WormholeSimulator, BatchedWormhole):
+            sim = engine(Hypercube(3))
+            first = sim.run(schedule)
+            again = sim.run(schedule, max_steps=100)
+            assert first == again == engine(Hypercube(3)).run(schedule)
+            runs.append(first.measured())
+        assert runs[0] == runs[1]

@@ -1,6 +1,7 @@
 """Tests for Rabin's IDA and the link-fault experiments."""
 
 import itertools
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -143,6 +144,51 @@ class TestDeliveryExperiment:
         fm = FaultModel(emb.host, set())
         report = multipath_delivery_experiment(emb, fm, pieces_needed=1)
         assert report.delivery_rate == 1.0
+
+    def test_undeliverable_edges_are_never_dispersed(self, monkeypatch):
+        import repro.fault.faults as faults_module
+
+        calls = []
+
+        def counting(message, w, m):
+            calls.append(w)
+            return disperse(message, w, m)
+
+        monkeypatch.setattr(faults_module, "disperse", counting)
+        emb = embed_cycle_load1(6)
+        edge, paths = next(iter(emb.edge_paths.items()))
+        # every link of one guest edge's paths fails: that edge is all-dead
+        dead = {
+            emb.host.edge_id(a, b) for p in paths for a, b in zip(p, p[1:])
+        }
+        report = multipath_delivery_experiment(emb, FaultModel(emb.host, dead))
+        assert report.surviving_paths[edge] == 0
+        assert 0 < len(calls) == report.delivered < report.total_edges
+        calls.clear()
+        everything = FaultModel.random(emb.host, 1.0, seed=0)
+        assert multipath_delivery_experiment(emb, everything).delivered == 0
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "pieces_needed, delivered", [(None, 20), (3, 4)]
+    )
+    def test_fixed_fault_set_report(self, pieces_needed, delivered):
+        # pinned from the implementation that dispersed every edge's
+        # message before counting its surviving paths
+        emb = embed_cycle_load1(6)
+        fm = FaultModel.random(emb.host, 0.3, seed=1)
+        report = multipath_delivery_experiment(
+            emb, fm, pieces_needed=pieces_needed
+        )
+        assert (report.total_edges, report.delivered) == (64, delivered)
+        assert report.pieces_needed == (pieces_needed or 0)
+        assert sorted(Counter(report.surviving_paths.values()).items()) == [
+            (0, 11), (1, 33), (2, 16), (3, 4),
+        ]
+        assert report.surviving_paths == {
+            e: sum(fm.path_alive(p) for p in paths)
+            for e, paths in emb.edge_paths.items()
+        }
 
 
 class TestRedundancySweep:

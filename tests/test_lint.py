@@ -99,6 +99,10 @@ class TestSimulatorProtocol:
         assert any("'schedule'" in m for m in messages)
         assert any("max_steps" in m for m in messages)
         assert any("never constructs a SimResult" in m for m in messages)
+        assert any(
+            "misannotated" in m and "other than SimResult" in m
+            for m in messages
+        )
 
     def test_conforming_and_waived_engines_pass(self):
         report = lint("protocol_good.py", "R4")
@@ -115,15 +119,23 @@ class TestSimulatorProtocol:
         )
 
     def test_real_batched_engines_conform(self):
-        # the shipping batched module is in R4 scope (two engine tags)
-        # and clean; a protocol drift there fails here before CI lint
-        source = (REPO_SRC / "routing" / "batched.py").read_text()
-        assert source.count('engine = "batched-') == 2
-        report = run_lint(
-            [REPO_SRC / "routing" / "batched.py"],
-            LintConfig(select=("R4",)),
-        )
-        assert report.findings == [] and report.files_scanned == 1
+        # every shipping engine — both batched ones, the two reference
+        # engines and the bounded-buffer one — is in R4 scope (five engine
+        # tags) and clean; a protocol drift there fails here before CI lint
+        engines = {
+            "batched.py": ["batched-store-forward", "batched-wormhole"],
+            "simulator.py": ["store-forward"],
+            "wormhole.py": ["wormhole"],
+            "bounded_buffers.py": ["bounded-buffer"],
+        }
+        paths = [REPO_SRC / "routing" / name for name in engines]
+        for path, tags in zip(paths, engines.values()):
+            source = path.read_text()
+            assert source.count("\n    engine = ") == len(tags), path
+            for tag in tags:
+                assert f'engine = "{tag}"' in source, (path, tag)
+        report = run_lint(paths, LintConfig(select=("R4",)))
+        assert report.findings == [] and report.files_scanned == 4
 
 
 class TestDeterminism:

@@ -71,40 +71,34 @@ class TestBoundedBufferEdges:
         with pytest.raises(ValueError):
             BoundedBufferSimulator(Hypercube(3), 0)
 
+    # four packets around the Q_2 cycle 0-1-3-2-0, each next hop into the
+    # node the following packet starts from
+    RING = [[0, 1, 3], [1, 3, 2], [3, 2, 0], [2, 0, 1]]
+
     def test_empty_path_rejected(self):
         sim = BoundedBufferSimulator(Hypercube(3), 2)
         with pytest.raises(ValueError):
-            sim.inject([])
+            sim.run([[]])
 
     def test_single_vertex_path_completes_at_step_zero(self):
         sim = BoundedBufferSimulator(Hypercube(3), 1)
-        sim.inject([6])
-        assert sim.run() == 0
+        assert sim.run([[6]]).makespan == 0
 
     def test_non_adjacent_hop_rejected(self):
         # 0 -> 3 flips two bits at once: not a hypercube edge, surfaced
         # when the packet first tries to claim a link
         sim = BoundedBufferSimulator(Hypercube(2), 2)
-        sim.inject([0, 3])
         with pytest.raises(ValueError):
-            sim.run()
+            sim.run([[0, 3]])
 
     def test_ring_of_full_buffers_deadlocks(self):
         # four capacity-1 nodes around the Q_2 cycle 0-1-3-2-0, each
         # holding a packet whose next hop is its full neighbor: the
         # classic circular buffer wait
         sim = BoundedBufferSimulator(Hypercube(2), 1)
-        sim.inject([0, 1, 3])
-        sim.inject([1, 3, 2])
-        sim.inject([3, 2, 0])
-        sim.inject([2, 0, 1])
         with pytest.raises(BufferDeadlock):
-            sim.run()
+            sim.run(self.RING)
 
     def test_same_ring_drains_with_capacity_two(self):
         sim = BoundedBufferSimulator(Hypercube(2), 2)
-        sim.inject([0, 1, 3])
-        sim.inject([1, 3, 2])
-        sim.inject([3, 2, 0])
-        sim.inject([2, 0, 1])
-        assert sim.run() >= 2
+        assert sim.run(self.RING).makespan >= 2

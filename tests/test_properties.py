@@ -91,8 +91,7 @@ class TestSimulatorBounds:
         # a self-avoiding gray path of `hops` hops
         path = gray_node_sequence(4)[: hops + 1]
         sim = WormholeSimulator(host)
-        sim.inject(path, flits)
-        assert sim.run() == hops + flits - 1
+        assert sim.run([(path, flits, 1)]).makespan == hops + flits - 1
 
     @given(st.integers(1, 10))
     def test_service_time_scales_message_sf(self, service):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 
@@ -346,21 +347,14 @@ class TestWormholeDifferential:
         assert batched_wormhole_differential_check(host, [schedule]) is None
 
     def test_deadlock_parity(self):
-        from repro.qa.differential import (
-            _batched_worm_outcomes,
-            _reference_worm_outcome,
-        )
+        from repro.qa.differential import _worm_outcomes
+        from repro.qa.schedules import DEADLOCK_CYCLE as schedule
+        from repro.routing import BatchedWormhole, WormholeSimulator
 
         host = Hypercube(2)
         # four worms chasing each other around the 4-cycle 0-1-3-2-0
-        schedule = [
-            ((0, 1, 3), 8, 1),
-            ((1, 3, 2), 8, 1),
-            ((3, 2, 0), 8, 1),
-            ((2, 0, 1), 8, 1),
-        ]
-        reference = _reference_worm_outcome(host, schedule, 1)
-        [fast] = _batched_worm_outcomes(host, [schedule], 1)
+        [reference] = _worm_outcomes(WormholeSimulator(host), [schedule])
+        [fast] = _worm_outcomes(BatchedWormhole(host), [schedule])
         assert reference["deadlock"] and reference == fast
         assert batched_wormhole_differential_check(host, [schedule]) is None
 
@@ -653,6 +647,18 @@ class TestQaCli:
         with pytest.raises(SystemExit) as err:
             main(["qa", "diff"])
         assert err.value.code == 2
+
+    def test_batched_referees_deadlocked_lanes_at_every_capacity(self, capsys):
+        # the worm buffer capacity cycles 1-3 by seed and every other seed
+        # leads a lane with a deadlocking cycle, so six seeds see a
+        # deadlocked lane at each capacity
+        assert main(["qa", "batched", "--seeds", "6", "--n", "4"]) == 0
+        out = capsys.readouterr().out
+        found = re.search(
+            r"deadlocked lanes c=1: (\d+), c=2: (\d+), c=3: (\d+)", out
+        )
+        assert found, out
+        assert all(int(k) > 0 for k in found.groups()), out
 
     def test_corpus_empty_then_listed(self, capsys, tmp_path):
         assert main(["qa", "corpus", "--corpus", str(tmp_path)]) == 0

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cycle_multicopy import graycode_cycle_embedding
 from repro.hypercube.graph import Hypercube
+from repro.qa.schedules import DEADLOCK_CYCLE
 from repro.routing.schedule import (
     PacketSchedule,
     ScheduledPacket,
@@ -91,43 +92,38 @@ class TestStoreForward:
 class TestWormhole:
     def test_free_path_pipelines(self):
         sim = WormholeSimulator(Hypercube(4))
-        sim.inject([0, 1, 3, 7, 15], num_flits=10)
         # L + M - 1 steps
-        assert sim.run() == 4 + 10 - 1
+        assert sim.run([([0, 1, 3, 7, 15], 10, 1)]).makespan == 4 + 10 - 1
 
     def test_single_flit_is_store_and_forward(self):
         sim = WormholeSimulator(Hypercube(4))
-        sim.inject([0, 1, 3, 7], num_flits=1)
-        assert sim.run() == 3
+        assert sim.run([([0, 1, 3, 7], 1, 1)]).makespan == 3
 
     def test_blocking_serializes_on_shared_link(self):
         host = Hypercube(3)
         sim = WormholeSimulator(host)
-        w1 = sim.inject([0, 1, 3], num_flits=8)
-        w2 = sim.inject([5, 1, 3], num_flits=8)  # shares link 1->3
-        sim.run()
+        # the second worm shares link 1->3
+        w1, w2 = sim.run([([0, 1, 3], 8, 1), ([5, 1, 3], 8, 1)]).done_steps
         # second worm must wait for the first tail to release the link:
         # worm1 holds 1->3 during steps 2..9, worm2 crosses after
-        assert w1.done_step == 2 + 8 - 1
-        assert w2.done_step is not None and w2.done_step >= 8 + 8
+        assert w1 == 2 + 8 - 1
+        assert w2 >= 8 + 8
 
     def test_larger_buffers_are_cut_through(self):
         # with huge buffers a blocked worm compresses into the node and the
         # link releases earlier
         host = Hypercube(3)
-        slow = WormholeSimulator(host, buffer_capacity=1)
-        fast = WormholeSimulator(host, buffer_capacity=64)
-        for sim in (slow, fast):
-            sim.inject([0, 1, 3], num_flits=8)
-            sim.inject([5, 1, 3], num_flits=8)
-        assert fast.run() <= slow.run()
+        schedule = [([0, 1, 3], 8, 1), ([5, 1, 3], 8, 1)]
+        slow = WormholeSimulator(host, buffer_capacity=1).run(schedule)
+        fast = WormholeSimulator(host, buffer_capacity=64).run(schedule)
+        assert fast.makespan <= slow.makespan
 
     def test_invalid_args(self):
         sim = WormholeSimulator(Hypercube(3))
         with pytest.raises(ValueError):
-            sim.inject([0], num_flits=2)
+            sim.run([([0], 2, 1)])
         with pytest.raises(ValueError):
-            sim.inject([0, 1], num_flits=0)
+            sim.run([([0, 1], 0, 1)])
         with pytest.raises(ValueError):
             WormholeSimulator(Hypercube(3), buffer_capacity=0)
 
@@ -136,27 +132,16 @@ class TestWormholeDeadlock:
     def test_cyclic_wait_detected(self):
         from repro.routing.wormhole import WormholeDeadlock, WormholeSimulator
 
-        host = Hypercube(2)
-        sim = WormholeSimulator(host)
         # four worms chasing each other around the 4-cycle 0-1-3-2-0:
         # each one's head needs the link its predecessor holds
-        sim.inject([0, 1, 3], num_flits=8)
-        sim.inject([1, 3, 2], num_flits=8)
-        sim.inject([3, 2, 0], num_flits=8)
-        sim.inject([2, 0, 1], num_flits=8)
         with pytest.raises(WormholeDeadlock):
-            sim.run()
+            WormholeSimulator(Hypercube(2)).run(DEADLOCK_CYCLE)
 
     def test_cut_through_buffers_break_the_cycle(self):
         from repro.routing.wormhole import WormholeSimulator
 
-        host = Hypercube(2)
-        sim = WormholeSimulator(host, buffer_capacity=8)
-        sim.inject([0, 1, 3], num_flits=8)
-        sim.inject([1, 3, 2], num_flits=8)
-        sim.inject([3, 2, 0], num_flits=8)
-        sim.inject([2, 0, 1], num_flits=8)
-        assert sim.run() > 0  # completes
+        sim = WormholeSimulator(Hypercube(2), buffer_capacity=8)
+        assert sim.run(DEADLOCK_CYCLE).makespan > 0  # completes
 
     def test_max_steps_guard(self):
         from repro.routing.simulator import StoreForwardSimulator
@@ -167,15 +152,17 @@ class TestWormholeDeadlock:
 
 
 class TestRepeatRunRegressions:
-    """Regression: a second run() after completion must not hang or mix state."""
+    """Regression: a second run() on one instance must not hang or mix
+    state — it equals a fresh instance's run."""
 
     def test_wormhole_double_run_returns_immediately(self):
-        # remaining used to count already-delivered worms, so the second
-        # run() spun to max_steps
+        # the reference engine used to resume a finished run, and counting
+        # already-delivered worms once spun it to max_steps
         sim = WormholeSimulator(Hypercube(3))
-        sim.inject([0, 1, 3], num_flits=4)
-        first = sim.run()
-        assert sim.run(max_steps=100) == first
+        schedule = [([0, 1, 3], 4, 1), ([5, 1, 3], 2, 2)]
+        first = sim.run(schedule)
+        fresh = WormholeSimulator(Hypercube(3)).run(schedule, max_steps=100)
+        assert sim.run(schedule, max_steps=100) == first == fresh
 
     def test_fast_wormhole_double_run_returns_immediately(self):
         from repro.routing.batched import BatchedWormhole
@@ -186,14 +173,14 @@ class TestRepeatRunRegressions:
         assert sim.run(schedule, max_steps=100).makespan == first
 
     def test_store_forward_repeat_run_is_isolated(self):
-        # _delivered/_steps_run used to accumulate across runs, so the
-        # delivered property mixed packets from separate schedules
+        # per-run queues and deliveries used to live on the instance and
+        # accumulate across runs, mixing packets from separate schedules
         sim = StoreForwardSimulator(Hypercube(3))
         r1 = sim.run([[0, 1], [2, 3]])
         assert r1.delivered == 2
         r2 = sim.run([[4, 5]])
         assert r2.delivered == 1
-        assert len(sim.delivered) == 1  # this run's packet only
+        assert r2 == StoreForwardSimulator(Hypercube(3)).run([[4, 5]])
 
     def test_delivered_counts_actual_arrivals(self):
         # SimResult.delivered was hardcoded to len(requests); it must be
@@ -231,18 +218,16 @@ class TestSparseReleaseFastForward:
 
     def test_wormhole_far_release_completes_fast(self):
         sim = WormholeSimulator(Hypercube(3))
-        sim.inject([0, 1, 3], num_flits=4, release_step=400_000)
-        assert sim.run(max_steps=500_000) == 400_000 + 2 + 4 - 2
+        res = sim.run([([0, 1, 3], 4, 400_000)], max_steps=500_000)
+        assert res.makespan == 400_000 + 2 + 4 - 2
 
     def test_wormhole_mixed_releases_unchanged(self):
         # a released worm in flight blocks the jump; makespans match the
         # no-jump semantics exactly
         sim = WormholeSimulator(Hypercube(3))
-        w1 = sim.inject([0, 1, 3], num_flits=6, release_step=1)
-        w2 = sim.inject([5, 1, 3], num_flits=2, release_step=3)
-        sim.run()
-        assert w1.done_step == 7  # 2 + 6 - 1
-        assert w2.done_step is not None and w2.done_step > 7
+        w1, w2 = sim.run([([0, 1, 3], 6, 1), ([5, 1, 3], 2, 3)]).done_steps
+        assert w1 == 7  # 2 + 6 - 1
+        assert w2 > 7
 
 
 class TestPPacketCostMultipath:

@@ -15,9 +15,36 @@ from repro.routing.api import (
     normalize_schedule,
 )
 from repro.routing.batched import BatchedStoreForward, BatchedWormhole
+from repro.routing.bounded_buffers import BoundedBufferSimulator
 from repro.routing.simulator import StoreForwardSimulator
+from repro.routing.wormhole import WormholeSimulator
 
 ENGINES = [StoreForwardSimulator, BatchedStoreForward]
+
+
+def _bounded(host):
+    """The bounded-buffer engine with buffers no test schedule fills."""
+    return BoundedBufferSimulator(host, 64)
+
+
+def _worms(paths):
+    """One-flit worms along ``paths``: worm engines take triples."""
+    return [(path, 1, 1) for path in paths]
+
+
+# every engine in repro.routing: a constructor taking the host, and how a
+# list of paths becomes a schedule of the shape that engine reads
+ALL_ENGINES = [
+    pytest.param(StoreForwardSimulator, list, id="StoreForwardSimulator"),
+    pytest.param(BatchedStoreForward, list, id="BatchedStoreForward"),
+    pytest.param(WormholeSimulator, _worms, id="WormholeSimulator"),
+    pytest.param(BatchedWormhole, _worms, id="BatchedWormhole"),
+    pytest.param(_bounded, list, id="BoundedBufferSimulator"),
+]
+# the packet engines that take a recorder's per-link events
+RECORDING_ENGINES = ENGINES + [
+    pytest.param(_bounded, id="BoundedBufferSimulator"),
+]
 
 
 def _columns(cols):
@@ -153,23 +180,38 @@ class TestPerCallDesign:
 
 
 class TestProtocolConformance:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_isinstance_simulator(self, engine):
+    @pytest.mark.parametrize("engine, schedule_of", ALL_ENGINES)
+    def test_isinstance_simulator(self, engine, schedule_of):
         assert isinstance(engine(Hypercube(3)), Simulator)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_schedule_run_returns_simresult(self, engine):
-        res = engine(Hypercube(3)).run([[0, 1, 3]])
+    @pytest.mark.parametrize("engine, schedule_of", ALL_ENGINES)
+    def test_schedule_run_returns_simresult(self, engine, schedule_of):
+        sim = engine(Hypercube(3))
+        res = sim.run(schedule_of([[0, 1, 3]]))
         assert isinstance(res, SimResult)
         assert res.makespan == 2
         assert res.delivered == res.injected == 1
         assert res.done_steps == (2,)
-        assert res.engine == engine.engine
+        assert isinstance(sim.engine, str)
+        assert res.engine == sim.engine == type(sim).engine
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_run_requires_a_schedule(self, engine):
+    @pytest.mark.parametrize("engine, schedule_of", ALL_ENGINES)
+    def test_run_requires_a_schedule(self, engine, schedule_of):
         with pytest.raises(TypeError):
             engine(Hypercube(3)).run()
+
+    @pytest.mark.parametrize("engine, schedule_of", ALL_ENGINES)
+    def test_second_run_equals_a_fresh_run(self, engine, schedule_of):
+        # no state survives a run: contended traffic, then a second
+        # schedule, on one instance and on fresh ones
+        host = Hypercube(3)
+        first = schedule_of([[0, 1, 3], [5, 1, 3], [4, 5, 1, 3], [2, 3]])
+        second = schedule_of([[4, 5, 1], [5, 1, 3]])
+        sim = engine(host)
+        runs = [sim.run(first), sim.run(second), sim.run(first)]
+        fresh = [engine(host).run(first), engine(host).run(second)]
+        assert runs == fresh + fresh[:1]
+        assert runs[0] != runs[1]
 
     def test_engines_agree_on_contention_free_load(self):
         host = Hypercube(4)
@@ -179,15 +221,15 @@ class TestProtocolConformance:
         a, b = results
         assert (a.makespan, a.done_steps) == (b.makespan, b.done_steps)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_result_echoes_recorder(self, engine):
+    @pytest.mark.parametrize("engine, schedule_of", ALL_ENGINES)
+    def test_result_echoes_recorder(self, engine, schedule_of):
         rec = LinkRecorder()
-        res = engine(Hypercube(3)).run([[0, 1]], recorder=rec)
+        res = engine(Hypercube(3)).run(schedule_of([[0, 1]]), recorder=rec)
         assert res.recorder is rec
 
 
 class TestRecording:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", RECORDING_ENGINES)
     def test_measured_congestion_matches_structural(self, engine):
         from repro.core import embed_cycle_load1
 
@@ -202,7 +244,7 @@ class TestRecording:
         assert rec.delivered == res.delivered == len(sched)
         assert rec.makespan == res.makespan
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", RECORDING_ENGINES)
     def test_zero_hop_packets_counted_as_deliveries(self, engine):
         rec = LinkRecorder()
         res = engine(Hypercube(3)).run([[5], [2]], recorder=rec)
@@ -210,7 +252,7 @@ class TestRecording:
         assert rec.delivered == 2
         assert rec.link_congestion_counts() == {}
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", RECORDING_ENGINES)
     def test_disabled_recorder_calls_no_hooks(self, engine):
         calls = []
 
@@ -239,6 +281,20 @@ class TestEngineLimits:
     def test_fast_engine_rejects_service_time(self):
         with pytest.raises(ValueError):
             BatchedStoreForward(Hypercube(3)).run([([0, 1], 1, 2)])
+
+    @pytest.mark.parametrize(
+        "worm, message",
+        [
+            (((0,), 2, 1), "worm path needs at least one link"),
+            (((0, 1), 0, 1), "worm needs at least one flit"),
+        ],
+        ids=["one-node-path", "zero-flits"],
+    )
+    def test_wormhole_engines_reject_the_same_worms(self, worm, message):
+        for engine in (WormholeSimulator, BatchedWormhole):
+            with pytest.raises(ValueError) as info:
+                engine(Hypercube(3)).run([((0, 1, 3), 2, 1), worm])
+            assert str(info.value) == message, engine
 
     def test_reference_engine_supports_service_time(self):
         res = StoreForwardSimulator(Hypercube(3)).run([([0, 1, 3], 1, 4)])

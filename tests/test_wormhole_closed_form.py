@@ -9,12 +9,13 @@ count and c the node buffer capacity, flit k crosses link i at
 
 :class:`~repro.routing.batched.BatchedWormhole` simulates only the head
 acquisitions and derives every other observable from these identities, so
-they are pinned here on the reference engine alone.  Two observations need
-no change to it: a recorder's ``on_transmit`` reads which worm owns the
-link (the reference gives up ownership only after the hook runs), which
-logs every (worm, link, step) crossing; and a run cut off by ``max_steps``
-leaves the worms as they stood after that step, which gives each step's
-head positions.
+they are pinned here on the reference engine alone.  Its step loop
+(``_run_lane``) updates the worms and the link owner map it is handed, so
+two observations need no change to it: a recorder's ``on_transmit`` reads
+which worm owns the link from that map (the reference gives up ownership
+only after the hook runs), which logs every (worm, link, step) crossing;
+and a run cut off by ``max_steps`` leaves the worms as they stood after
+that step, which gives each step's head positions.
 """
 
 from collections import defaultdict
@@ -23,27 +24,25 @@ import pytest
 
 from repro._compat import resolve_rng
 from repro.hypercube.graph import Hypercube
-from repro.qa.schedules import random_worm_schedule
+from repro.qa.schedules import DEADLOCK_CYCLE, random_worm_schedule
 from repro.routing import WormholeDeadlock, WormholeSimulator
+from repro.routing.wormhole import make_worms
 
-# four worms chasing each other around the 4-cycle 0-1-3-2-0, each longer
-# than the node buffers: random lanes seldom deadlock, this one always does
-CYCLE = [(path, 8, 1) for path in ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))]
 LANES = 150
 
 
 class _CrossingLog:
     """Recorder sink: the steps each (worm ident, link id) was crossed at."""
 
-    def __init__(self, sim):
-        self.sim = sim
+    def __init__(self, owner):
+        self.owner = owner  # the live link -> worm ident map of the run
         self.steps = defaultdict(list)
 
     def __bool__(self):
         return True
 
     def on_transmit(self, eid, step, service_time=1):
-        self.steps[self.sim._owner[eid], eid].append(step)
+        self.steps[self.owner[eid], eid].append(step)
 
     def on_deliver(self, step, count=1):
         pass
@@ -51,17 +50,16 @@ class _CrossingLog:
 
 def _reference(host, lane, cap, max_steps=10_000_000):
     sim = WormholeSimulator(host, buffer_capacity=cap)
-    for path, flits, release in lane:
-        sim.inject(path, flits, release)
-    log = _CrossingLog(sim)
+    worms, owner = make_worms(lane), {}
+    log = _CrossingLog(owner)
     deadlock = None
     try:
-        sim.run(max_steps, recorder=log)
+        sim._run_lane(worms, owner, max_steps, log)
     except WormholeDeadlock as err:
         deadlock = str(err)
     except RuntimeError:  # cut off by max_steps
         pass
-    return sim.worms, log, deadlock
+    return worms, log, deadlock
 
 
 def _acquisitions(host, lane, cap, last_step):
@@ -86,7 +84,8 @@ def _lane(seed):
     host = Hypercube(2 + seed % 4)
     lane = random_worm_schedule(host, rng, max_worms=8, rotate=bool(seed % 2))
     if seed % 6 == 1:
-        lane = CYCLE + lane
+        # random lanes seldom deadlock, this one always does
+        lane = DEADLOCK_CYCLE + lane
     return host, lane, 1 + seed % 3
 
 
