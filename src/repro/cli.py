@@ -512,6 +512,7 @@ def _cmd_faults(args) -> int:
 
 def _cmd_scenarios(args) -> int:
     from repro.scenarios import (
+        build_columns,
         build_schedule,
         get_scenario,
         scenario_names,
@@ -581,23 +582,26 @@ def _cmd_scenarios(args) -> int:
         print(format_sweep_rows(rows))
         return 0
 
-    # smoke: every registered generator builds deterministically and
-    # routes identically on the reference and batched engines
+    # smoke: every registered generator's columns read back as the pairs
+    # a second build from the same seed gives, and route identically on
+    # the reference engine (which reads their path tuples) and the batched
+    # engine (which runs them as they are)
     from repro.hypercube.graph import Hypercube
     from repro.qa.differential import batched_differential_check
 
     host = Hypercube(args.n)
     failures = 0
     for name in scenario_names():
+        cols = build_columns(
+            name, host, load=0.5, horizon=4, seed=f"smoke:{name}"
+        )
         schedule = build_schedule(
             name, host, load=0.5, horizon=4, seed=f"smoke:{name}"
         )
-        rebuilt = build_schedule(
-            name, host, load=0.5, horizon=4, seed=f"smoke:{name}"
-        )
-        divergence = batched_differential_check(host, [schedule])
+        divergence = batched_differential_check(host, [cols])
+        pairs = list(zip(cols.paths, cols.release.tolist()))
         ok = (
-            schedule_digest(schedule) == schedule_digest(rebuilt)
+            schedule_digest(pairs) == schedule_digest(schedule)
             and divergence is None
         )
         failures += not ok

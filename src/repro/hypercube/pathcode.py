@@ -10,13 +10,15 @@ so both ``repro.core`` and ``repro.routing`` can import it.
 
 Two layouts are provided:
 
-* :func:`path_edge_matrix` — the padded ``(num_paths, max_hops)`` edge-id
-  matrix with ``-1`` fill the batched simulation engines run on (one row
-  per packet or worm, one column per hop);
 * :func:`flatten_paths` + :func:`hop_edge_ids` — the flat CSR-style layout
   (one concatenated node vector plus path offsets) the verification kernels
-  use, where per-path quantities come from offset arithmetic instead of
-  Python loops.
+  and the packet schedules use, where per-path quantities come from offset
+  arithmetic instead of Python loops; :func:`ecube_paths` builds
+  dimension-order paths in it straight from their endpoints;
+* :func:`path_edge_matrix` — that layout as the padded
+  ``(num_paths, max_hops)`` edge-id matrix with ``-1`` fill the batched
+  simulation engines run on (one row per packet or worm, one column per
+  hop).
 
 All hop validation happens here, *before* any ``log2``: a zero-move hop
 (``u == u``) or a multi-bit move is rejected with the same
@@ -39,6 +41,7 @@ __all__ = [
     "CSR_NODE_DTYPE",
     "CSR_OFFSET_DTYPE",
     "csr_aligned",
+    "ecube_paths",
     "gather_paths",
     "hop_dimensions",
     "hop_endpoints",
@@ -208,21 +211,50 @@ def hop_edge_ids(
     return heads * np.int64(n) + dims, heads, tails
 
 
+def ecube_paths(
+    n: int, src: np.ndarray, dst: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Dimension-order (e-cube) paths ``src[i] -> dst[i]``, in CSR layout.
+
+    As :func:`repro.routing.permutation.dimension_order_path`, lowest
+    dimension first: with ``diff = src ^ dst``, the hop through dimension
+    ``d`` enters ``src ^ (diff & ((2 << d) - 1))`` at path position
+    ``popcount(diff & ((1 << d) - 1)) + 1``, so one pass per dimension
+    places its hops.  ``src == dst`` gives a one-node path.
+    """
+    src = np.asarray(src, dtype=CSR_NODE_DTYPE)
+    diff = src ^ np.asarray(dst, dtype=CSR_NODE_DTYPE)
+    length = np.ones(src.size, dtype=CSR_OFFSET_DTYPE)
+    for d in range(n):
+        length += (diff >> d) & 1
+    offsets = np.zeros(src.size + 1, dtype=CSR_OFFSET_DTYPE)
+    np.cumsum(length, out=offsets[1:])
+    nodes = np.empty(int(offsets[-1]), dtype=CSR_NODE_DTYPE)
+    at = offsets[:-1].copy()  # where each path's last placed node sits
+    nodes[at] = src
+    for d in range(n):
+        hit = np.flatnonzero(diff & (1 << d))
+        pos = at[hit] + 1
+        at[hit] = pos
+        nodes[pos] = src[hit] ^ (diff[hit] & ((2 << d) - 1))
+    return nodes, offsets
+
+
 def path_edge_matrix(
-    n: int, paths: Sequence[Sequence[int]]
+    n: int, nodes: np.ndarray, offsets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The padded per-path edge-id matrix of the vectorized engines.
 
-    Returns ``(edges, lengths)``: ``edges`` is ``(len(paths), max_hops)``
-    int64 with row ``i`` holding the directed edge ids of path ``i``'s hops
-    and ``-1`` padding; ``lengths[i]`` is path ``i``'s hop count.  This is
-    the encoding both :mod:`repro.routing.batched` engines run on, shared
-    so the verification kernels build it the same way.
+    Takes a path batch in the :func:`flatten_paths` layout (every path at
+    least one node long) and returns ``(edges, lengths)``: ``edges`` is
+    ``(num_paths, max_hops)`` int64 with row ``i`` holding the directed
+    edge ids of path ``i``'s hops and ``-1`` padding; ``lengths[i]`` is
+    path ``i``'s hop count.  This is the encoding both
+    :mod:`repro.routing.batched` engines run on, and every hop is validated
+    by :func:`hop_edge_ids` on the way.
     """
-    nodes, offsets = flatten_paths(paths)
     lengths = np.diff(offsets) - 1
-    lengths = np.maximum(lengths, 0)  # a 1-node path has zero hops
-    num = len(paths)
+    num = lengths.size
     max_len = int(lengths.max()) if num else 0
     edges = np.full((num, max_len), -1, dtype=np.int64)
     if max_len == 0:

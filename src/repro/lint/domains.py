@@ -248,7 +248,10 @@ FUNC_SIGS: Dict[str, Sig] = {
         ((LINK, INT), (NODE, INT), (NODE, INT)),
     ),
     "repro.hypercube.pathcode.path_edge_matrix": Sig(
-        (DIM_COUNT, INT), ((LINK, INT), (INT, INT))
+        (DIM_COUNT, NODE, CSR_OFFSET), ((LINK, INT), (INT, INT))
+    ),
+    "repro.hypercube.pathcode.ecube_paths": Sig(
+        (DIM_COUNT, NODE, NODE), ((NODE, CSR_OFFSET), (CSR_OFFSET, INT))
     ),
     "repro.hypercube.pathcode.hop_dimensions": Sig(
         (NODE, NODE, DIM_COUNT), ((DIM, INT),)

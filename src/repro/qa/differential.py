@@ -46,7 +46,9 @@ the message itself, from every m-subset of the pieces.
 so no engine pair can: the single-pass columnar
 :func:`~repro.routing.api.normalize_schedule` against the per-item
 algorithm that builds one :class:`~repro.routing.api.SimRequest` per
-item, on every accepted item shape and on malformed items.
+item, on every accepted item shape and on malformed items, and on the
+same schedules given as :class:`~repro.routing.api.ScheduleColumns`, the
+shape the traffic generators emit.
 
 Independently, :func:`max_flow_width_check` cross-examines claimed
 edge-disjoint widths with an algorithm that shares no code with the
@@ -71,6 +73,7 @@ import numpy as np
 
 from repro.core.verification import InvariantCheck
 from repro.fault.ida import disperse, reconstruct
+from repro.hypercube.pathcode import flatten_paths
 from repro.obs.recorder import LinkRecorder
 from repro.qa.schedules import (
     Schedule,
@@ -80,7 +83,12 @@ from repro.qa.schedules import (
     shrink_schedule,
     shrink_worm_schedule,
 )
-from repro.routing.api import SimRequest, SimResult, normalize_schedule
+from repro.routing.api import (
+    ScheduleColumns,
+    SimRequest,
+    SimResult,
+    normalize_schedule,
+)
 from repro.routing.batched import BatchedStoreForward, BatchedWormhole
 from repro.routing.simulator import StoreForwardSimulator
 from repro.routing.wormhole import WormholeSimulator
@@ -214,7 +222,12 @@ def batched_differential_check(
     found = _batch_diverging_lane(host, batch, faults, batched_cls)
     if found is None:
         return None
-    current = [[(tuple(p), int(r)) for p, r in lane] for lane in batch]
+    current = [
+        list(zip(lane.paths, lane.release.tolist()))
+        if isinstance(lane, ScheduleColumns)
+        else [(tuple(p), int(r)) for p, r in lane]
+        for lane in batch
+    ]
     cur_faults = list(faults) if faults else None
 
     def lanes_and_faults(candidate):
@@ -736,19 +749,21 @@ def _normalized(normalize: Callable[[Any], Any], schedule: Any) -> Dict[str, Any
     except Exception as err:  # noqa: BLE001 - the error is the outcome compared
         return {"error": (type(err).__name__, str(err))}
     if isinstance(out, list):  # the reference's requests, as columns
-        paths = [tuple(r.path) for r in out]
-        release = ("int64", [int(r.release_step) for r in out])
-        service = ("int64", [int(r.service_time) for r in out])
-    else:
-        paths = list(out.paths)
-        release = (out.release.dtype.name, out.release.tolist())
-        service = (out.service.dtype.name, out.service.tolist())
+        out = _as_columns([(r.path, r.release_step, r.service_time) for r in out])
     return {
-        "paths": paths,
-        "path_types": sorted({type(p).__name__ for p in paths}),
-        "release": release,
-        "service": service,
+        "paths": out.paths,
+        "release": (out.release.dtype.name, out.release.tolist()),
+        "service": (out.service.dtype.name, out.service.tolist()),
     }
+
+
+def _as_columns(packets: List[Any]) -> ScheduleColumns:
+    """``(path, release, service)`` packets as columns, built unchecked."""
+    return ScheduleColumns(
+        *flatten_paths([path for path, _, _ in packets]),
+        np.array([r for _, r, _ in packets], dtype=np.int64),
+        np.array([s for _, _, s in packets], dtype=np.int64),
+    )
 
 
 def _reshaped(path: Tuple[int, ...], release: int, rng: random.Random) -> Any:
@@ -779,10 +794,13 @@ def schedule_differential(subject: Any, rng: random.Random) -> List[InvariantChe
     ``Sequence`` for the item and for its path, and a plain or numpy
     release.  :func:`~repro.routing.api.normalize_schedule` must return
     what :func:`_normalize_reference` does, field by field: the paths, as
-    tuples, and ``int64`` release and service columns.  Then each of
+    tuples, and ``int64`` release and service columns; and so must it for
+    the reference's packets given as
+    :class:`~repro.routing.api.ScheduleColumns`.  Then each of
     ``_MALFORMED``, placed after a random prefix of that schedule and
     before a second bad item, must raise the reference's exception type
-    and message.
+    and message, and so must those columns with one packet's path emptied,
+    or its release or service zeroed, ahead of a second spoiled packet.
     """
     checks: List[InvariantCheck] = []
     schedule = [
@@ -790,17 +808,22 @@ def schedule_differential(subject: Any, rng: random.Random) -> List[InvariantChe
         for path, release in embedding_schedule(subject, rng, max_packets=40)
     ]
     want = _normalized(_normalize_reference, schedule)
-    got = _normalized(normalize_schedule, iter(schedule))
-    for name in sorted(want.keys() | got.keys()):
-        if got.get(name) != want.get(name):
-            checks.append(
-                InvariantCheck(
-                    f"diff:schedule:{name}",
-                    False,
-                    f"normalize_schedule gives {got.get(name)!r} but the "
-                    f"per-item reference gives {want.get(name)!r}",
+    packets = [
+        (tuple(r.path), int(r.release_step), int(r.service_time))
+        for r in _normalize_reference(schedule)
+    ]
+    for label, given in (("", iter(schedule)), ("columns:", _as_columns(packets))):
+        got = _normalized(normalize_schedule, given)
+        for name in sorted(want.keys() | got.keys()):
+            if got.get(name) != want.get(name):
+                checks.append(
+                    InvariantCheck(
+                        f"diff:schedule:{label}{name}",
+                        False,
+                        f"normalize_schedule gives {got.get(name)!r} but "
+                        f"the per-item reference gives {want.get(name)!r}",
+                    )
                 )
-            )
     for k, bad in enumerate(_MALFORMED):
         prefix = schedule[: rng.randint(0, len(schedule))]
         case = prefix + [bad, _MALFORMED[k - 1]]
@@ -816,14 +839,33 @@ def schedule_differential(subject: Any, rng: random.Random) -> List[InvariantChe
                     f"reference gives {want.get('error', 'columns')!r}",
                 )
             )
+    for k, field in enumerate(("path", "release", "service") if packets else ()):
+        bad = [list(packet) for packet in packets]
+        first = rng.randrange(len(bad))
+        for at, spoil in ((first, k), (rng.randrange(first, len(bad)), k - 1)):
+            bad[at][spoil] = 0 if spoil else ()  # a zero step, or no path
+        want = _normalized(_normalize_reference, bad)
+        got = _normalized(normalize_schedule, _as_columns(bad))
+        if got != want:
+            checks.append(
+                InvariantCheck(
+                    f"diff:schedule:reject-columns:{field}",
+                    False,
+                    f"with packet {first}'s {field} spoiled, "
+                    f"normalize_schedule gives {got.get('error', 'columns')!r}"
+                    f" but the per-item reference gives "
+                    f"{want.get('error', 'columns')!r}",
+                )
+            )
     checks.append(
         InvariantCheck(
             "diff:schedule",
             not checks,
             f"{len(checks)} schedule normalization check(s) failed"
             if checks
-            else f"{len(schedule)} reshaped item(s) and {len(_MALFORMED)} "
-            f"malformed one(s) normalize as the per-item reference does",
+            else f"{len(schedule)} reshaped item(s), as items and as columns, "
+            f"and {len(_MALFORMED)} malformed item(s) and spoiled columns "
+            f"normalize as the per-item reference does",
         )
     )
     return checks

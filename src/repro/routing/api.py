@@ -15,8 +15,10 @@ conformance at runtime).  The wormhole engines take
 :class:`~repro.routing.batched.BatchedStoreForward`,
 :class:`~repro.routing.bounded_buffers.BoundedBufferSimulator`) read any
 schedule through :func:`normalize_schedule`, which validates every item
-in one pass and returns :class:`ScheduleColumns`: a list of path tuples
-plus ``int64`` release and service arrays.
+in one pass and returns :class:`ScheduleColumns`: every path in one flat
+CSR node vector with its offsets, plus ``int64`` release and service
+arrays.  Columns built directly (the scenario generators emit them) pass
+through a vectorized check without ever becoming path tuples.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from typing import (
 )
 
 import numpy as np
+
+from repro.hypercube.pathcode import flatten_paths
 
 __all__ = [
     "ScheduleColumns",
@@ -83,20 +87,45 @@ ScheduleItem = Union[Sequence[int], Tuple[Sequence[int], int],
 class ScheduleColumns:
     """A normalized schedule, one column per packet field, in schedule order.
 
-    ``paths[i]`` is packet ``i``'s host path as a tuple; ``release[i]`` and
-    ``service[i]`` are its release step and per-hop service time, both
-    ``int64`` arrays of ``len(paths)`` entries.
+    Packet ``i``'s host path is ``nodes[offsets[i]:offsets[i + 1]]`` (the
+    :func:`repro.hypercube.pathcode.flatten_paths` layout); ``release[i]``
+    and ``service[i]`` are its release step and per-hop service time.  All
+    four are ``int64`` arrays, and ``offsets`` has one entry more than
+    there are packets.
     """
 
-    paths: List[Tuple[int, ...]]
+    nodes: np.ndarray
+    offsets: np.ndarray
     release: np.ndarray
     service: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return self.offsets.size - 1
+
+    @property
+    def paths(self) -> List[Tuple[int, ...]]:
+        """Every packet's host path as a tuple, built on each access."""
+        flat, bounds = self.nodes.tolist(), self.offsets.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
 
 
-def normalize_schedule(schedule: Iterable[ScheduleItem]) -> ScheduleColumns:
+def _check_columns(cols: ScheduleColumns) -> None:
+    """Raise what the per-item check raises for the first bad packet."""
+    lengths = np.diff(cols.offsets)
+    ends = cols.offsets[:1].tolist() + cols.offsets[-1:].tolist()
+    if ends != [0, cols.nodes.size] or not (
+        cols.release.size == cols.service.size == lengths.size
+    ):
+        raise ValueError("schedule columns disagree on the packet count")
+    bad = (lengths < 1) | (cols.release < 1) | (cols.service < 1)
+    if bad.any():
+        i = int(bad.argmax())
+        _check_packet(range(max(0, lengths[i])), cols.release[i], cols.service[i])
+
+
+def normalize_schedule(
+    schedule: Union[Iterable[ScheduleItem], ScheduleColumns],
+) -> ScheduleColumns:
     """Validate a schedule and return it as :class:`ScheduleColumns`.
 
     Each item may be a bare path (a sequence of node ids), a
@@ -104,15 +133,20 @@ def normalize_schedule(schedule: Iterable[ScheduleItem]) -> ScheduleColumns:
     triple, or an explicit :class:`SimRequest`.  Items are checked as they
     are read, so the first bad one raises :class:`SimRequest`'s own
     ``ValueError``, or a ``TypeError`` for an item of no accepted shape.
+    A :class:`ScheduleColumns` is checked column by column and returned as
+    is; its first bad packet raises the same ``ValueError`` its items would.
     """
-    paths: List[Tuple[int, ...]] = []
+    if isinstance(schedule, ScheduleColumns):
+        _check_columns(schedule)
+        return schedule
+    paths: List[Sequence[int]] = []
     release: List[int] = []
     service: List[int] = []
     item: Any  # the exact-type tests below do the narrowing mypy cannot
     for item in schedule:
         if type(item) not in _BUILTIN_SEQUENCES:
             if isinstance(item, SimRequest):
-                paths.append(tuple(item.path))
+                paths.append(item.path)
                 release.append(item.release_step)
                 service.append(item.service_time)
                 continue
@@ -124,9 +158,9 @@ def normalize_schedule(schedule: Iterable[ScheduleItem]) -> ScheduleColumns:
         if type(first) is int or (
             isinstance(first, int) and not isinstance(first, bool)
         ):
-            path, r, s = tuple(item), 1, 1  # bare path
+            path, r, s = item, 1, 1  # bare path
         elif type(first) in _BUILTIN_SEQUENCES or isinstance(first, Sequence):
-            path, size = tuple(first), len(item)
+            path, size = first, len(item)
             if size == 2:
                 r, s = int(item[1]), 1
             elif size == 3:
@@ -142,7 +176,7 @@ def normalize_schedule(schedule: Iterable[ScheduleItem]) -> ScheduleColumns:
         release.append(r)
         service.append(s)
     return ScheduleColumns(
-        paths,
+        *flatten_paths(paths),
         np.array(release, dtype=np.int64),
         np.array(service, dtype=np.int64),
     )

@@ -47,12 +47,12 @@ reference engines (``storeforward:*``, ``wormhole:*`` and
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Iterable, List, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.hypercube.graph import Hypercube
-from repro.hypercube.pathcode import path_edge_matrix
+from repro.hypercube.pathcode import flatten_paths, path_edge_matrix
 from repro.obs.profile import profile_span
 from repro.routing.api import (
     ScheduleColumns,
@@ -106,7 +106,7 @@ class BatchedStoreForward:
 
     def run(
         self,
-        schedule: Iterable[ScheduleItem],
+        schedule: Union[Iterable[ScheduleItem], ScheduleColumns],
         *,
         max_steps: int = 10_000_000,
         recorder: Optional[Any] = None,
@@ -120,7 +120,7 @@ class BatchedStoreForward:
 
     def run_many(
         self,
-        schedules: Sequence[Iterable[ScheduleItem]],
+        schedules: Sequence[Union[Iterable[ScheduleItem], ScheduleColumns]],
         *,
         max_steps: int = 10_000_000,
         recorders: Optional[Sequence[Optional[Any]]] = None,
@@ -128,6 +128,8 @@ class BatchedStoreForward:
     ) -> List[SimResult]:
         """Run every schedule to completion; one :class:`SimResult` per lane.
 
+        A schedule is any shape :func:`~repro.routing.api.normalize_schedule`
+        accepts; columns pass through it without becoming path tuples.
         Each lane is an independent simulation: its own packets, its own
         optional ``recorder`` sink, its own optional ``FaultModel`` (pass a
         single model to apply the same faults to every lane, or a per-lane
@@ -188,11 +190,16 @@ class BatchedStoreForward:
             done_step = np.zeros(0, dtype=np.int64)
         else:
             done_step = np.zeros(total, dtype=np.int64)
-            paths: List[Tuple[int, ...]] = []
-            for cols in lanes:
-                paths += cols.paths
+            # the lanes' CSR paths as one batch: each lane's offsets shift
+            # by the nodes of the lanes before it
+            shifts = np.cumsum([0] + [cols.nodes.size for cols in lanes])
+            path_offsets = np.concatenate(
+                [np.zeros(1, dtype=np.int64)]
+                + [c.offsets[1:] + k for c, k in zip(lanes, shifts.tolist())]
+            )
+            nodes = np.concatenate([cols.nodes for cols in lanes])
             release = np.concatenate([cols.release for cols in lanes])
-            edges, lengths = path_edge_matrix(n, paths)
+            edges, lengths = path_edge_matrix(n, nodes, path_offsets)
             # lane-shifted link ids, in place: lanes never collide, so one
             # arbitration pass serves the whole fleet
             edges += (lane * links)[:, None]
@@ -411,7 +418,7 @@ class BatchedWormhole:
         worms = [w for lane_worms in lanes for w in lane_worms]
         lane = np.repeat(np.arange(num_lanes, dtype=np.int64), counts)
         eids, lengths = path_edge_matrix(
-            self.host.n, [w.path for w in worms]
+            self.host.n, *flatten_paths([w.path for w in worms])
         )
         num_flits = np.fromiter(
             (w.num_flits for w in worms), dtype=np.int64, count=total

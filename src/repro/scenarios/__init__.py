@@ -5,8 +5,9 @@ The subsystem has three pieces:
 * :mod:`repro.scenarios.registry` + :mod:`repro.scenarios.generators` —
   a seeded registry of open-loop traffic generators (bit-reversal,
   transpose, shuffle, tornado, hot-spot, many-to-one, poisson,
-  permutation) with a continuous load knob λ, all producing plain
-  ``(path, release_step)`` schedules;
+  permutation) with a continuous load knob λ, all producing
+  :class:`~repro.routing.api.ScheduleColumns` (``build_columns``), or
+  plain ``(path, release_step)`` schedules (``build_schedule``);
 * :mod:`repro.scenarios.campaign` — the fault-campaign engine: kill k
   links/nodes at a mid-run step and replay the scenario with and without
   IDA failover over edge-disjoint paths (the paper's §1 reliability
@@ -29,6 +30,7 @@ from repro.scenarios.campaign import (
 from repro.scenarios.registry import (
     Schedule,
     ScenarioGenerator,
+    build_columns,
     build_schedule,
     get_scenario,
     register_scenario,
@@ -44,6 +46,7 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "scenario_names",
+    "build_columns",
     "build_schedule",
     "schedule_digest",
     "ScenarioSubject",

@@ -29,9 +29,8 @@ from repro.fault.ida import disperse, reconstruct
 from repro.hypercube.graph import Hypercube
 from repro.routing.batched import BatchedStoreForward
 from repro.routing.pathutils import edge_disjoint_paths
-from repro.routing.permutation import dimension_order_path
 from repro.routing.simulator import StoreForwardSimulator
-from repro.scenarios.registry import Schedule, build_schedule
+from repro.scenarios.registry import Schedule, build_columns
 
 __all__ = ["CampaignConfig", "ArmReport", "CampaignReport", "run_campaign"]
 
@@ -216,7 +215,9 @@ def _build_faults(config: CampaignConfig, host: Hypercube) -> FaultModel:
 def run_campaign(config: CampaignConfig) -> CampaignReport:
     """Run one fault campaign and report both arms."""
     host = Hypercube(config.n)
-    traffic = build_schedule(
+    # the single-path arm is the generated e-cube traffic itself, one
+    # message per packet (generators skip self-addressed arrivals)
+    single_schedule = build_columns(
         config.scenario,
         host,
         load=config.load,
@@ -224,26 +225,23 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
         seed=f"{config.seed}:{config.scenario}:traffic",
         **dict(config.scenario_params),
     )
-    # one message per generated packet: (src, dst, release)
-    messages = [
-        (path[0], path[-1], release)
-        for path, release in traffic
-        if path[0] != path[-1]
-    ]
-
-    single_schedule: Schedule = [
-        (tuple(dimension_order_path(config.n, src, dst)), release)
-        for src, dst, release in messages
-    ]
+    nodes, ends = single_schedule.nodes, single_schedule.offsets
+    messages = list(
+        zip(
+            nodes[ends[:-1]].tolist(),
+            nodes[ends[1:] - 1].tolist(),
+            single_schedule.release.tolist(),
+        )
+    )
     width = min(config.width or config.n, config.n)
     pieces_needed = config.pieces or -(-width // 2)
     pieces_needed = max(1, min(pieces_needed, width))
     ida_schedule: Schedule = []
-    ida_owner: List[int] = []  # packet index -> message index
+    ida_owner: List[Tuple[int, int]] = []  # packet -> (message, piece index)
     for mi, (src, dst, release) in enumerate(messages):
-        for path in edge_disjoint_paths(config.n, src, dst, width):
+        for piece, path in enumerate(edge_disjoint_paths(config.n, src, dst, width)):
             ida_schedule.append((path, release))
-            ida_owner.append(mi)
+            ida_owner.append((mi, piece))
 
     single_clean, ida_clean = _run_arms(
         config, host, [single_schedule, ida_schedule]
@@ -262,14 +260,9 @@ def run_campaign(config: CampaignConfig) -> CampaignReport:
 
     # per-message surviving piece indices in the IDA arm
     alive_pieces: Dict[int, List[int]] = {mi: [] for mi in range(len(messages))}
-    piece_index: Dict[int, int] = {}
-    counter: Dict[int, int] = {}
-    for pi, mi in enumerate(ida_owner):
-        piece_index[pi] = counter.get(mi, 0)
-        counter[mi] = counter.get(mi, 0) + 1
-    for pi, done in enumerate(ida_faulty.done_steps):
+    for (mi, piece), done in zip(ida_owner, ida_faulty.done_steps):
         if done >= 0:
-            alive_pieces[ida_owner[pi]].append(piece_index[pi])
+            alive_pieces[mi].append(piece)
 
     ida_delivered = sum(
         1 for mi in alive_pieces if len(alive_pieces[mi]) >= pieces_needed

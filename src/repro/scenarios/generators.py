@@ -14,29 +14,67 @@ designed to spread.
 
 Self-addressed arrivals are skipped (nothing is transmitted), so measured
 injection counts sit at or just below ``load * nodes * horizon``.
+
+Generators emit :class:`~repro.routing.api.ScheduleColumns` from integer
+(src, dst, step) columns, whose e-cube paths one vectorized pass builds
+(:func:`~repro.hypercube.pathcode.ecube_paths`).  A fixed pattern
+src -> dst draws nothing per packet, so all of its cells' arrivals are
+drawn in one pass; hot-spot and poisson draw every destination, so they go
+cell by cell.  Both make the same ``random.Random`` calls in one order.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable
+from typing import Callable, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.hypercube.graph import Hypercube
+from repro.hypercube.pathcode import ecube_paths
+from repro.routing.api import ScheduleColumns
 from repro.routing.permutation import (
     bit_reversal_permutation,
-    dimension_order_path,
     random_permutation,
 )
-from repro.scenarios.registry import Schedule, register_scenario
+from repro.scenarios.registry import register_scenario
 
-__all__ = ["arrivals"]
+__all__: List[str] = []
 
 
-def arrivals(rng: random.Random, load: float) -> int:
-    """Arrivals for one (node, step) cell: mean ``load``, integer-valued."""
-    whole = int(load)
+def _columns(
+    n: int, src: np.ndarray, dst: np.ndarray, step: np.ndarray
+) -> ScheduleColumns:
+    """The packets with ``dst != src`` as e-cube schedule columns."""
+    keep = src != dst
+    return ScheduleColumns(
+        *ecube_paths(n, src[keep], dst[keep]),
+        step[keep],
+        np.ones(int(keep.sum()), dtype=np.int64),
+    )
+
+
+def _table_loop(
+    host: Hypercube,
+    rng: random.Random,
+    load: float,
+    horizon: int,
+    table: Sequence[int],
+) -> ScheduleColumns:
+    """The open loop of a fixed pattern ``src -> table[src]``.
+
+    Cell ``k`` is (step ``k // nodes + 1``, node ``k % nodes``), the order
+    in which :func:`_open_loop` draws its cells.
+    """
+    size, whole = host.num_nodes, int(load)
     frac = load - whole
-    return whole + (1 if frac > 0 and rng.random() < frac else 0)
+    counts = np.full(horizon * size, whole, dtype=np.int64)
+    if frac > 0:  # one draw per cell: ``count`` ends the endless iterator
+        counts += np.fromiter(iter(rng.random, None), np.float64, counts.size) < frac
+    cell = np.repeat(np.arange(counts.size, dtype=np.int64), counts)
+    src = cell % size
+    dst = np.asarray(table, dtype=np.int64)[src]
+    return _columns(host.n, src, dst, cell // size + 1)
 
 
 def _open_loop(
@@ -45,62 +83,65 @@ def _open_loop(
     load: float,
     horizon: int,
     dest: Callable[[int], int],
-) -> Schedule:
-    """The shared open-loop injection loop; ``dest(src)`` picks targets."""
-    schedule: Schedule = []
-    for step in range(1, horizon + 1):
-        for src in range(host.num_nodes):
-            for _ in range(arrivals(rng, load)):
-                dst = dest(src)
-                if dst == src:
-                    continue
-                path = tuple(dimension_order_path(host.n, src, dst))
-                schedule.append((path, step))
-    return schedule
+) -> ScheduleColumns:
+    """The cell-by-cell open loop; ``dest(src)`` draws targets from ``rng``.
+
+    A cell has ``load``'s integer part of arrivals, plus one with
+    probability its fractional part, drawn only when that part is positive.
+    """
+    packets: List[Tuple[int, int, int]] = []
+    whole = int(load)
+    frac = load - whole
+    for t in range(1, horizon + 1):
+        for s in range(host.num_nodes):
+            for _ in range(whole + (frac > 0 and rng.random() < frac)):
+                packets.append((s, dest(s), t))
+    src, dst, step = np.array(packets, dtype=np.int64).reshape(-1, 3).T
+    return _columns(host.n, src, dst, step)
 
 
 @register_scenario("bit-reversal")
 def bit_reversal(
     host: Hypercube, rng: random.Random, *, load: float, horizon: int
-) -> Schedule:
+) -> ScheduleColumns:
     """Bit-reversal permutation: node v sends to reverse(v)."""
     table = bit_reversal_permutation(host.n)
-    return _open_loop(host, rng, load, horizon, lambda src: table[src])
+    return _table_loop(host, rng, load, horizon, table)
 
 
 @register_scenario("transpose")
 def transpose(
     host: Hypercube, rng: random.Random, *, load: float, horizon: int
-) -> Schedule:
+) -> ScheduleColumns:
     """Matrix transpose: rotate the address by n/2 (swap halves)."""
     n, mask = host.n, host.num_nodes - 1
     rot = n // 2
-    if rot == 0:
-        return []
-    return _open_loop(
-        host, rng, load, horizon,
-        lambda src: ((src << rot) | (src >> (n - rot))) & mask,
+    v = np.arange(host.num_nodes, dtype=np.int64)
+    if rot == 0:  # Q_1 has no transpose: nothing is offered or drawn
+        return _table_loop(host, rng, 0, horizon, v)
+    return _table_loop(
+        host, rng, load, horizon, ((v << rot) | (v >> (n - rot))) & mask
     )
 
 
 @register_scenario("shuffle")
 def shuffle(
     host: Hypercube, rng: random.Random, *, load: float, horizon: int
-) -> Schedule:
+) -> ScheduleColumns:
     """Perfect shuffle: rotate the address left by one bit."""
     n, mask = host.n, host.num_nodes - 1
-    if n < 2:
-        return []
-    return _open_loop(
-        host, rng, load, horizon,
-        lambda src: ((src << 1) | (src >> (n - 1))) & mask,
+    v = np.arange(host.num_nodes, dtype=np.int64)
+    if n < 2:  # Q_1 has no shuffle: nothing is offered or drawn
+        return _table_loop(host, rng, 0, horizon, v)
+    return _table_loop(
+        host, rng, load, horizon, ((v << 1) | (v >> (n - 1))) & mask
     )
 
 
 @register_scenario("tornado")
 def tornado(
     host: Hypercube, rng: random.Random, *, load: float, horizon: int
-) -> Schedule:
+) -> ScheduleColumns:
     """Tornado offset: v sends to (v + 2^(n-1) - 1) mod 2^n.
 
     The ring-adversarial offset pattern adapted to the hypercube address
@@ -108,16 +149,15 @@ def tornado(
     """
     size = host.num_nodes
     offset = size // 2 - 1
-    return _open_loop(
-        host, rng, load, horizon, lambda src: (src + offset) % size
-    )
+    v = np.arange(size, dtype=np.int64)
+    return _table_loop(host, rng, load, horizon, (v + offset) % size)
 
 
 @register_scenario("hot-spot", hot=0, hot_fraction=0.25)
 def hot_spot(
     host: Hypercube, rng: random.Random, *, load: float, horizon: int,
     hot: int = 0, hot_fraction: float = 0.25,
-) -> Schedule:
+) -> ScheduleColumns:
     """Hot-spot: each packet targets one hot node with extra probability."""
     if not 0 <= hot_fraction <= 1:
         raise ValueError("hot_fraction must be in [0, 1]")
@@ -135,16 +175,16 @@ def hot_spot(
 def many_to_one(
     host: Hypercube, rng: random.Random, *, load: float, horizon: int,
     sink: int = 0,
-) -> Schedule:
+) -> ScheduleColumns:
     """Incast: every node sends to a single sink."""
-    sink %= host.num_nodes
-    return _open_loop(host, rng, load, horizon, lambda src: sink)
+    table = np.full(host.num_nodes, sink % host.num_nodes, dtype=np.int64)
+    return _table_loop(host, rng, load, horizon, table)
 
 
 @register_scenario("poisson")
 def poisson(
     host: Hypercube, rng: random.Random, *, load: float, horizon: int
-) -> Schedule:
+) -> ScheduleColumns:
     """Uniform-random open-loop arrivals — the baseline saturation traffic."""
     size = host.num_nodes
     return _open_loop(
@@ -155,11 +195,11 @@ def poisson(
 @register_scenario("permutation")
 def permutation(
     host: Hypercube, rng: random.Random, *, load: float, horizon: int
-) -> Schedule:
+) -> ScheduleColumns:
     """A fresh random permutation, fixed for the whole run: v -> perm[v].
 
     The workload the historical ``repro faults`` experiment used, now a
     first-class scenario (and the campaign engine's default).
     """
     perm = random_permutation(host.num_nodes, rng=rng)
-    return _open_loop(host, rng, load, horizon, lambda src: perm[src])
+    return _table_loop(host, rng, load, horizon, perm)

@@ -2,17 +2,19 @@
 
 A *scenario* is a named, seeded traffic generator: given a host hypercube,
 a shared RNG stream and a load knob λ (expected packets per node per step
-over a ``horizon`` of injection steps), it produces a plain
-``(path, release_step)`` schedule — the least structured shape
-:func:`repro.routing.api.normalize_schedule` accepts, so every engine,
-recorder and QA stage consumes it unchanged.
+over a ``horizon`` of injection steps), it produces
+:class:`~repro.routing.api.ScheduleColumns` — CSR paths plus release and
+service columns, which :func:`repro.routing.api.normalize_schedule` checks
+column by column and every packet engine runs as they are.
 
 Generators register themselves with :func:`register_scenario` (the
 generator-registry style noted in ROADMAP.md); callers go through
-:func:`build_schedule`, which arbitrates ``(seed, rng)`` via
+:func:`build_columns`, which arbitrates ``(seed, rng)`` via
 :func:`repro._compat.resolve_rng` so every scenario replays byte-identical
-from a seed.  :func:`schedule_digest` is the canonical content hash the
-determinism tests and the fuzz oracles compare.
+from a seed, or through :func:`build_schedule`, the same schedule as plain
+``(path, release_step)`` pairs for callers that read path tuples.
+:func:`schedule_digest` is the canonical content hash the determinism
+tests and the fuzz oracles compare.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro._compat import resolve_rng
 from repro.hypercube.graph import Hypercube
+from repro.routing.api import ScheduleColumns
 
 __all__ = [
     "Schedule",
@@ -31,6 +34,7 @@ __all__ = [
     "register_scenario",
     "get_scenario",
     "scenario_names",
+    "build_columns",
     "build_schedule",
     "schedule_digest",
 ]
@@ -38,7 +42,7 @@ __all__ = [
 # one packet: (host path, release step) — identical to repro.qa.schedules
 Schedule = List[Tuple[Tuple[int, ...], int]]
 
-GeneratorFn = Callable[..., Schedule]
+GeneratorFn = Callable[..., ScheduleColumns]
 
 
 @dataclass(frozen=True)
@@ -57,7 +61,7 @@ _REGISTRY: Dict[str, ScenarioGenerator] = {}
 def register_scenario(
     name: str, description: str = "", **defaults: Any
 ) -> Callable[[GeneratorFn], GeneratorFn]:
-    """Register ``fn(host, rng, *, load, horizon, **params) -> Schedule``.
+    """Register ``fn(host, rng, *, load, horizon, **params) -> ScheduleColumns``.
 
     ``defaults`` become the scenario's default pattern parameters (callers
     may override them per build).  Re-registering a name with a different
@@ -97,7 +101,7 @@ def get_scenario(name: str) -> ScenarioGenerator:
     return _REGISTRY[name]
 
 
-def build_schedule(
+def build_columns(
     name: str,
     host: Hypercube,
     *,
@@ -106,7 +110,7 @@ def build_schedule(
     seed: Optional[Any] = None,
     rng: Optional[random.Random] = None,
     **params: Any,
-) -> Schedule:
+) -> ScheduleColumns:
     """Build ``name``'s schedule on ``host`` at offered load ``load``.
 
     ``load`` is the expected number of packets injected per node per step
@@ -124,6 +128,12 @@ def build_schedule(
     kwargs = dict(gen.defaults)
     kwargs.update(params)
     return gen.generate(host, rng, load=load, horizon=horizon, **kwargs)
+
+
+def build_schedule(name: str, host: Hypercube, **kwargs: Any) -> Schedule:
+    """:func:`build_columns`' schedule as ``(path tuple, release)`` pairs."""
+    cols = build_columns(name, host, **kwargs)
+    return list(zip(cols.paths, cols.release.tolist()))
 
 
 def schedule_digest(schedule: Schedule) -> str:

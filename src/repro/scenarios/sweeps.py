@@ -15,6 +15,9 @@ lane of a single :class:`repro.routing.batched.BatchedStoreForward` run —
 the whole sweep advances in one tensor step loop with per-lane recorders,
 producing the same rows as the per-point reference loop (the batched
 differential in :mod:`repro.qa` holds the engines to field identity).
+The generators' :class:`~repro.routing.api.ScheduleColumns` go to either
+engine as they are, and packet, hop and latency counts come from those
+columns, so the batched sweep never builds a path tuple.
 
 Results are plain row dicts (the :mod:`repro.analysis.sweep` convention)
 and can additionally be labeled into a
@@ -25,11 +28,13 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.hypercube.graph import Hypercube
 from repro.obs.recorder import LinkRecorder
 from repro.routing.batched import BatchedStoreForward
 from repro.routing.simulator import StoreForwardSimulator
-from repro.scenarios.registry import build_schedule
+from repro.scenarios.registry import build_columns
 
 __all__ = ["saturation_sweep", "format_sweep_rows", "SWEEP_ENGINES"]
 
@@ -75,7 +80,7 @@ def saturation_sweep(
         )
     host = Hypercube(n)
     schedules = [
-        build_schedule(
+        build_columns(
             scenario,
             host,
             load=load,
@@ -85,28 +90,26 @@ def saturation_sweep(
         )
         for load in loads
     ]
+    recorders = [LinkRecorder(host) for _ in schedules]
     if engine == "batched":
-        recorders = [LinkRecorder(host) for _ in schedules]
         results = BatchedStoreForward(host).run_many(
             schedules, recorders=recorders
         )
     else:
-        recorders, results = [], []
-        for schedule in schedules:
-            sim = StoreForwardSimulator(host, tie_break="priority")
-            recorder = LinkRecorder(host)
-            results.append(sim.run(schedule, recorder=recorder))
-            recorders.append(recorder)
+        results = [
+            StoreForwardSimulator(host, tie_break="priority").run(
+                schedule, recorder=recorder
+            )
+            for schedule, recorder in zip(schedules, recorders)
+        ]
 
     rows: List[Dict[str, Any]] = []
     for load, schedule, result, recorder in zip(
         loads, schedules, results, recorders
     ):
-        latencies = sorted(
-            done - release
-            for (path, release), done in zip(schedule, result.done_steps)
-            if done >= 0 and len(path) > 1
-        )
+        done = np.array(result.done_steps, dtype=np.int64)
+        moved = (done >= 0) & (np.diff(schedule.offsets) > 1)
+        latencies = np.sort(done[moved] - schedule.release[moved]).tolist()
         cells = host.num_nodes * horizon
         run_cells = host.num_nodes * max(result.makespan, horizon)
         row = {

@@ -36,56 +36,46 @@ Modules:
 
 Metrics live on the registry's :class:`repro.obs.MetricsRegistry`, which
 the engine and the facade share.
+
+Each module loads on first use of one of its names (PEP 562), so the CLI,
+which reads :data:`repro.service.specs.KINDS`, loads no other one.
 """
 
-from repro.service.api import DeliveryOutcome, RoutingService, disjoint_paths
-from repro.service.engine import BuildEngine
-from repro.service.frontend import BatchingFrontend, LoadReport, open_loop_load, serve
-from repro.service.registry import (
-    EmbeddingRegistry,
-    decode_embedding,
-    default_cache_dir,
-    encode_embedding,
-)
-from repro.service.shards import ShardManager
-from repro.service.store import (
-    StoreIntegrityError,
-    StoreView,
-    open_store,
-    write_store,
-)
-from repro.service.specs import (
-    CONSTRUCTION_VERSION,
-    BatchRouteResult,
-    EmbeddingSpec,
-    RouteRequest,
-    RouteResponse,
-    build_spec,
-)
+from importlib import import_module
+from typing import Any, Dict, List
 
-__all__ = [
-    "BatchRouteResult",
-    "BatchingFrontend",
-    "BuildEngine",
-    "CONSTRUCTION_VERSION",
-    "DeliveryOutcome",
-    "EmbeddingRegistry",
-    "EmbeddingSpec",
-    "LoadReport",
-    "RouteRequest",
-    "RouteResponse",
-    "RoutingService",
-    "ShardManager",
-    "StoreIntegrityError",
-    "StoreView",
-    "build_spec",
-    "decode_embedding",
-    "default_cache_dir",
-    "disjoint_paths",
-    "encode_embedding",
-    "open_loop_load",
-    "open_store",
-    "serve",
-    "write_store",
-]
+# every public name, by the module that defines it
+_EXPORTS: Dict[str, str] = {
+    name: module
+    for module, names in {
+        "api": ("DeliveryOutcome", "RoutingService", "disjoint_paths"),
+        "engine": ("BuildEngine",),
+        "frontend": ("BatchingFrontend", "LoadReport", "open_loop_load", "serve"),
+        "registry": (
+            "EmbeddingRegistry", "decode_embedding", "default_cache_dir",
+            "encode_embedding",
+        ),
+        "shards": ("ShardManager",),
+        "store": ("StoreIntegrityError", "StoreView", "open_store", "write_store"),
+        "specs": (
+            "CONSTRUCTION_VERSION", "BatchRouteResult", "EmbeddingSpec",
+            "RouteRequest", "RouteResponse", "build_spec",
+        ),
+    }.items()
+    for name in names
+}
 
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.core.ccc_multicopy import ccc_multicopy_embedding
+from repro.hypercube.pathcode import ecube_paths
 from repro.networks.ccc import CubeConnectedCycles
 from repro.routing.permutation import (
     bit_reversal_permutation,
@@ -21,6 +23,30 @@ class TestPaths:
     def test_dimension_order(self):
         assert dimension_order_path(4, 0b0000, 0b1010) == [0b0000, 0b0010, 0b1010]
         assert dimension_order_path(4, 5, 5) == [5]
+
+    @staticmethod
+    def _ecube_tuples(n, src, dst):
+        nodes, offsets = ecube_paths(n, np.array(src), np.array(dst))
+        assert nodes.dtype == offsets.dtype == np.int64
+        flat, bounds = nodes.tolist(), offsets.tolist()
+        return [tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ecube_kernel_every_pair(self, n):
+        # the CSR kernel against the scalar walk, src == dst included
+        size = 1 << n
+        src = [s for s in range(size) for _ in range(size)]
+        dst = list(range(size)) * size
+        want = [tuple(dimension_order_path(n, s, d)) for s, d in zip(src, dst)]
+        assert self._ecube_tuples(n, src, dst) == want
+
+    def test_ecube_kernel_q20(self):
+        rng = random.Random(20)
+        src = [rng.randrange(1 << 20) for _ in range(10_000)]
+        dst = [rng.randrange(1 << 20) for _ in range(10_000)]
+        want = [tuple(dimension_order_path(20, s, d)) for s, d in zip(src, dst)]
+        assert self._ecube_tuples(20, src, dst) == want
+        assert self._ecube_tuples(20, [], []) == []
 
     def test_ccc_route_valid(self):
         n = 4

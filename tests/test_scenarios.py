@@ -199,6 +199,17 @@ class TestSaturationSweep:
         with pytest.raises(ValueError):
             saturation_sweep("poisson", 4, [0.5], engine="warp")
 
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_engines_give_identical_rows(self, name):
+        # the batched sweep runs the generator's columns; the reference
+        # sweep runs their path tuples one load at a time
+        kwargs = dict(horizon=6, seed=2)
+        fast = saturation_sweep(name, 5, [0.2, 0.9, 1.7], **kwargs)
+        ref = saturation_sweep(
+            name, 5, [0.2, 0.9, 1.7], engine="reference", **kwargs
+        )
+        assert repr(fast) == repr(ref)
+
 
 class TestQAWiring:
     def test_scenario_kinds_in_fuzz_space(self):

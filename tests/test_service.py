@@ -25,6 +25,43 @@ from repro.service import (
 from repro.service.store import read_store_header
 
 
+def _run_python(code):
+    import subprocess
+    import sys
+
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=env, check=True,
+    )
+    return out.stdout.split()
+
+
+class TestLazyPackage:
+    def test_cli_parser_loads_specs_only(self):
+        loaded = _run_python(
+            "import sys, repro.cli; repro.cli.build_parser(); "
+            "print(*sorted(m for m in sys.modules if m.startswith('repro.service')))"
+        )
+        assert "repro.service.specs" in loaded
+        assert "repro.service.api" not in loaded
+        assert "repro.service.engine" not in loaded
+
+    def test_star_import_binds_every_name(self):
+        import repro.service
+
+        unbound = _run_python(
+            "import repro.service as s; from repro.service import *; "
+            "print(*[n for n in s.__all__ if n not in globals()] or ['-'])"
+        )
+        assert unbound == ["-"]
+        assert set(repro.service.__all__) <= set(dir(repro.service))
+        with pytest.raises(AttributeError, match="no attribute 'nope'"):
+            repro.service.nope  # noqa: B018
+
+
 def cycle_spec(n=6):
     return EmbeddingSpec.make("cycle", n=n)
 

@@ -107,6 +107,46 @@ class TestNormalizeSchedule:
             assert type(info.value) is error, schedule
             assert str(info.value) == message
 
+    def test_columns_pass_through(self):
+        cols = normalize_schedule([([0, 1, 3], 2), [5], ((4, 6), 1, 3)])
+        assert normalize_schedule(cols) is cols
+        assert cols.nodes.tolist() == [0, 1, 3, 5, 4, 6]
+        assert cols.offsets.tolist() == [0, 3, 4, 6]
+        assert cols.paths == [(0, 1, 3), (5,), (4, 6)]
+        assert len(cols) == 3
+
+    def test_rejects_garbage_columns(self):
+        # each malformed tuple schedule whose error is a ValueError,
+        # rebuilt as columns, raises the same message
+        for schedule, error, message in GARBAGE:
+            if error is not ValueError:
+                continue
+            packets = []
+            for item in schedule:
+                if type(item) is list:  # a bare path
+                    item = (item,)
+                packets.append((*item, 1, 1)[:3])
+            lengths = [len(path) for path, _, _ in packets]
+            cols = ScheduleColumns(
+                np.array([v for path, _, _ in packets for v in path], dtype=np.int64),
+                np.cumsum([0] + lengths, dtype=np.int64),
+                np.array([r for _, r, _ in packets], dtype=np.int64),
+                np.array([s for _, _, s in packets], dtype=np.int64),
+            )
+            with pytest.raises(ValueError) as info:
+                normalize_schedule(cols)
+            assert str(info.value) == message, schedule
+
+    def test_columns_must_agree_on_the_packet_count(self):
+        good = normalize_schedule([[0, 1], [1, 3]])
+        for bad in (
+            ScheduleColumns(good.nodes, good.offsets, good.release[:1], good.service),
+            ScheduleColumns(good.nodes[:3], good.offsets, good.release, good.service),
+            ScheduleColumns(good.nodes, good.offsets + 1, good.release, good.service),
+        ):
+            with pytest.raises(ValueError, match="disagree on the packet count"):
+                normalize_schedule(bad)
+
     def test_range_path_normalizes_like_a_tuple(self):
         for item, equal in [
             (range(0, 3), (0, 1, 2)),
