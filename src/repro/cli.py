@@ -689,14 +689,19 @@ def _cmd_cache(args) -> int:
             specs = [_spec_from_args(args)]
         engine = BuildEngine(registry, max_workers=args.workers)
         start = time.perf_counter()
-        embeddings = engine.build_batch(specs)
+        views = engine.build_batch(specs)
         elapsed = time.perf_counter() - start
-        for spec, emb in zip(specs, embeddings):
-            print(f"  {spec.describe():<36} -> {emb!r}")
+        for spec, view in zip(specs, views):
+            print(
+                f"  {spec.describe():<36} -> {view.info.path or '(in memory)'} "
+                f"({view.info.nbytes:,} B, {view.info.num_paths:,} paths)"
+            )
+            view.close()
         rate = len(specs) / elapsed if elapsed else float("inf")
         print(
             f"{len(specs)} artifact(s) ready in {elapsed:.3f}s "
-            f"({rate:.1f} req/s) under {registry.cache_dir}"
+            f"({rate:.1f} req/s, {registry.metrics.count('builds')} build(s)) "
+            f"under {registry.cache_dir}"
         )
         return 0
     if args.cache_command == "ls":
@@ -725,20 +730,20 @@ def _cmd_route(args) -> int:
     import time
 
     from repro.fault.faults import FaultModel
+    from repro.hypercube.graph import Hypercube
     from repro.service import EmbeddingRegistry, RouteRequest, RoutingService
 
     service = RoutingService(registry=EmbeddingRegistry(cache_dir=args.cache_dir))
     spec = _spec_from_args(args)
-    emb = service.get_embedding(spec)
+    csr = service.shard_for(spec).csr  # a warm cache serves off the store file
 
     if args.batch is not None:
         from repro._compat import resolve_rng
 
         rng = resolve_rng(args.seed)
-        shard = service.shard_for(spec)
         edges = []
         for _ in range(args.batch):
-            u, v = rng.choice(shard.csr.edges)
+            u, v = rng.choice(csr.edges)
             edges.append((v, u) if rng.random() < 0.5 else (u, v))
         start = time.perf_counter()
         result = service.route_batch(spec, edges)
@@ -766,9 +771,7 @@ def _cmd_route(args) -> int:
             )
             return 2
     else:
-        edge = next(iter(
-            emb.copies[0].edge_paths if hasattr(emb, "copies") else emb.edge_paths
-        ))
+        edge = csr.edges[0]
     response = service.route(spec, RouteRequest(edge))
     paths = response.paths
     print(f"{spec.describe()}: guest edge {edge} -> {len(paths)} host path(s)")
@@ -776,7 +779,7 @@ def _cmd_route(args) -> int:
         print(f"  [{i}] {' -> '.join(map(str, path))}")
     exit_code = 0
     if args.faults is not None:
-        faults = FaultModel.random(emb.host, args.faults, seed=args.seed)
+        faults = FaultModel.random(Hypercube(csr.host_n), args.faults, seed=args.seed)
         outcome = service.route_fault_tolerant(
             spec,
             RouteRequest(edge, faults=faults, pieces_needed=args.pieces),

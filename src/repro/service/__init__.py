@@ -2,11 +2,15 @@
 
 The serving layer over :mod:`repro.core` / :mod:`repro.routing` /
 :mod:`repro.fault`: constructions are deterministic and dominate runtime,
-so the service memoizes them (memory LRU over a checksummed disk tier),
-builds cache misses concurrently in worker processes, serves each
-embedding's flat CSR path arrays from its memmapped store file (the
-*shard*), and answers routing requests — batched, plain and
-fault-tolerant — by numpy gathers against those shards.
+so the service memoizes them (memory LRU over a checksummed disk tier
+whose store files hold each embedding's flat CSR path arrays, and
+nothing else of it), builds cache misses concurrently in worker
+processes, serves each embedding's CSR from its memmapped store file
+(the *shard*), and answers routing requests — batched, plain and
+fault-tolerant — by numpy gathers against those shards.  An embedding
+object is held in memory only; a process that needs one and finds just
+the store rebuilds it from the spec and checks it against the store's
+digest.
 
 Quickstart::
 
@@ -14,7 +18,7 @@ Quickstart::
 
     svc = RoutingService()
     spec = EmbeddingSpec.make("cycle", n=8)
-    emb = svc.get_embedding(spec)            # built once, cached forever
+    emb = svc.get_embedding(spec)            # built + verified + stored once
     batch = svc.route_batch(spec, [(0, 1), (2, 1)])   # vectorized resolve
     print(batch[0].paths)                    # w edge-disjoint host paths
     one = svc.route(spec, RouteRequest((0, 1)))       # single-item wrapper
@@ -29,7 +33,7 @@ Modules:
 * :mod:`repro.service.store`    — binary memmapped artifact files and the
   :class:`StoreView` every shard is;
 * :mod:`repro.service.engine`   — batch construction in worker processes
-  that write their own store files;
+  that write their own store files, returned as mapped views;
 * :mod:`repro.service.shards`   — the manager of published store views;
 * :mod:`repro.service.frontend` — batching ``serve()`` loop + load harness;
 * :mod:`repro.service.api`      — the :class:`RoutingService` facade.
@@ -51,10 +55,7 @@ _EXPORTS: Dict[str, str] = {
         "api": ("DeliveryOutcome", "RoutingService", "disjoint_paths"),
         "engine": ("BuildEngine",),
         "frontend": ("BatchingFrontend", "LoadReport", "open_loop_load", "serve"),
-        "registry": (
-            "EmbeddingRegistry", "decode_embedding", "default_cache_dir",
-            "encode_embedding",
-        ),
+        "registry": ("EmbeddingRegistry", "default_cache_dir"),
         "shards": ("ShardManager",),
         "store": ("StoreIntegrityError", "StoreView", "open_store", "write_store"),
         "specs": (

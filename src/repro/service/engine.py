@@ -5,9 +5,10 @@ cycle/grid/CCC/tree workload) are embarrassingly parallel, so the engine
 fans cache misses out to a ``ProcessPoolExecutor``.  Each worker runs
 :meth:`EmbeddingRegistry.get_or_build` against the shared cache
 directory — build, **verify** (the same invariants the theorems certify)
-and write the store file — so only verified artifacts land on disk, and
-the parent reads the finished stores back instead of receiving the
-embeddings.
+and write the store file — so only verified artifacts land on disk.  The
+parent maps the finished stores (:meth:`EmbeddingRegistry.get_store`)
+and returns their :class:`~repro.service.store.StoreView`\\ s; it never
+holds the embeddings.
 
 Requests for the same cache key are deduplicated twice: within a batch
 (one build per unique key) and across processes (the registry's lock
@@ -26,8 +27,10 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional
 
+from repro.core.fast_verify import embedding_csr
 from repro.service.registry import EmbeddingRegistry
 from repro.service.specs import EmbeddingSpec
+from repro.service.store import StoreView
 
 __all__ = ["BuildEngine"]
 
@@ -53,12 +56,13 @@ class BuildEngine:
 
     def build_batch(
         self, specs: Iterable[EmbeddingSpec], parallel: bool = True
-    ) -> List:
-        """Resolve every spec (cache hit or fresh build); preserves order.
+    ) -> List[StoreView]:
+        """Map every spec's store, building the misses; preserves order.
 
-        Duplicate specs in the batch resolve to one build.  Worker
-        exceptions (bad parameters, failed verification) propagate to the
-        caller after the rest of the batch settles.
+        Returns one :class:`StoreView` per spec, which the caller owns;
+        duplicate specs in the batch resolve to one build and share one
+        view.  Worker exceptions (bad parameters, failed verification)
+        propagate to the caller after the rest of the batch settles.
         """
         specs = list(specs)
         unique: Dict[str, EmbeddingSpec] = {}
@@ -69,22 +73,33 @@ class BuildEngine:
             else:
                 unique[key] = s
 
-        resolved: Dict[str, object] = {}
+        resolved: Dict[str, StoreView] = {}
         to_build: Dict[str, EmbeddingSpec] = {}
         for key, s in unique.items():
-            emb = self.registry.get(s)
-            if emb is not None:
-                resolved[key] = emb
+            view = self.registry.get_store(s)
+            if view is not None:
+                resolved[key] = view
             else:
                 to_build[key] = s
 
         if parallel and self.max_workers != 0 and len(to_build) > 1:
             self._build_parallel(list(to_build.values()))
-        for key, s in to_build.items():  # reads back what the workers wrote
-            resolved[key] = self.registry.get_or_build(s)
+        for key, s in to_build.items():  # maps what the workers wrote
+            view = self.registry.get_store(s)
+            resolved[key] = view if view is not None else self._build_here(s)
         return [resolved[s.cache_key()] for s in specs]
 
     # -- internals ---------------------------------------------------------------
+
+    def _build_here(self, spec: EmbeddingSpec) -> StoreView:
+        """Admit ``spec`` in this process (no pool, or a single miss)."""
+        emb = self.registry.get_or_build(spec)
+        view = self.registry.get_store(spec)
+        if view is None:  # removed under us, or a transient open error
+            view = StoreView.in_memory(
+                embedding_csr(emb), spec_key=spec.cache_key(), kind=spec.kind
+            )
+        return view
 
     def _build_parallel(self, specs: List[EmbeddingSpec]) -> None:
         workers = self.max_workers or min(len(specs), os.cpu_count() or 2)

@@ -6,24 +6,30 @@ deterministic, so the service memoizes them.  An artifact is keyed by
 version)`` hashed to a stable content address — and stored as one binary
 *store file* (:mod:`repro.service.store`) under a per-kind shard directory:
 ``<cache_dir>/<kind>/<key>.rpstore``.  The store file carries the
-embedding's flat CSR routing arrays 8-byte-aligned for ``numpy.memmap``
-plus the exact verified artifact text as a trailing blob, so the serving
-fast path (:meth:`get_store`) hydrates a routable shard in O(ms) while
-full embedding objects (:meth:`get`) materialize from the checksummed
-blob only on demand.
+embedding's flat CSR routing arrays 8-byte-aligned for ``numpy.memmap``,
+which are the only on-disk copy of its paths, plus a short manifest
+(:func:`make_artifact`) in its blob slot.  The serving fast path
+(:meth:`get_store`) hydrates a routable shard in O(ms).  A caller that
+needs the embedding *object* (:meth:`get`) and finds only the store gets
+a rebuild: the spec is built again and verified, and the rebuild's CSR
+must hash to the store's payload digest.  Builders are deterministic and
+the key pins the construction version, so a mismatch means the store or
+the builder changed; it counts as ``disk_corrupt`` and the verified
+rebuild replaces the store.
 
 Safety model: an artifact is only written after the embedding verified at
-build time, and the file carries SHA-256 digests of both the array payload
-and the blob, computed from the exact bytes that were verified.  On load
-the registry checks schema, spec key, package version, the dtype contract
-and array extents; small payloads re-hash eagerly and huge ones defer the
-re-hash (see :data:`repro.service.store.EAGER_VERIFY_LIMIT` — hashing a
-378 MB Q_20 payload would cost the very O(s) this tier deletes), while
-blob reads are always digest-checked.  A *corrupt or stale* artifact
-(bad magic, checksum, version or key) is treated as a cache miss — the
-bad file is removed and the caller rebuilds + reverifies.  A *transient*
-read error (``PermissionError``, I/O failure) is also a miss but the file
-is left alone and counted under ``disk_transient`` — deleting a healthy
+build time, and the file carries a SHA-256 digest of the array payload,
+computed from the exact bytes that were verified.  On load the registry
+checks schema, spec key, package and artifact versions, the dtype
+contract and array extents; small payloads re-hash eagerly and huge ones
+defer the re-hash (see :data:`repro.service.store.EAGER_VERIFY_LIMIT` —
+hashing a 378 MB Q_20 payload would cost the very O(s) this tier
+deletes).  A *corrupt or stale* artifact (bad magic, checksum, version
+or key; artifact-version-1 files, which carried a JSON copy of the
+embedding, included) is treated as a cache miss — the bad file is
+removed and the caller rebuilds + reverifies.  A *transient* read error
+(``PermissionError``, I/O failure) is also a miss but the file is left
+alone and counted under ``disk_transient`` — deleting a healthy
 13-second artifact over a flaky read would be self-inflicted cache loss.
 
 Per-tier hit rates are surfaced as ``cache_hit_rate{tier=memory|disk}``
@@ -32,7 +38,6 @@ gauges — the same observability feed the service dashboards read.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import threading
@@ -43,8 +48,6 @@ from typing import Any, Dict, List, Optional, Union
 
 from repro.core.embedding import Embedding, MultiCopyEmbedding, MultiPathEmbedding
 from repro.core.fast_verify import embedding_csr
-from repro.core.serialize import from_json, to_json
-from repro.hypercube.graph import Hypercube
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import profile_span
 from repro.service.specs import EmbeddingSpec, build_spec
@@ -53,19 +56,18 @@ from repro.service.store import (
     StoreIntegrityError,
     StoreView,
     open_store,
+    payload_digest,
     read_store_header,
     write_store,
 )
 
 __all__ = [
     "EmbeddingRegistry",
-    "encode_embedding",
-    "decode_embedding",
     "default_cache_dir",
     "ARTIFACT_VERSION",
 ]
 
-ARTIFACT_VERSION = 1
+ARTIFACT_VERSION = 2
 
 # how long get_or_build waits on another process's build of the same key
 # before building itself
@@ -82,50 +84,6 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "embeddings"
 
 
-def encode_embedding(emb: AnyEmbedding, construction: str = "") -> str:
-    """Embedding -> payload text.  Multi-copy wraps its copies' payloads."""
-    if isinstance(emb, MultiCopyEmbedding):
-        return json.dumps(
-            {
-                "style": "multicopy",
-                "host_dim": emb.host.n,
-                "name": emb.name,
-                "copy_load_allowed": emb.copy_load_allowed,
-                "copies": [
-                    json.loads(to_json(c, construction=construction))
-                    for c in emb.copies
-                ],
-            }
-        )
-    return to_json(emb, construction=construction)
-
-
-def decode_embedding(text: str, verify: bool = True) -> AnyEmbedding:
-    """Payload text -> embedding (inverse of :func:`encode_embedding`)."""
-    payload = json.loads(text)
-    if payload.get("style") != "multicopy":
-        return from_json(text, verify=verify)
-    copies = [
-        from_json(json.dumps(c), verify=False) for c in payload["copies"]
-    ]
-    if not copies:
-        raise ValueError("multicopy payload has no copies")
-    emb = MultiCopyEmbedding(
-        Hypercube(payload["host_dim"]),
-        copies[0].guest,
-        copies,
-        name=payload.get("name", ""),
-        copy_load_allowed=payload.get("copy_load_allowed", 1),
-    )
-    if verify:
-        emb.verify()
-    return emb
-
-
-def _checksum(text: str) -> str:
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _package_version() -> str:
     from repro import __version__
 
@@ -133,8 +91,11 @@ def _package_version() -> str:
 
 
 def make_artifact(spec: EmbeddingSpec, emb: AnyEmbedding) -> str:
-    """Wrap a *verified* embedding as registry artifact text."""
-    payload = encode_embedding(emb, construction=spec.describe())
+    """The manifest of a *verified* embedding: what was built, not its paths.
+
+    ``emb`` is what :meth:`EmbeddingRegistry.put` admits; its paths live
+    in the store's CSR arrays, and the spec rebuilds the object.
+    """
     return json.dumps(
         {
             "artifact_version": ARTIFACT_VERSION,
@@ -142,25 +103,8 @@ def make_artifact(spec: EmbeddingSpec, emb: AnyEmbedding) -> str:
             "spec": {"kind": spec.kind, "params": spec.param_dict()},
             "package_version": _package_version(),
             "construction": spec.describe(),
-            "checksum": _checksum(payload),
-            "payload": payload,
         }
     )
-
-
-def _decode_artifact_text(artifact_text: str, key: str) -> AnyEmbedding:
-    """Validate artifact text (version/key/checksum) and decode its payload."""
-    artifact = json.loads(artifact_text)
-    if artifact.get("artifact_version") != ARTIFACT_VERSION:
-        raise ValueError("artifact version mismatch")
-    if artifact.get("key") != key:
-        raise ValueError("artifact key mismatch")
-    payload = artifact["payload"]
-    if artifact.get("checksum") != _checksum(payload):
-        raise ValueError("payload checksum mismatch")
-    # the checksum certifies these are the exact bytes written after the
-    # build-time verify, so decoding skips the re-check
-    return decode_embedding(payload, verify=False)
 
 
 class EmbeddingRegistry:
@@ -267,25 +211,17 @@ class EmbeddingRegistry:
         self.metrics.incr("store_hits")
         return view
 
-    def _disk_load(self, spec: EmbeddingSpec) -> Optional[AnyEmbedding]:
-        """Materialize the full embedding object from its store file."""
-        view = self._open_store(spec)
-        if view is None:
-            return None
-        try:
-            return _decode_artifact_text(view.blob_text(), spec.cache_key())
-        except (StoreIntegrityError, ValueError, KeyError, TypeError):
-            self.metrics.incr("disk_corrupt")
-            try:
-                self.path_for(spec).unlink()
-            except OSError:
-                pass
-            return None
-
     # -- public API ------------------------------------------------------------
 
     def get(self, spec: EmbeddingSpec) -> Optional[AnyEmbedding]:
-        """Cached embedding for ``spec``, or ``None`` on a full miss."""
+        """Cached embedding for ``spec``, or ``None`` on a full miss.
+
+        A memory miss over a valid store rebuilds the embedding from its
+        spec (build + verify, as at admit) and checks the rebuild's CSR
+        against the store's payload digest: ``disk_hits`` and
+        ``rebuilds`` count a match.  A mismatch counts ``disk_corrupt``,
+        and the verified rebuild replaces the store.
+        """
         key = spec.cache_key()
         emb = self._memory_get(key)
         self._note_lookup("memory", emb is not None)
@@ -293,20 +229,28 @@ class EmbeddingRegistry:
             self.metrics.incr("memory_hits")
             return emb
         self.metrics.incr("memory_misses")
-        with self.metrics.time("disk_load"):
-            emb = self._disk_load(spec)
-        if emb is not None:
-            self.metrics.incr("disk_hits")
-            self._memory_put(key, emb)
-            return emb
-        self.metrics.incr("disk_misses")
-        return None
+        view = self._open_store(spec)
+        if view is None:
+            self.metrics.incr("disk_misses")
+            return None
+        stored = view.info.sha256
+        view.close()
+        emb = self._build_verified(spec)
+        with self.metrics.time("csr_export"):
+            csr = embedding_csr(emb)
+        if payload_digest(csr) != stored:
+            self.metrics.incr("disk_corrupt")
+            return self.put(spec, emb)
+        self.metrics.incr("disk_hits")
+        self.metrics.incr("rebuilds")
+        self._memory_put(key, emb)
+        return emb
 
     def put(self, spec: EmbeddingSpec, emb: AnyEmbedding) -> AnyEmbedding:
         """Admit a *verified* embedding: write the store artifact atomically.
 
         The store file gets the CSR arrays for memmapped serving plus the
-        artifact text as its blob; the write is tmp+fsync+rename so
+        artifact manifest as its blob; the write is tmp+fsync+rename so
         concurrent admits and crashes cannot tear it.
         """
         artifact_text = make_artifact(spec, emb)
@@ -396,10 +340,14 @@ class EmbeddingRegistry:
         Concurrent callers of the same key are single-flighted twice: an
         in-process keyed lock serializes threads, and an on-disk pid lock
         file makes a second *process* wait for the first admit instead of
-        burning a duplicate multi-second build (``builds`` counts only
-        real builds, so two racing processes observe one build total).
-        A crashed builder's lock is detected dead and stolen; an
-        unresponsive one is abandoned after ``BUILD_LOCK_TIMEOUT_S``.
+        writing a duplicate store (``builds`` counts admits only, so two
+        racing processes observe one build total).  The waiter still
+        needs the embedding object, and the store holds only its CSR, so
+        it rebuilds from the spec and digest-checks the rebuild
+        (:meth:`get`; counted under ``rebuilds``).  A crashed builder's
+        lock is detected dead and stolen; an unresponsive one is
+        abandoned after ``BUILD_LOCK_TIMEOUT_S``.  Callers that only
+        route need no object: :meth:`get_store` maps the file.
 
         Verification goes through the structured report: a failed invariant
         counts under ``verify_failures`` before raising, and a passing
@@ -421,11 +369,14 @@ class EmbeddingRegistry:
                 if self._acquire_build_lock(spec):
                     break  # stale lock stolen (or builder vanished): build here
             try:
-                return self._build_and_admit(spec)
+                emb = self._build_verified(spec)
+                self.metrics.incr("builds")
+                return self.put(spec, emb)
             finally:
                 self._release_build_lock(spec)
 
-    def _build_and_admit(self, spec: EmbeddingSpec) -> AnyEmbedding:
+    def _build_verified(self, spec: EmbeddingSpec) -> AnyEmbedding:
+        """Build ``spec`` and verify it; what admits and store hits share."""
         with profile_span("registry.build", kind=spec.kind):
             with self.metrics.time("build"):
                 emb = build_spec(spec)
@@ -439,8 +390,6 @@ class EmbeddingRegistry:
                 self.metrics.gauge(
                     f"embedding_{quantity}", kind=spec.kind
                 ).set(report.metrics[quantity])
-        self.metrics.incr("builds")
-        self.put(spec, emb)
         return emb
 
     def __contains__(self, spec: EmbeddingSpec) -> bool:

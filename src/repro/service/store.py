@@ -21,21 +21,21 @@ carries:
   arrays are stored as ids, so request resolution after open is one
   ``searchsorted`` over memmapped keys for every guest — building a dict
   over 2^20 edges would alone blow the cold-start budget.
-* **The embedding blob.**  The exact artifact text that was verified at
-  build time rides behind the arrays, so the registry can materialize the
-  full embedding object on demand — the fast path never touches it.
+* **A blob.**  A short text rides behind the arrays; the registry puts
+  its artifact manifest there (spec, versions, construction).  The CSR
+  is the only copy of the paths: the registry rebuilds an embedding
+  object from its spec and checks it against :func:`payload_digest`.
 
 Integrity model: the header carries SHA-256 digests of the array payload
-and of the blob, both computed at write time from bytes that passed
-``verify()``.  :func:`open_store` always validates magic, schema, spec
-key, package version, the dtype contract and every array's extent; the
-payload digest is re-hashed on open when the payload is at most
-``EAGER_VERIFY_LIMIT`` bytes — hashing hundreds of MB would turn O(ms)
-opens back into O(s), so huge artifacts defer the re-hash to
-:meth:`StoreView.verify_payload` (run by the QA
-``cold_start_differential`` stage).
-The blob digest is always checked when the blob is read: embedding
-materialization never trusts unchecksummed bytes.
+(the export of an embedding that passed ``verify()``) and of the blob,
+both computed at write time from the bytes written.  :func:`open_store`
+always validates magic, schema, spec key, package version, the dtype
+contract and every array's extent; the payload digest is re-hashed on
+open when the payload is at most ``EAGER_VERIFY_LIMIT`` bytes — hashing
+hundreds of MB would turn O(ms) opens back into O(s), so huge artifacts
+defer the re-hash to :meth:`StoreView.verify_payload` (run by the QA
+``cold_start_differential`` stage).  The blob digest is always checked
+when the blob is read.
 
 Writes are crash-safe: a per-process unique ``.tmp`` sibling is written,
 fsynced, then atomically renamed over the destination.
@@ -49,7 +49,7 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -71,6 +71,7 @@ __all__ = [
     "StoreInfo",
     "StoreView",
     "open_store",
+    "payload_digest",
     "read_store_header",
     "write_store",
 ]
@@ -115,7 +116,12 @@ class StoreInfo:
     edges_mode: str  # "packed" (integer vertices) or "radix" (tuple vertices)
 
 
-def _store_arrays(csr: PathCSR) -> List[Tuple[str, np.dtype, np.ndarray]]:
+def _layout(csr: PathCSR) -> Tuple[List[Tuple[Dict[str, Any], np.ndarray]], int]:
+    """Each store array with its header entry, and the payload size.
+
+    The one definition of the payload layout: every array starts at a
+    :func:`~repro.hypercube.pathcode.csr_aligned` offset after the last.
+    """
     source = {
         "nodes": csr.nodes,
         "path_offsets": csr.path_offsets,
@@ -126,10 +132,41 @@ def _store_arrays(csr: PathCSR) -> List[Tuple[str, np.dtype, np.ndarray]]:
         "lookup_gids": csr.lookup.gids,
         "lookup_flips": csr.lookup.flips,
     }
-    return [
-        (name, dt, np.ascontiguousarray(source[name], dtype=dt))
-        for name, dt in _STORE_ARRAYS
-    ]
+    placed = []
+    offset = 0  # relative to the payload start
+    for name, dt in _STORE_ARRAYS:
+        arr = np.ascontiguousarray(source[name], dtype=dt)
+        offset = csr_aligned(offset)
+        placed.append(
+            ({"name": name, "dtype": dt.str, "size": int(arr.size), "offset": offset}, arr)
+        )
+        offset += arr.nbytes
+    return placed, offset
+
+
+def _payload_chunks(
+    placed: List[Tuple[Dict[str, Any], np.ndarray]],
+) -> Iterator[Union[bytes, np.ndarray]]:
+    """The payload's bytes in file order, alignment gaps included."""
+    pos = 0
+    for spec, arr in placed:
+        gap = spec["offset"] - pos
+        if gap:
+            yield b"\0" * gap
+        yield arr
+        pos = spec["offset"] + arr.nbytes
+
+
+def payload_digest(csr: PathCSR) -> str:
+    """SHA-256 hex digest of ``csr``'s array payload as a store file lays it out.
+
+    Equals the ``sha256`` that :func:`write_store` records for ``csr``,
+    without writing anything.
+    """
+    digest = hashlib.sha256()
+    for chunk in _payload_chunks(_layout(csr)[0]):
+        digest.update(chunk)
+    return digest.hexdigest()
 
 
 def write_store(
@@ -144,7 +181,7 @@ def write_store(
     construction: str = "",
     artifact_version: int = 1,
 ) -> StoreInfo:
-    """Serialize ``csr`` (+ the verified artifact ``blob_text``) to ``path``.
+    """Serialize ``csr`` (+ the short ``blob_text``) to ``path``.
 
     The write goes to a per-process unique ``.tmp`` sibling, is fsynced,
     and lands via ``os.replace`` — concurrent admits of the same key
@@ -153,17 +190,7 @@ def write_store(
     to sweep.
     """
     path = Path(path)
-    arrays = _store_arrays(csr)
-
-    specs: List[Dict[str, Any]] = []
-    offset = 0  # relative to the payload start
-    for name, dt, arr in arrays:
-        offset = csr_aligned(offset)
-        specs.append(
-            {"name": name, "dtype": dt.str, "size": int(arr.size), "offset": offset}
-        )
-        offset += arr.nbytes
-    payload = offset
+    placed, payload = _layout(csr)
     blob = blob_text.encode()
     header: Dict[str, Any] = {
         "schema": STORE_SCHEMA,
@@ -175,7 +202,7 @@ def write_store(
         "construction": construction,
         "host_n": csr.host_n,
         "payload": payload,
-        "arrays": specs,
+        "arrays": [spec for spec, _ in placed],
         "blob_bytes": len(blob),
         "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "edges_mode": "radix" if csr.edges.radix else "packed",
@@ -195,18 +222,10 @@ def write_store(
     try:
         with open(tmp, "wb") as fh:
             fh.write(b"\0" * data_start)
-            pos = 0
-            for spec, (_, _, arr) in zip(specs, arrays):
-                gap = spec["offset"] - pos
-                if gap:
-                    fh.write(b"\0" * gap)
-                    digest.update(b"\0" * gap)
-                data = arr.tobytes()
-                fh.write(data)
-                digest.update(data)
-                pos = spec["offset"] + arr.nbytes
-            if blob_offset - data_start > pos:
-                fh.write(b"\0" * (blob_offset - data_start - pos))
+            for chunk in _payload_chunks(placed):
+                fh.write(chunk)
+                digest.update(chunk)
+            fh.write(b"\0" * (blob_offset - data_start - payload))
             fh.write(blob)
             header["sha256"] = digest.hexdigest()
             header["data_start"] = data_start
@@ -320,7 +339,7 @@ class StoreView:
             )
 
     def blob_text(self) -> str:
-        """The artifact text serialized at admit time (always checksummed)."""
+        """The blob text written with the store (always checksummed)."""
         if self._mm is None:
             raise StoreIntegrityError(f"{self.info.path!r}: view maps no file")
         lo = int(self.header["blob_offset"])

@@ -119,6 +119,14 @@ class TestCacheCommands:
         assert rc == 0
         assert "2 artifact(s)" in capsys.readouterr().out
 
+    def test_cache_build_counts_its_builds(self, tmp_path, capsys):
+        cache = ["--cache-dir", str(tmp_path), "--workers", "0"]
+        assert main(["cache", "build", "cycle", "--ns", "4,6"] + cache) == 0
+        out = capsys.readouterr().out
+        assert "2 build(s)" in out and ".rpstore (" in out
+        assert main(["cache", "build", "cycle", "--ns", "4,6"] + cache) == 0
+        assert "0 build(s)" in capsys.readouterr().out
+
     def test_ls_empty(self, tmp_path, capsys):
         assert main(["cache", "ls", "--cache-dir", str(tmp_path)]) == 0
         assert "cache empty" in capsys.readouterr().out
@@ -157,6 +165,24 @@ class TestRouteCommand:
         assert main(["route", "cycle", "--n", "6", "--edge", "0", "1"]
                     + cache) == 0
         assert "host path(s)" in capsys.readouterr().out
+
+    def test_warm_route_never_materializes_the_embedding(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.service import EmbeddingRegistry
+
+        cache = ["--cache-dir", str(tmp_path)]
+        assert main(["cache", "build", "cycle", "--n", "6"] + cache) == 0
+        capsys.readouterr()
+
+        def refuse(self, spec):
+            raise AssertionError("route materialized the embedding")
+
+        monkeypatch.setattr(EmbeddingRegistry, "get", refuse)
+        assert main(["route", "cycle", "--n", "6", "--batch", "64"] + cache) == 0
+        assert main(["route", "cycle", "--n", "6", "--faults", "0.0"] + cache) == 0
+        out = capsys.readouterr().out
+        assert "guest edge (0, 1)" in out and "delivered" in out
 
 
 class TestValidate:

@@ -18,11 +18,10 @@ from repro.service import (
     RouteResponse,
     RoutingService,
     build_spec,
-    decode_embedding,
-    encode_embedding,
     disjoint_paths,
 )
-from repro.service.store import read_store_header
+from repro.core.fast_verify import embedding_csr
+from repro.service.store import StoreView, payload_digest, read_store_header
 
 
 def _run_python(code):
@@ -103,21 +102,6 @@ class TestSpecs:
         assert len({spec, EmbeddingSpec.make("tree", m=2)}) == 1
 
 
-class TestEncodeDecode:
-    def test_multipath_roundtrip(self):
-        emb = build_spec(cycle_spec(6))
-        back = decode_embedding(encode_embedding(emb))
-        assert back.width == emb.width
-        assert dict(back.vertex_map) == dict(emb.vertex_map)
-
-    def test_multicopy_roundtrip(self):
-        emb = build_spec(EmbeddingSpec.make("ccc", n=4))
-        back = decode_embedding(encode_embedding(emb))
-        assert back.k == emb.k
-        assert back.edge_congestion == emb.edge_congestion
-        back.verify()
-
-
 class TestRegistry:
     def test_miss_then_build_then_memory_hit(self, tmp_path):
         reg = EmbeddingRegistry(cache_dir=tmp_path)
@@ -134,7 +118,8 @@ class TestRegistry:
         emb = fresh.get(cycle_spec())
         assert emb is not None and emb.width >= 3
         assert fresh.metrics.count("disk_hits") == 1
-        assert fresh.metrics.count("builds") == 0
+        assert fresh.metrics.count("rebuilds") == 1  # rebuilt from the spec
+        assert fresh.metrics.count("builds") == 0  # ... but nothing admitted
 
     def test_lru_eviction(self, tmp_path):
         reg = EmbeddingRegistry(cache_dir=tmp_path, memory_capacity=2)
@@ -175,24 +160,6 @@ class TestRegistry:
             fh.seek(header["data_start"])
             fh.write(bytes([byte[0] ^ 0xFF]))
         fresh = EmbeddingRegistry(cache_dir=tmp_path)
-        assert fresh.get(spec) is None
-        assert fresh.metrics.count("disk_corrupt") == 1
-
-    def test_blob_tamper_detected_by_checksum(self, tmp_path):
-        reg = EmbeddingRegistry(cache_dir=tmp_path)
-        spec = cycle_spec()
-        reg.get_or_build(spec)
-        path = reg.path_for(spec)
-        header = read_store_header(path)
-        with open(path, "r+b") as fh:  # flip one byte of the embedding blob
-            fh.seek(header["blob_offset"])
-            byte = fh.read(1)
-            fh.seek(header["blob_offset"])
-            fh.write(bytes([byte[0] ^ 0xFF]))
-        fresh = EmbeddingRegistry(cache_dir=tmp_path)
-        # the CSR fast path only touches the (intact) arrays ...
-        assert fresh.get_store(spec) is not None
-        # ... but materializing the embedding re-hashes the blob and balks
         assert fresh.get(spec) is None
         assert fresh.metrics.count("disk_corrupt") == 1
 
@@ -246,8 +213,9 @@ class TestEngine:
         engine = BuildEngine(reg, max_workers=0)  # in-process
         specs = [cycle_spec(6), cycle_spec(8), cycle_spec(6)]
         out = engine.build_batch(specs)
-        assert [e.host.n for e in out] == [6, 8, 6]
+        assert [v.csr.host_n for v in out] == [6, 8, 6]
         assert out[0] is out[2]
+        assert [v.info.path for v in out] == [str(reg.path_for(s)) for s in specs]
         assert reg.metrics.count("batch_dedup") == 1
         assert reg.metrics.count("builds") == 2
 
@@ -256,7 +224,7 @@ class TestEngine:
         engine = BuildEngine(reg, max_workers=2)
         specs = [cycle_spec(6), EmbeddingSpec.make("grid", dims=(4, 4))]
         out = engine.build_batch(specs)
-        assert len(out) == 2 and all(e is not None for e in out)
+        assert len(out) == 2 and all(v is not None for v in out)
         assert len(reg.ls()) == 2
         # second batch is all cache hits: no further builds
         before = reg.metrics.count("builds")
@@ -293,11 +261,40 @@ class TestEngine:
         out = BuildEngine(reg, max_workers=2).build_batch(
             [cycle_spec(6), cycle_spec(8)]
         )
-        assert [e.host.n for e in out] == [6, 8]
+        assert [v.csr.host_n for v in out] == [6, 8]
         assert len(reg.ls()) == 2
         writers = [int(line) for line in log.read_text().split()]
         assert len(writers) == 2 and os.getpid() not in writers
         assert reg.metrics.count("builds") == 2
+
+
+    def test_parent_maps_what_the_workers_built(self, tmp_path, monkeypatch):
+        import repro.service.registry as registry_module
+
+        log = tmp_path / "builders.log"
+        real_build = registry_module.build_spec
+
+        def logged_build(spec):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return real_build(spec)
+
+        # forked workers inherit the wrapper along with the module global
+        monkeypatch.setattr(registry_module, "build_spec", logged_build)
+        reg = EmbeddingRegistry(cache_dir=tmp_path / "cache")
+        specs = [cycle_spec(6), EmbeddingSpec.make("grid", dims=(4, 4)), cycle_spec(6)]
+        out = BuildEngine(reg, max_workers=2).build_batch(specs)
+        assert all(isinstance(v, StoreView) for v in out)
+        assert [v.info.path for v in out] == [str(reg.path_for(s)) for s in specs]
+        assert out[0] is out[2]
+        builders = [int(line) for line in log.read_text().split()]
+        assert len(builders) == 2 and os.getpid() not in builders
+        want = embedding_csr(build_spec(specs[1]))
+        assert out[1].info.sha256 == payload_digest(want)
+        assert reg.metrics.count("builds") == 2
+        assert reg.stats()["memory_entries"] == 0  # the parent holds no embedding
+        for v in out:
+            v.close()
 
 
 class TestRoutingService:

@@ -29,11 +29,7 @@ from repro.core.embedding import Embedding, MultiCopyEmbedding, MultiPathEmbeddi
 from repro.core.fast_verify import embedding_csr
 from repro.qa.constructions import default_space
 from repro.service.api import RoutingService, disjoint_paths
-from repro.service.registry import (
-    EmbeddingRegistry,
-    decode_embedding,
-    make_artifact,
-)
+from repro.service.registry import EmbeddingRegistry, make_artifact
 from repro.service.specs import (
     BatchRouteResult,
     EmbeddingSpec,
@@ -45,6 +41,7 @@ from repro.service.store import (
     PackedEdges,
     StoreIntegrityError,
     open_store,
+    payload_digest,
     read_store_header,
     write_store,
 )
@@ -140,6 +137,15 @@ class TestRoundtrip:
         assert header["payload"] == info.nbytes
         # every array offset is 8-aligned so int64 views map directly
         assert all(s["offset"] % 8 == 0 for s in header["arrays"])
+
+    @pytest.mark.parametrize("kind, params", [("cycle", {"n": 6}), ("grid", {"dims": (4, 4)})])
+    def test_payload_digest_is_the_written_digest(self, tmp_path, kind, params):
+        csr = embedding_csr(build_spec(EmbeddingSpec.make(kind, **params)))
+        path, info = _write(tmp_path, csr, kind=kind)
+        assert payload_digest(csr) == info.sha256
+        view = open_store(path)
+        assert payload_digest(view.csr) == info.sha256  # mapped arrays too
+        view.close()
 
     def test_write_leaves_no_temp_files(self, tmp_path):
         _write(tmp_path, _csr())
@@ -315,6 +321,51 @@ class TestRegistryTiers:
         assert fresh.metrics.count("builds") == 1
         fresh.get_store(spec).close()  # the rebuilt store maps again
 
+    def test_artifact_version_1_store_is_removed_and_rebuilt(self, tmp_path):
+        spec = _spec()
+        reg = EmbeddingRegistry(cache_dir=tmp_path)
+        path = reg.path_for(spec)
+        emb = build_spec(spec)
+        write_store(  # a store as version 1 wrote it, JSON blob and all
+            path, embedding_csr(emb), json.dumps({"payload": "{}"}),
+            spec_key=spec.cache_key(), kind=spec.kind,
+            package_version=repro.__version__, artifact_version=1,
+        )
+        assert reg.get(spec) is None
+        assert reg.metrics.count("disk_corrupt") == 1
+        assert not path.exists()
+        reg.get_or_build(spec)
+        assert reg.metrics.count("builds") == 1
+        assert read_store_header(path)["artifact_version"] == 2
+        reg.get_store(spec).close()
+
+    def test_rebuild_that_differs_from_the_store_replaces_it(
+        self, tmp_path, monkeypatch
+    ):
+        import repro.service.registry as registry_mod
+
+        spec = _spec()
+        EmbeddingRegistry(cache_dir=tmp_path).get_or_build(spec)
+        other = build_spec(EmbeddingSpec.make("cycle2", n=6))  # valid, but not spec's
+        monkeypatch.setattr(registry_mod, "build_spec", lambda s: other)
+        fresh = EmbeddingRegistry(cache_dir=tmp_path)
+        assert fresh.get(spec) is other
+        assert fresh.metrics.count("disk_corrupt") == 1
+        assert fresh.metrics.count("rebuilds") == 0
+        assert fresh.metrics.count("builds") == 0
+        assert fresh.metrics.count("artifacts_written") == 1
+        view = EmbeddingRegistry(cache_dir=tmp_path).get_store(spec)
+        want = embedding_csr(other)
+        assert view.info.sha256 == payload_digest(want)
+        for f in ("nodes", "path_offsets", "bundle_offsets", "path_reversed"):
+            assert np.array_equal(getattr(view.csr, f), getattr(want, f)), f
+        view.close()
+        # the rewritten store now agrees with the builder
+        again = EmbeddingRegistry(cache_dir=tmp_path)
+        assert again.get(spec) is other
+        assert again.metrics.count("disk_corrupt") == 0
+        assert again.metrics.count("rebuilds") == 1
+
     def test_clear_sweeps_tmp_and_lock_orphans(self, tmp_path):
         reg = EmbeddingRegistry(cache_dir=tmp_path)
         spec = _spec()
@@ -346,7 +397,7 @@ class TestRegistryTiers:
         reg = EmbeddingRegistry(cache_dir=tmp_path)
         built = reg.get_or_build(spec)
         fresh = EmbeddingRegistry(cache_dir=tmp_path)
-        back = fresh.get(spec)  # materialized from the store blob
+        back = fresh.get(spec)  # rebuilt and checked against the store
         assert back.k == built.k
         back.verify()
         view = fresh.get_store(spec)
@@ -428,10 +479,7 @@ class TestCrossProcess:
         view = EmbeddingRegistry(cache_dir=tmp_path).get_store(spec)
         assert view is not None
         view.verify_payload()
-        back = decode_embedding(
-            json.loads(view.blob_text())["payload"], verify=False
-        )
-        back.verify()
+        assert view.info.sha256 == payload_digest(embedding_csr(emb))
 
 
 class TestFileBackedServing:
