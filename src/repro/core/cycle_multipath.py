@@ -76,7 +76,7 @@ def theorem2_claim(n: int, prefer_width: bool = False) -> Dict[str, int]:
 def embed_cycle_load1(n: int, labeling: str = "moment") -> MultiPathEmbedding:
     """Theorem 1: embed the ``2**n``-node directed cycle in ``Q_n`` (load 1).
 
-    Returns a verified :class:`MultiPathEmbedding` whose ``info`` attribute
+    Returns a MultiPathEmbedding; callers verify.  Its ``info`` attribute
     records the construction parameters, achieved width (``a`` detour paths
     of length 3 plus the direct edge) and the scheduled cost.
 
@@ -150,7 +150,6 @@ def embed_cycle_load1(n: int, labeling: str = "moment") -> MultiPathEmbedding:
         load_allowed=1,
         step_of=step_of,
     )
-    emb.verify()
     emb.info = {
         "n": n,
         "k": k,
@@ -175,6 +174,8 @@ def embed_cycle_load2(
     n: int, prefer_width: bool = False, cycle_shift: int = 0
 ) -> MultiPathEmbedding:
     """Theorem 2: embed the ``2**{n+1}``-node directed cycle in ``Q_n`` (load 2).
+
+    Returns a MultiPathEmbedding; callers verify.
 
     ``prefer_width`` selects, for ``n = 2, 3 (mod 4)``, the paper's
     width-``floor(n/2)`` cost-4 variant (one cycle is chosen twice) instead
@@ -269,7 +270,6 @@ def embed_cycle_load2(
         load_allowed=2,
         step_of=step_of,
     )
-    emb.verify()
     emb.info = {
         "n": n,
         "p": p,

@@ -21,11 +21,16 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.verification import InvariantCheck, VerificationReport
 from repro.hypercube.graph import Hypercube
 from repro.networks.base import GuestGraph
+
+if TYPE_CHECKING:
+    from repro.core.fast_verify import PathCSR
 
 __all__ = ["Embedding", "MultiPathEmbedding", "MultiCopyEmbedding"]
 
@@ -83,7 +88,10 @@ class Embedding:
     # -- verification ----------------------------------------------------------
 
     def verify(
-        self, max_load: Optional[int] = None, strict: bool = True
+        self,
+        max_load: Optional[int] = None,
+        strict: bool = True,
+        csr: Optional["PathCSR"] = None,
     ) -> VerificationReport:
         """Verify the embedding; returns a :class:`VerificationReport`.
 
@@ -102,11 +110,13 @@ class Embedding:
         The hop checks and congestion counts run on the vectorized kernels
         of :mod:`repro.core.fast_verify`; :meth:`verify_reference` runs the
         scalar dict-walking implementation the QA differential referees the
-        kernels against.
+        kernels against.  ``csr``, the embedding's own
+        :func:`~repro.core.fast_verify.embedding_csr`, lends the kernels
+        its arrays instead of a fresh flatten; the report is the same.
         """
         from repro.core.fast_verify import verify_embedding
 
-        return verify_embedding(self, max_load=max_load, strict=strict)
+        return verify_embedding(self, max_load=max_load, strict=strict, csr=csr)
 
     def verify_reference(
         self, max_load: Optional[int] = None, strict: bool = True
@@ -185,7 +195,9 @@ class MultiPathEmbedding:
 
     # -- verification -------------------------------------------------------------
 
-    def verify(self, strict: bool = True) -> VerificationReport:
+    def verify(
+        self, strict: bool = True, csr: Optional["PathCSR"] = None
+    ) -> VerificationReport:
         """Verify the width-w embedding; returns a :class:`VerificationReport`.
 
         The path-shaped work is fully vectorized (numpy) — profiling showed
@@ -201,13 +213,16 @@ class MultiPathEmbedding:
         same edge-id vector the disjointness check sorted, not a second
         traversal.  :meth:`verify_reference` runs the scalar dict-based
         implementation the QA differential referees the kernels against.
+        ``csr``, the embedding's own
+        :func:`~repro.core.fast_verify.embedding_csr`, lends the kernels its
+        arrays instead of a fresh flatten; the report is the same.
 
         ``strict=True`` (default) raises ``AssertionError`` at the first
         failed invariant, preserving the historical contract.
         """
         from repro.core.fast_verify import verify_multipath
 
-        return verify_multipath(self, strict=strict)
+        return verify_multipath(self, strict=strict, csr=csr)
 
     def verify_reference(self, strict: bool = True) -> VerificationReport:
         """Scalar reference verification (the QA differential referee)."""
@@ -262,13 +277,19 @@ class MultiCopyEmbedding:
             counts.update(copy.vertex_map.values())
         return max(counts.values()) if counts else 0
 
-    def verify(self, strict: bool = True) -> VerificationReport:
+    def verify(
+        self, strict: bool = True, csr: Optional["PathCSR"] = None
+    ) -> VerificationReport:
         """Verify every copy; returns a :class:`VerificationReport`.
 
         Each copy must be a valid embedding within the per-copy load; its
         invariants appear in the report prefixed ``copy{i}:``.  Verification
         stops at the first failing copy.  ``strict=True`` (default) raises
         ``AssertionError`` with the historical ``copy {i}: ...`` message.
+        A passing report's dilation and edge-congestion come from the hop
+        arrays the copies' vectorized checks built.  ``csr`` is accepted
+        for a uniform signature and ignored: the merged export can hold
+        one copy's path twice, so each copy verifies its own paths.
         """
         return self._verify_copies(strict, reference=False)
 
@@ -277,10 +298,19 @@ class MultiCopyEmbedding:
         return self._verify_copies(strict, reference=True)
 
     def _verify_copies(self, strict: bool, reference: bool) -> VerificationReport:
+        from repro.core.fast_verify import _verify_embedding
+
         checks: List[InvariantCheck] = []
+        subs: List[VerificationReport] = []
+        hop_ids: List[np.ndarray] = []
         for i, copy in enumerate(self.copies):
-            verify = copy.verify_reference if reference else copy.verify
-            sub = verify(max_load=self.copy_load_allowed, strict=False)
+            if reference:
+                sub = copy.verify_reference(max_load=self.copy_load_allowed, strict=False)
+            else:
+                sub, eids = _verify_embedding(copy, self.copy_load_allowed, False, None)
+                if eids is not None:
+                    hop_ids.append(eids)
+            subs.append(sub)
             checks.extend(
                 InvariantCheck(
                     f"copy{i}:{c.name}",
@@ -294,13 +324,21 @@ class MultiCopyEmbedding:
                     self.name or "multicopy-embedding", tuple(checks)
                 )
                 return report.raise_if_failed() if strict else report
+        if reference:
+            dilation, edge_congestion = self.dilation, self.edge_congestion
+        else:
+            # a copy's congestion counts each of its hops once and the
+            # edge-congestion sums the copies: one bincount over them all
+            dilation = max((sub.metrics["dilation"] for sub in subs), default=0)
+            eids = np.concatenate(hop_ids) if hop_ids else np.zeros(0, np.int64)
+            edge_congestion = int(np.bincount(eids).max()) if eids.size else 0
         return VerificationReport(
             self.name or "multicopy-embedding",
             tuple(checks),
             metrics={
                 "k": self.k,
-                "dilation": self.dilation,
-                "edge_congestion": self.edge_congestion,
+                "dilation": dilation,
+                "edge_congestion": edge_congestion,
                 "node_load": self.node_load,
                 "copy_load_allowed": self.copy_load_allowed,
             },

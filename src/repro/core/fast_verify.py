@@ -3,10 +3,12 @@
 The hot path of ``verify()`` at scale is hop validation and congestion
 counting over every host path an embedding carries — millions of hops for
 ``Q_18``/``Q_20`` constructions.  The kernels here run that path as numpy
-array programs over the shared :mod:`repro.hypercube.pathcode` encoding
-(one flattened node vector + offsets per batch, built once): hop legality
-is an XOR-popcount test, congestion is one ``bincount``, edge-disjointness
-is sorted-duplicate detection, and dilation/load are array reductions.
+array programs over the shared :mod:`repro.hypercube.pathcode` encoding:
+hop legality is an XOR-popcount test, congestion is one ``bincount``,
+edge-disjointness is sorted-duplicate detection, and dilation/load are
+array reductions.  The arrays are the embedding's one flatten,
+:func:`flatten_embedding`, which the serving export :func:`embedding_csr`
+packs too: an admit exports first and verifies the export's arrays.
 
 The scalar dict-based implementations are *kept* as ``reference_verify_*``
 — they share no arrays with the kernels, which makes them the referee of
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Any, Dict, Iterator, List, NoReturn, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
@@ -49,8 +52,10 @@ __all__ = [
     "EdgeLookup",
     "PackedEdges",
     "PathCSR",
+    "PathLayout",
     "build_edge_lookup",
     "embedding_csr",
+    "flatten_embedding",
     "verify_embedding",
     "verify_multipath",
     "reference_verify_embedding",
@@ -94,25 +99,96 @@ def _edge_ids(host: Any, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return heads * np.int64(host.n) + np.log2(x).astype(np.int64)
 
 
+def _guest_layout(
+    emb: Any, csr: Optional[PathCSR]
+) -> Tuple[List[Any], np.ndarray, np.ndarray, np.ndarray]:
+    """The stored paths of ``emb``'s guest edges, in ``guest.edges()`` order.
+
+    Returns ``(edges, widths, nodes, offsets)``: ``widths[i]`` counts the
+    paths stored forward for guest edge ``i`` (``-1`` when none is), and
+    ``(nodes, offsets)`` holds those paths in the :func:`flatten_paths`
+    layout, guest edge by guest edge.  The paths come from ``csr`` (the
+    embedding's own export, whose bundles follow ``edge_paths``) or from
+    :func:`flatten_embedding`; keys that are not guest edges stay out.
+    When ``edge_paths`` holds exactly the guest edges in guest order, as
+    every builder's does, the layout's arrays are used as they are.
+    """
+    keys = list(emb.edge_paths)
+    layout: Union[PathLayout, PathCSR] = flatten_embedding(emb) if csr is None else csr
+    if len(layout.bundle_offsets) != len(keys) + 1:
+        raise ValueError(
+            f"csr has {len(layout.bundle_offsets) - 1} bundles for "
+            f"{len(keys)} stored edges: pass the embedding's own export"
+        )
+    nodes, path_offsets = layout.nodes, layout.path_offsets
+    sizes = np.diff(layout.bundle_offsets)
+    edges = list(emb.guest.edges())
+    if edges == keys:
+        return edges, sizes, nodes, path_offsets
+    bundle_of = dict(zip(keys, range(len(keys))))
+    gids = np.fromiter(
+        (bundle_of.get(edge, -1) for edge in edges), dtype=np.int64, count=len(edges)
+    )
+    widths = np.append(sizes, -1)[gids]
+    picked = gids[gids >= 0]
+    lo, w = layout.bundle_offsets[picked], sizes[picked]
+    path_ids = np.repeat(lo - (np.cumsum(w) - w), w) + np.arange(
+        int(w.sum()), dtype=np.int64
+    )
+    return (edges, widths) + gather_paths(nodes, path_offsets, path_ids)
+
+
+def _endpoint_images(
+    emb: Any, edges: List[Any]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Host images of each guest edge's tail and head."""
+    vm = emb.vertex_map
+    count = len(edges)
+    return (
+        np.fromiter((vm[u] for u, _ in edges), dtype=np.int64, count=count),
+        np.fromiter((vm[v] for _, v in edges), dtype=np.int64, count=count),
+    )
+
+
 def verify_embedding(
-    emb: Any, max_load: Optional[int] = None, strict: bool = True
+    emb: Any,
+    max_load: Optional[int] = None,
+    strict: bool = True,
+    csr: Optional[PathCSR] = None,
 ) -> VerificationReport:
     """Vectorized verification of a classical :class:`~repro.core.embedding.Embedding`.
 
     Same invariants, order, and report shape as
     :func:`reference_verify_embedding`: vertex-map, load, edge-paths,
     hops-are-edges, stopping at the first failure; a passing report carries
-    load/dilation/congestion/expansion.
+    load/dilation/congestion/expansion.  The paths are read from ``csr``
+    when given (the embedding's own :func:`embedding_csr`), else from one
+    :func:`flatten_embedding`.
+    """
+    return _verify_embedding(emb, max_load, strict, csr)[0]
+
+
+def _verify_embedding(
+    emb: Any,
+    max_load: Optional[int],
+    strict: bool,
+    csr: Optional[PathCSR],
+) -> Tuple[VerificationReport, Optional[np.ndarray]]:
+    """:func:`verify_embedding`, plus the edge id of every stored hop.
+
+    The edge ids (``None`` when the report failed) come from the verified
+    arrays, or from the congestion property when ``edge_paths`` holds
+    more than the guest edges.
     """
     name = emb.name or "embedding"
     if max_load is None:
         max_load = math.ceil(emb.guest.num_vertices / emb.host.num_nodes)
     checks: List[InvariantCheck] = []
 
-    def fail(check: str, detail: str) -> VerificationReport:
+    def fail(check: str, detail: str) -> Tuple[VerificationReport, None]:
         checks.append(InvariantCheck(check, False, detail))
         report = VerificationReport(name, tuple(checks))
-        return report.raise_if_failed() if strict else report
+        return (report.raise_if_failed() if strict else report), None
 
     with profile_span("verify.embedding", subject=name):
         images: Counter = Counter()
@@ -131,25 +207,40 @@ def verify_embedding(
             InvariantCheck("load", True, f"load {measured_load} <= {max_load}")
         )
 
-        paths: List[Tuple[int, ...]] = []
-        edges: List[Tuple[Any, Any]] = []
-        for (u, v) in emb.guest.edges():
-            path = emb.edge_paths.get((u, v))
-            if path is None:
+        edges, widths, nodes, offsets = _guest_layout(emb, csr)
+        # first failing guest edge in guest order: 1 no path, 2 an empty
+        # path (the scalar referee's path[0] raises), 3 wrong endpoints
+        stored = np.flatnonzero(widths > 0)
+        lengths = np.diff(offsets)
+        padded = np.append(nodes, -1)
+        src, dst = _endpoint_images(emb, edges)
+        verdict = np.ones(len(edges), dtype=np.int8)
+        verdict[stored] = np.where(
+            lengths == 0,
+            2,
+            np.where(
+                (padded[offsets[:-1]] != src[stored])
+                | (padded[offsets[1:] - 1] != dst[stored]),
+                3,
+                0,
+            ),
+        )
+        if np.any(verdict):
+            i = int(np.argmax(verdict != 0))
+            u, v = edges[i]
+            if verdict[i] == 2:
+                raise IndexError("tuple index out of range")
+            if verdict[i] == 1:
                 return fail("edge-paths", f"guest edge ({u}, {v}) has no path")
-            if path[0] != emb.vertex_map[u] or path[-1] != emb.vertex_map[v]:
-                return fail("edge-paths", f"path for ({u}, {v}) has wrong endpoints")
-            paths.append(path)
-            edges.append((u, v))
+            return fail("edge-paths", f"path for ({u}, {v}) has wrong endpoints")
         checks.append(InvariantCheck("edge-paths", True))
 
-        nodes, offsets = flatten_paths(paths)
         heads, tails = hop_endpoints(nodes, offsets)
         invalid = _first_invalid_hop(emb.host, heads, tails)
         if invalid is not None:
             hop_idx, msg = invalid
-            lengths = np.diff(offsets) - 1
-            hop_starts = np.cumsum(lengths) - lengths
+            hops = lengths - 1
+            hop_starts = np.cumsum(hops) - hops
             which = int(np.searchsorted(hop_starts, hop_idx, side="right") - 1)
             u, v = edges[which]
             return fail("hops-are-edges", f"path for ({u}, {v}): {msg}")
@@ -160,16 +251,15 @@ def verify_embedding(
         # of the guest edges just verified.  Reuse the verified batch when
         # the dict holds exactly the guest edges (the invariable case for
         # the package's builders); otherwise fall back to the properties.
-        if len(emb.edge_paths) == len(paths):
-            lengths = np.diff(offsets) - 1
-            dilation = int(lengths.max()) if lengths.size else 0
-            if heads.size:
-                congestion = int(np.bincount(_edge_ids(emb.host, heads, tails)).max())
-            else:
-                congestion = 0
+        if len(emb.edge_paths) == len(edges):
+            eids = _edge_ids(emb.host, heads, tails)
+            dilation = int(lengths.max()) - 1 if lengths.size else 0
         else:
-            dilation, congestion = emb.dilation, emb.congestion
-        return VerificationReport(
+            counts = emb.edge_congestion_counts()
+            eids = np.fromiter(counts.elements(), dtype=np.int64)
+            dilation = emb.dilation
+        congestion = int(np.bincount(eids).max()) if eids.size else 0
+        report = VerificationReport(
             name,
             tuple(checks),
             metrics={
@@ -180,18 +270,22 @@ def verify_embedding(
                 "expansion": emb.expansion,
             },
         )
+        return report, eids
 
 
-def verify_multipath(emb: Any, strict: bool = True) -> VerificationReport:
+def verify_multipath(
+    emb: Any, strict: bool = True, csr: Optional[PathCSR] = None
+) -> VerificationReport:
     """Vectorized verification of a width-w :class:`MultiPathEmbedding`.
 
     Same invariants, order, and report shape as
     :func:`reference_verify_multipath`: vertex-map, load, edge-paths,
-    hops-are-edges, edge-disjoint.  Every path of every bundle is flattened
-    into one node vector; endpoints come from offset gathers, hop legality
-    from one XOR-popcount pass, edge-disjointness from sorted-duplicate
-    detection on ``guest_edge * num_edges + edge_id`` keys, and congestion
-    from one ``bincount`` of the same edge-id vector.
+    hops-are-edges, edge-disjoint.  The paths are read from ``csr`` when
+    given (the embedding's own :func:`embedding_csr`), else from one
+    :func:`flatten_embedding`; endpoints come from offset gathers, hop
+    legality from one XOR-popcount pass, edge-disjointness from
+    sorted-duplicate detection on ``guest_edge * num_edges + edge_id``
+    keys, and congestion from one ``bincount`` of the same edge-id vector.
     """
     name = emb.name or "multipath-embedding"
     checks: List[InvariantCheck] = []
@@ -221,46 +315,31 @@ def verify_multipath(emb: Any, strict: bool = True) -> VerificationReport:
             )
         )
 
-        flat: List[Tuple[int, ...]] = []
-        bundle_sizes: List[int] = []
-        exp_src: List[int] = []
-        exp_dst: List[int] = []
-        gedges: List[Tuple[Any, Any]] = []
-        min_width = None
-        for (u, v) in emb.guest.edges():
-            bundle = emb.edge_paths.get((u, v))
-            if not bundle:
-                return fail("edge-paths", f"guest edge ({u}, {v}) has no paths")
-            if min_width is None or len(bundle) < min_width:
-                min_width = len(bundle)
-            flat.extend(bundle)
-            bundle_sizes.append(len(bundle))
-            exp_src.append(emb.vertex_map[u])
-            exp_dst.append(emb.vertex_map[v])
-            gedges.append((u, v))
-
-        nodes, offsets = flatten_paths(flat)
+        edges, widths, nodes, offsets = _guest_layout(emb, csr)
+        if np.any(widths <= 0):
+            u, v = edges[int(np.argmax(widths <= 0))]
+            return fail("edge-paths", f"guest edge ({u}, {v}) has no paths")
         node_counts = np.diff(offsets)
         if np.any(node_counts == 0):
             # an empty path tuple: the scalar referee's p[0] raises this
             raise IndexError("tuple index out of range")
-        sizes = np.asarray(bundle_sizes, dtype=np.int64)
-        path_group = np.repeat(np.arange(len(gedges), dtype=np.int64), sizes)
-        first = nodes[offsets[:-1]]
-        last = nodes[offsets[1:] - 1]
-        bad_end = (first != np.asarray(exp_src, dtype=np.int64)[path_group]) | (
-            last != np.asarray(exp_dst, dtype=np.int64)[path_group]
+        path_group = np.repeat(np.arange(len(edges), dtype=np.int64), widths)
+        src, dst = _endpoint_images(emb, edges)
+        bad_end = (nodes[offsets[:-1]] != src[path_group]) | (
+            nodes[offsets[1:] - 1] != dst[path_group]
         )
         if np.any(bad_end):
             j = int(np.argmax(bad_end))
-            u, v = gedges[int(path_group[j])]
+            i = int(path_group[j])
+            u, v = edges[i]
+            path = emb.edge_paths[(u, v)][j - int(widths[:i].sum())]
             return fail(
-                "edge-paths", f"path for ({u}, {v}) has wrong endpoints: {flat[j]}"
+                "edge-paths", f"path for ({u}, {v}) has wrong endpoints: {path}"
             )
         checks.append(InvariantCheck("edge-paths", True))
 
         base_metrics: Dict[str, Any] = {
-            "width": min_width or 0,
+            "width": int(widths.min()) if widths.size else 0,
             "load": measured_load,
             "max_load_allowed": emb.load_allowed,
             "expansion": emb.expansion,
@@ -796,7 +875,24 @@ class PathCSR:
         )
 
 
-def _leaf_edge_paths(emb: Any, out: List[Dict[Any, Tuple[Tuple[int, ...], ...]]]) -> None:
+@dataclass(frozen=True)
+class PathLayout:
+    """An embedding's paths flattened once, bundle by bundle.
+
+    ``edges[g]`` is bundle ``g``'s guest edge as the embedding stores it;
+    the arrays are the :class:`PathCSR` fields of the same names.
+    :func:`embedding_csr` packs ``edges`` and adds the lookup, and the
+    verifiers read the arrays, so one flatten serves both.
+    """
+
+    edges: List[Any]
+    nodes: np.ndarray  # CSR_NODE_DTYPE
+    path_offsets: np.ndarray  # CSR_OFFSET_DTYPE, num_paths + 1
+    bundle_offsets: np.ndarray  # CSR_OFFSET_DTYPE, num_bundles + 1
+    path_reversed: np.ndarray  # CSR_FLAG_DTYPE
+
+
+def _leaf_edge_paths(emb: Any, out: List[Dict[Any, Sequence[Sequence[int]]]]) -> None:
     """Flatten an embedding into per-copy ``{edge: (path, ...)}`` dicts.
 
     Multi-copy embeddings contribute one dict per (recursively flattened)
@@ -807,27 +903,22 @@ def _leaf_edge_paths(emb: Any, out: List[Dict[Any, Tuple[Tuple[int, ...], ...]]]
             _leaf_edge_paths(copy, out)
         return
     if isinstance(emb, MultiPathEmbedding):
-        out.append(
-            {edge: tuple(tuple(p) for p in bundle) for edge, bundle in emb.edge_paths.items()}
-        )
+        out.append(emb.edge_paths)
         return
-    out.append({edge: (tuple(path),) for edge, path in emb.edge_paths.items()})
+    out.append({edge: (path,) for edge, path in emb.edge_paths.items()})
 
 
-def embedding_csr(emb: Any) -> PathCSR:
-    """Export an embedding's full routing answer as a :class:`PathCSR`.
+def _merged_bundles(
+    emb: MultiCopyEmbedding,
+) -> Tuple[List[Any], List[Sequence[int]], List[bool], np.ndarray]:
+    """A multi-copy's bundles: ``(edges, paths, reversed flags, sizes)``.
 
-    Bundle order and per-bundle path order match what
-    :func:`repro.service.api.disjoint_paths` returns per call, so batch
-    results are field-identical to per-call results.  Orientations merge
-    into one bundle (with per-path reverse flags) exactly when no single
-    copy stores both directions as distinct guest edges; a copy that
-    *does* store both keeps them as separate bundles, because flipping one
-    cannot reproduce the other.  Guest vertices pack to integer ids
-    (:func:`_pack_edges`), which raises ``ValueError`` for a guest whose
-    vertices do not.
+    Orientations merge into one bundle (with per-path reverse flags)
+    exactly when no single copy stores both directions as distinct guest
+    edges; a copy that *does* store both keeps them as separate bundles,
+    because flipping one cannot reproduce the other.
     """
-    leaves: List[Dict[Any, Tuple[Tuple[int, ...], ...]]] = []
+    leaves: List[Dict[Any, Sequence[Sequence[int]]]] = []
     _leaf_edge_paths(emb, leaves)
     # edges whose pair appears in both orientations inside one leaf must
     # stay distinct bundles in both orientations
@@ -847,7 +938,7 @@ def embedding_csr(emb: Any) -> PathCSR:
             seen.add(edge)
             canonical.append(edge)
 
-    paths: List[Tuple[int, ...]] = []
+    paths: List[Sequence[int]] = []
     flags: List[bool] = []
     bundle_sizes: List[int] = []
     for edge in canonical:
@@ -866,17 +957,62 @@ def embedding_csr(emb: Any) -> PathCSR:
                 flags.extend(True for _ in bundle)
                 size += len(bundle)
         bundle_sizes.append(size)
+    return canonical, paths, flags, np.asarray(bundle_sizes, dtype=np.int64)
 
+
+def flatten_embedding(emb: Any) -> PathLayout:
+    """Every path ``emb`` carries, flattened once into a :class:`PathLayout`.
+
+    Bundle order and per-bundle path order match what
+    :func:`repro.service.api.disjoint_paths` returns per call.  An
+    embedding that is not a :class:`MultiCopyEmbedding` is a single leaf:
+    its bundles are ``edge_paths`` in dict order, all stored forward, and
+    its paths flatten straight from the dict with no per-path copy.  A
+    multi-copy embedding merges its copies' orientations first
+    (:func:`_merged_bundles`).  Host nodes must be integers; guest
+    vertices may be anything hashable.
+    """
+    if isinstance(emb, MultiCopyEmbedding):
+        edges, paths, flags, sizes = _merged_bundles(emb)
+        path_reversed = np.asarray(flags, dtype=CSR_FLAG_DTYPE)
+    else:
+        edges = list(emb.edge_paths)
+        if isinstance(emb, MultiPathEmbedding):
+            bundles = emb.edge_paths.values()
+            paths = list(chain.from_iterable(bundles))
+            sizes = np.fromiter(map(len, bundles), dtype=np.int64, count=len(edges))
+        else:
+            paths = list(emb.edge_paths.values())
+            sizes = np.ones(len(edges), dtype=np.int64)
+        path_reversed = np.zeros(len(paths), dtype=CSR_FLAG_DTYPE)
     nodes, path_offsets = flatten_paths(paths)
-    bundle_offsets = np.zeros(len(canonical) + 1, dtype=CSR_OFFSET_DTYPE)
-    np.cumsum(np.asarray(bundle_sizes, dtype=np.int64), out=bundle_offsets[1:])
-    edges = _pack_edges(canonical)
+    bundle_offsets = np.zeros(len(edges) + 1, dtype=CSR_OFFSET_DTYPE)
+    np.cumsum(sizes, out=bundle_offsets[1:])
+    return PathLayout(
+        edges,
+        nodes.astype(CSR_NODE_DTYPE, copy=False),
+        path_offsets.astype(CSR_OFFSET_DTYPE, copy=False),
+        bundle_offsets,
+        path_reversed,
+    )
+
+
+def embedding_csr(emb: Any) -> PathCSR:
+    """Export an embedding's full routing answer as a :class:`PathCSR`.
+
+    The paths are one :func:`flatten_embedding`, so batch results are
+    field-identical to per-call results.  Guest vertices pack to integer
+    ids (:func:`_pack_edges`), which raises ``ValueError`` for a guest
+    whose vertices do not.
+    """
+    layout = flatten_embedding(emb)
+    edges = _pack_edges(layout.edges)
     return PathCSR(
         host_n=emb.host.n,
         edges=edges,
-        nodes=nodes.astype(CSR_NODE_DTYPE, copy=False),
-        path_offsets=path_offsets.astype(CSR_OFFSET_DTYPE, copy=False),
-        bundle_offsets=bundle_offsets,
-        path_reversed=np.asarray(flags, dtype=CSR_FLAG_DTYPE),
+        nodes=layout.nodes,
+        path_offsets=layout.path_offsets,
+        bundle_offsets=layout.bundle_offsets,
+        path_reversed=layout.path_reversed,
         lookup=build_edge_lookup(edges.uv),
     )

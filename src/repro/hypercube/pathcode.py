@@ -119,12 +119,10 @@ def flatten_paths(
 
     Returns ``(nodes, offsets)`` with ``offsets`` of length
     ``len(paths) + 1``; path ``i`` occupies ``nodes[offsets[i]:offsets[i+1]]``.
-    ``np.fromiter`` over a chained iterator keeps the per-node cost at C
-    speed — the only Python-level work is one length call per path.
+    ``np.fromiter`` over ``map(len, ...)`` and a chained iterator keeps
+    the whole pass at C speed, with no Python frame per path or node.
     """
-    lengths = np.fromiter(
-        (len(p) for p in paths), dtype=np.int64, count=len(paths)
-    )
+    lengths = np.fromiter(map(len, paths), dtype=np.int64, count=len(paths))
     offsets = np.zeros(len(paths) + 1, dtype=np.int64)
     np.cumsum(lengths, out=offsets[1:])
     nodes = np.fromiter(

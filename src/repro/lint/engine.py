@@ -100,8 +100,8 @@ class LintConfig:
     parity_differential: str = "qa/differential.py"
     parity_fuzzer: str = "qa/fuzzer.py"
     parity_kernels: Tuple[str, ...] = (
-        "embedding_csr", "open_store", "disperse", "reconstruct",
-        "normalize_schedule",
+        "embedding_csr", "flatten_embedding", "open_store", "disperse",
+        "reconstruct", "normalize_schedule",
     )
 
 

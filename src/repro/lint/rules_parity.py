@@ -11,7 +11,8 @@ same cross-file way R3 ties builders to oracles:
   module (``qa/differential.py``) — an unreferenced engine has no parity
   harness at all;
 * every kernel function named in ``parity_kernels`` (the CSR resolver
-  ``embedding_csr``, the mapped-store opener ``open_store``, the IDA
+  ``embedding_csr`` and the path flatten ``flatten_embedding`` it shares
+  with verification, the mapped-store opener ``open_store``, the IDA
   kernels ``disperse``/``reconstruct`` and the schedule normalizer
   ``normalize_schedule`` both packet engines share) must be referenced
   there too;

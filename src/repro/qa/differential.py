@@ -394,29 +394,50 @@ def verification_differential(emb: Any) -> List[InvariantCheck]:
 def route_batch_differential(
     emb: Any, rng: random.Random, requests: int = 32
 ) -> List[InvariantCheck]:
-    """Referee the batched CSR gather against per-call path lookup.
+    """Referee the flatten and the batched CSR gather against per-call lookup.
 
-    Draws ``requests`` guest edges from the embedding (each served in a
-    random orientation), resolves them all in one
-    :meth:`~repro.core.fast_verify.PathCSR.take`, and demands the slice
-    each request owns equals :func:`repro.service.api.disjoint_paths` for
-    that edge — same bundle order, same path order, same nodes.  Subjects
-    that are not embeddings (simulation scenarios route by packet id, not
-    guest edge) contribute no checks.
+    Every bundle of :func:`~repro.core.fast_verify.flatten_embedding`,
+    each path turned by its reverse flag, must equal
+    :func:`repro.service.api.disjoint_paths` for the bundle's edge.  Then
+    ``requests`` guest edges (each served in a random orientation) are
+    resolved in one :meth:`~repro.core.fast_verify.PathCSR.take`, and the
+    slice each request owns must equal per-call routing for that edge —
+    same bundle order, same path order, same nodes.  Subjects that are
+    not embeddings (simulation scenarios route by packet id, not guest
+    edge) contribute no checks.
     """
     from repro.core.embedding import (
         Embedding,
         MultiCopyEmbedding,
         MultiPathEmbedding,
     )
-    from repro.core.fast_verify import embedding_csr
+    from repro.core.fast_verify import embedding_csr, flatten_embedding
     from repro.service.api import disjoint_paths
 
     if not isinstance(emb, (Embedding, MultiCopyEmbedding, MultiPathEmbedding)):
         return []
+    layout = flatten_embedding(emb)
+    flat, starts = layout.nodes.tolist(), layout.path_offsets.tolist()
+    bounds, flips = layout.bundle_offsets.tolist(), layout.path_reversed.tolist()
+    wrong = [
+        edge
+        for g, edge in enumerate(layout.edges)
+        if tuple(
+            tuple(flat[starts[p] : starts[p + 1]][:: -1 if flips[p] else 1])
+            for p in range(bounds[g], bounds[g + 1])
+        )
+        != tuple(tuple(p) for p in disjoint_paths(emb, edge))
+    ]
+    flatten_check = InvariantCheck(
+        "diff:batch:flatten",
+        not wrong,
+        f"flattened bundle of {wrong[0]} differs from per-call routing"
+        if wrong
+        else f"{len(layout.edges)} flattened bundle(s) agree with per-call routing",
+    )
     csr = embedding_csr(emb)
     if not csr.edges:
-        return []
+        return [flatten_check]
     batch = []
     for _ in range(requests):
         u, v = csr.edges[rng.randrange(len(csr.edges))]
@@ -449,7 +470,7 @@ def route_batch_differential(
             else f"{len(batch)} batched request(s) agree with per-call routing",
         )
     )
-    return checks
+    return [flatten_check] + checks
 
 
 def cold_start_differential(

@@ -17,6 +17,11 @@ the key pins the construction version, so a mismatch means the store or
 the builder changed; it counts as ``disk_corrupt`` and the verified
 rebuild replaces the store.
 
+An admit and a store-hit rebuild run the same pipeline, flattening the
+paths once: :func:`build_spec` (unverified), :func:`embedding_csr`, then
+``emb.verify(csr=csr)`` on that CSR's arrays, then :func:`write_store`
+of the same CSR (an admit) or :func:`payload_digest` of it (a rebuild).
+
 Safety model: an artifact is only written after the embedding verified at
 build time, and the file carries a SHA-256 digest of the array payload,
 computed from the exact bytes that were verified.  On load the registry
@@ -44,10 +49,10 @@ import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.embedding import Embedding, MultiCopyEmbedding, MultiPathEmbedding
-from repro.core.fast_verify import embedding_csr
+from repro.core.fast_verify import PathCSR, embedding_csr
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import profile_span
 from repro.service.specs import EmbeddingSpec, build_spec
@@ -217,10 +222,10 @@ class EmbeddingRegistry:
         """Cached embedding for ``spec``, or ``None`` on a full miss.
 
         A memory miss over a valid store rebuilds the embedding from its
-        spec (build + verify, as at admit) and checks the rebuild's CSR
-        against the store's payload digest: ``disk_hits`` and
-        ``rebuilds`` count a match.  A mismatch counts ``disk_corrupt``,
-        and the verified rebuild replaces the store.
+        spec (build, CSR export, verify, as at admit) and checks the
+        rebuild's CSR against the store's payload digest: ``disk_hits``
+        and ``rebuilds`` count a match.  A mismatch counts
+        ``disk_corrupt``, and the CSR just verified replaces the store.
         """
         key = spec.cache_key()
         emb = self._memory_get(key)
@@ -235,12 +240,10 @@ class EmbeddingRegistry:
             return None
         stored = view.info.sha256
         view.close()
-        emb = self._build_verified(spec)
-        with self.metrics.time("csr_export"):
-            csr = embedding_csr(emb)
+        emb, csr = self._build_verified(spec)
         if payload_digest(csr) != stored:
             self.metrics.incr("disk_corrupt")
-            return self.put(spec, emb)
+            return self._write(spec, emb, csr)
         self.metrics.incr("disk_hits")
         self.metrics.incr("rebuilds")
         self._memory_put(key, emb)
@@ -253,9 +256,13 @@ class EmbeddingRegistry:
         artifact manifest as its blob; the write is tmp+fsync+rename so
         concurrent admits and crashes cannot tear it.
         """
-        artifact_text = make_artifact(spec, emb)
         with self.metrics.time("csr_export"):
             csr = embedding_csr(emb)
+        return self._write(spec, emb, csr)
+
+    def _write(self, spec: EmbeddingSpec, emb: AnyEmbedding, csr: PathCSR) -> AnyEmbedding:
+        """Store ``emb``'s exported ``csr`` and admit ``emb`` to memory."""
+        artifact_text = make_artifact(spec, emb)
         with self.metrics.time("store_write"):
             write_store(
                 self.path_for(spec),
@@ -335,7 +342,11 @@ class EmbeddingRegistry:
         return None
 
     def get_or_build(self, spec: EmbeddingSpec) -> AnyEmbedding:
-        """Serve from cache, else build + verify + admit — exactly once.
+        """Serve from cache, else build, export, verify and store — exactly once.
+
+        An admit flattens the paths once: the built embedding's CSR is
+        exported first, the embedding verifies against that CSR's arrays,
+        and the same CSR is written to the store.
 
         Concurrent callers of the same key are single-flighted twice: an
         in-process keyed lock serializes threads, and an on-disk pid lock
@@ -369,19 +380,25 @@ class EmbeddingRegistry:
                 if self._acquire_build_lock(spec):
                     break  # stale lock stolen (or builder vanished): build here
             try:
-                emb = self._build_verified(spec)
+                emb, csr = self._build_verified(spec)
                 self.metrics.incr("builds")
-                return self.put(spec, emb)
+                return self._write(spec, emb, csr)
             finally:
                 self._release_build_lock(spec)
 
-    def _build_verified(self, spec: EmbeddingSpec) -> AnyEmbedding:
-        """Build ``spec`` and verify it; what admits and store hits share."""
+    def _build_verified(self, spec: EmbeddingSpec) -> Tuple[AnyEmbedding, PathCSR]:
+        """Build ``spec``, export its CSR once and verify that CSR's arrays.
+
+        What admits and store hits share: the one flatten feeds both the
+        verification and the store write (or the digest check).
+        """
         with profile_span("registry.build", kind=spec.kind):
             with self.metrics.time("build"):
                 emb = build_spec(spec)
+        with self.metrics.time("csr_export"):
+            csr = embedding_csr(emb)
         with self.metrics.time("verify"):
-            report = emb.verify(strict=False)
+            report = emb.verify(strict=False, csr=csr)
         if not report.ok:
             self.metrics.incr("verify_failures")
             report.raise_if_failed()
@@ -390,7 +407,7 @@ class EmbeddingRegistry:
                 self.metrics.gauge(
                     f"embedding_{quantity}", kind=spec.kind
                 ).set(report.metrics[quantity])
-        return emb
+        return emb, csr
 
     def __contains__(self, spec: EmbeddingSpec) -> bool:
         key = spec.cache_key()

@@ -105,6 +105,10 @@ def build_spec(spec: EmbeddingSpec):
 
     Dispatches to the paper constructions; raises ``ValueError`` on an
     unknown kind and propagates each construction's own parameter errors.
+    None of these builders verifies its output.  The registry's admit
+    exports the result's CSR (:func:`~repro.core.fast_verify.embedding_csr`)
+    and then verifies the embedding against that CSR's arrays, so the
+    paths are flattened once.
     """
     from repro.obs.profile import profile_span
 

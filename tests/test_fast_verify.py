@@ -1,10 +1,16 @@
 """Tests for the vectorized verification kernels vs the scalar referee."""
 
 import numbers
+import random
 
 import pytest
 
 from repro.core import embed_cycle_load1
+from repro.core.cycle_multicopy import graycode_cycle_embedding
+from repro.core.embedding import Embedding, MultiPathEmbedding
+from repro.core.fast_verify import embedding_csr
+from repro.hypercube.graph import Hypercube
+from repro.networks.base import ExplicitGraph
 from repro.qa import default_space, verification_differential
 
 # mirror of tests/test_qa.py's SMALL_POINTS: one point per construction kind
@@ -143,3 +149,111 @@ class TestFailureParity:
         reference = emb.verify_reference(strict=False)
         assert not fast.ok and not reference.ok
         assert fast.failures[0].name == reference.failures[0].name
+
+
+EMBEDDING_KINDS = [
+    kind for kind in default_space().kinds() if not kind.startswith("scenario:")
+]
+
+
+def _full(report):
+    return (
+        [(c.name, c.passed, c.detail) for c in report.checks],
+        sorted(report.metrics.items()),
+    )
+
+
+def _both(emb):
+    """The report without and with the embedding's own CSR, which must agree."""
+    plain = emb.verify(strict=False)
+    assert _full(emb.verify(strict=False, csr=embedding_csr(emb))) == _full(plain)
+    return _full(plain)
+
+
+OK_MULTIPATH = [
+    ("vertex-map", True, ""),
+    ("load", True, "load 1 <= 1"),
+    ("edge-paths", True, ""),
+    ("hops-are-edges", True, ""),
+    ("edge-disjoint", True, ""),
+]
+OK_CLASSICAL = OK_MULTIPATH[:-1]
+
+
+class TestCsrParity:
+    """``verify(csr=...)`` reads the export's arrays and reports the same."""
+
+    @pytest.mark.parametrize("kind", EMBEDDING_KINDS)
+    def test_every_kind(self, kind):
+        construction = default_space().get(kind)
+        emb = construction.build(construction.sample(random.Random(29)))
+        checks, _ = _both(emb)
+        assert all(passed for _, passed, _ in checks), kind
+
+    def test_foreign_csr_rejected(self):
+        with pytest.raises(ValueError, match="own export"):
+            embed_cycle_load1(4).verify(csr=embedding_csr(embed_cycle_load1(5)))
+
+    # the pinned reports below are what verify() returned before it read
+    # the export's arrays
+
+    def test_extra_key_is_unchecked_and_unmeasured(self):
+        emb = embed_cycle_load1(4)
+        emb.edge_paths[(100, 101)] = ((0, 1, 3, 7, 15, 14),)
+        assert _both(emb) == (
+            OK_MULTIPATH,
+            sorted({"width": 3, "load": 1, "max_load_allowed": 1,
+                    "expansion": 1.0, "dilation": 3, "congestion": 3}.items()),
+        )
+
+    def test_extra_key_classical_metrics_follow_properties(self):
+        emb = graycode_cycle_embedding(3)
+        emb.edge_paths[(100, 101)] = (0, 1, 3, 7, 6)
+        assert _both(emb) == (
+            OK_CLASSICAL,
+            sorted({"load": 1, "max_load_allowed": 1, "dilation": 4,
+                    "congestion": 2, "expansion": 1.0}.items()),
+        )
+
+    def test_reversed_only_edge_is_missing(self):
+        emb = embed_cycle_load1(4)
+        paths = emb.edge_paths.pop((0, 1))
+        emb.edge_paths[(1, 0)] = tuple(tuple(reversed(p)) for p in paths)
+        assert _both(emb) == (
+            OK_MULTIPATH[:2] + [("edge-paths", False, "guest edge (0, 1) has no paths")],
+            [],
+        )
+        emb = graycode_cycle_embedding(3)
+        path = emb.edge_paths.pop((2, 3))
+        emb.edge_paths[(3, 2)] = tuple(reversed(path))
+        assert _both(emb) == (
+            OK_CLASSICAL[:2] + [("edge-paths", False, "guest edge (2, 3) has no path")],
+            [],
+        )
+
+    def test_empty_path_raises_index_error(self):
+        for emb in (embed_cycle_load1(4), graycode_cycle_embedding(3)):
+            edge = list(emb.edge_paths)[2]
+            emb.edge_paths[edge] = ((),) if isinstance(emb, MultiPathEmbedding) else ()
+            csr = embedding_csr(emb)
+            with pytest.raises(IndexError):
+                emb.verify(strict=False)
+            with pytest.raises(IndexError):
+                emb.verify(strict=False, csr=csr)
+
+    def test_string_vertices_verify_without_packing(self):
+        names = [f"v{i}" for i in range(8)]
+        order = (0, 1, 3, 2, 6, 7, 5, 4)  # Gray code: one bit per step
+        guest = ExplicitGraph(names, [(names[i], names[(i + 1) % 8]) for i in range(8)])
+        vertex_map = {name: order[i] for i, name in enumerate(names)}
+        edge_paths = {
+            (u, v): (vertex_map[u], vertex_map[v]) for u, v in guest.edges()
+        }
+        emb = Embedding(Hypercube(3), guest, vertex_map, edge_paths)
+        assert _full(emb.verify(strict=False)) == (
+            OK_CLASSICAL,
+            sorted({"load": 1, "max_load_allowed": 1, "dilation": 1,
+                    "congestion": 1, "expansion": 1.0}.items()),
+        )
+        with pytest.raises(ValueError):
+            embedding_csr(emb)  # serving needs packable vertices; verify does not

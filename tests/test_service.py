@@ -207,6 +207,57 @@ class TestRegistry:
         assert snap["timers"]["build"]["count"] == 1
 
 
+class TestFlattenOnce:
+    """An admit and a store-hit rebuild flatten the embedding's paths once."""
+
+    @pytest.fixture
+    def flattens(self, monkeypatch):
+        import repro.core.fast_verify as fast_verify
+
+        calls = []
+        real = fast_verify.flatten_paths
+
+        def counting(paths):
+            calls.append(len(paths))
+            return real(paths)
+
+        monkeypatch.setattr(fast_verify, "flatten_paths", counting)
+        return calls
+
+    def test_admit_flattens_once(self, tmp_path, flattens):
+        reg = EmbeddingRegistry(cache_dir=tmp_path)
+        reg.get_or_build(cycle_spec(6))
+        assert reg.metrics.count("builds") == 1
+        assert len(flattens) == 1
+
+    def test_store_hit_flattens_once(self, tmp_path, flattens):
+        spec = cycle_spec(6)
+        EmbeddingRegistry(cache_dir=tmp_path).get_or_build(spec)
+        flattens.clear()
+        fresh = EmbeddingRegistry(cache_dir=tmp_path)
+        assert fresh.get(spec) is not None
+        assert fresh.metrics.count("rebuilds") == 1
+        assert fresh.metrics.count("disk_corrupt") == 0
+        assert len(flattens) == 1
+
+    @pytest.mark.parametrize("builder", ["embed_cycle_load1", "embed_cycle_load2"])
+    def test_cycle_builders_do_not_verify(self, monkeypatch, builder):
+        import repro.core as core
+        from repro.core.embedding import (
+            Embedding,
+            MultiCopyEmbedding,
+            MultiPathEmbedding,
+        )
+
+        calls = []
+        for cls in (Embedding, MultiPathEmbedding, MultiCopyEmbedding):
+            monkeypatch.setattr(
+                cls, "verify", lambda self, *a, **k: calls.append(self)
+            )
+        getattr(core, builder)(6)
+        assert calls == []
+
+
 class TestEngine:
     def test_batch_preserves_order_and_dedups(self, tmp_path):
         reg = EmbeddingRegistry(cache_dir=tmp_path)
