@@ -1023,11 +1023,15 @@ def _cmd_qa(args) -> int:
             batched_wormhole_differential_check,
         )
         from repro.qa.schedules import (
+            ARMING_QUEUE,
             DEADLOCK_CYCLE,
+            arming_faults,
             random_schedule_batch,
             random_worm_schedule_batch,
         )
-        from repro.routing.batched import _COMPACT_FLOOR, BatchedWormhole
+        from repro.routing.batched import BatchedWormhole
+
+        large = 256  # rows: each seed's last batch per engine has more
 
         def draw_faults(rng, batch):
             if rng.random() >= 0.5:
@@ -1041,12 +1045,11 @@ def _cmd_qa(args) -> int:
                 for _ in batch
             ]
 
-        def above_floor(draw):
-            # whole lanes until the batch outgrows the compaction floor, so
-            # store-and-forward row compaction runs under the differential
-            # too, as do large wormhole batches
+        def large_batch(draw):
+            # whole lanes until the batch holds over ``large`` rows, so
+            # many lanes and late releases share the tick loops too
             batch = []
-            while sum(len(lane) for lane in batch) <= _COMPACT_FLOOR:
+            while sum(len(lane) for lane in batch) <= large:
                 batch += draw()
             return batch
 
@@ -1081,17 +1084,22 @@ def _cmd_qa(args) -> int:
                     worm_batch.append(DEADLOCK_CYCLE + worm_batch.pop())
                 divergence = check_worms(worm_batch, cap)
             if divergence is None:
-                batch = above_floor(
+                batch = large_batch(
                     lambda: random_schedule_batch(
                         host, rng, max_lanes=8, max_packets=80,
                         max_release=40,
                     )
                 )
-                divergence = batched_differential_check(
-                    host, batch, faults=draw_faults(rng, batch)
-                )
+                faults = draw_faults(rng, batch)
+                if i % 2 == 0 and host.n >= 2:
+                    # random faults seldom arm under a queue: the seeds
+                    # without the worm cycle add a lane that does (and
+                    # draw nothing from rng)
+                    faults = (faults or [None] * len(batch)) + [arming_faults(host)]
+                    batch.append(ARMING_QUEUE)
+                divergence = batched_differential_check(host, batch, faults=faults)
             if divergence is None:
-                worm_batch = above_floor(
+                worm_batch = large_batch(
                     lambda: random_worm_schedule_batch(
                         host, rng, max_lanes=8, max_worms=60,
                     )
@@ -1103,9 +1111,9 @@ def _cmd_qa(args) -> int:
         per_cap = ", ".join(f"c={c}: {k}" for c, k in deadlocked.items())
         print(
             f"{args.seeds} random batch(es) on Q_{args.n}, each followed by "
-            f"one of over {_COMPACT_FLOOR} rows per engine, worm buffers "
-            f"cycling 1-3 (deadlocked lanes {per_cap}): batched engines "
-            f"match the reference engines lane-for-lane"
+            f"one of over {large} rows per engine, worm buffers cycling 1-3 "
+            f"(deadlocked lanes {per_cap}), a fault-arming lane every other "
+            f"seed: batched engines match the reference engines lane-for-lane"
         )
         return 0
 

@@ -11,14 +11,14 @@ so both ``repro.core`` and ``repro.routing`` can import it.
 Two layouts are provided:
 
 * :func:`flatten_paths` + :func:`hop_edge_ids` — the flat CSR-style layout
-  (one concatenated node vector plus path offsets) the verification kernels
-  and the packet schedules use, where per-path quantities come from offset
-  arithmetic instead of Python loops; :func:`ecube_paths` builds
-  dimension-order paths in it straight from their endpoints;
+  (one concatenated node vector plus path offsets) the verification kernels,
+  the packet schedules and the batched store-and-forward engine use, where
+  per-path quantities come from offset arithmetic instead of Python loops;
+  :func:`ecube_paths` builds dimension-order paths in it straight from
+  their endpoints;
 * :func:`path_edge_matrix` — that layout as the padded
   ``(num_paths, max_hops)`` edge-id matrix with ``-1`` fill the batched
-  simulation engines run on (one row per packet or worm, one column per
-  hop).
+  wormhole engine runs on (one row per worm, one column per hop).
 
 All hop validation happens here, *before* any ``log2``: a zero-move hop
 (``u == u``) or a multi-bit move is rejected with the same
@@ -241,15 +241,15 @@ def ecube_paths(
 def path_edge_matrix(
     n: int, nodes: np.ndarray, offsets: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """The padded per-path edge-id matrix of the vectorized engines.
+    """The padded per-path edge-id matrix of the batched wormhole engine.
 
     Takes a path batch in the :func:`flatten_paths` layout (every path at
     least one node long) and returns ``(edges, lengths)``: ``edges`` is
     ``(num_paths, max_hops)`` int64 with row ``i`` holding the directed
     edge ids of path ``i``'s hops and ``-1`` padding; ``lengths[i]`` is
-    path ``i``'s hop count.  This is the encoding both
-    :mod:`repro.routing.batched` engines run on, and every hop is validated
-    by :func:`hop_edge_ids` on the way.
+    path ``i``'s hop count.  ``BatchedWormhole`` runs on this encoding
+    (its store-and-forward sibling reads :func:`hop_edge_ids` directly),
+    and every hop is validated by :func:`hop_edge_ids` on the way.
     """
     lengths = np.diff(offsets) - 1
     num = lengths.size

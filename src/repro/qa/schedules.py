@@ -22,8 +22,12 @@ from __future__ import annotations
 import random
 from typing import Any, Callable, Iterator, List, Sequence, Tuple
 
+from repro.fault.faults import FaultModel
+
 __all__ = [
+    "ARMING_QUEUE",
     "DEADLOCK_CYCLE",
+    "arming_faults",
     "all_host_paths",
     "random_schedule",
     "random_worm_schedule",
@@ -48,6 +52,18 @@ WormSchedule = List[Tuple[Tuple[int, ...], int, int]]
 DEADLOCK_CYCLE: WormSchedule = [
     (path, 8, 1) for path in ((0, 1, 3), (1, 3, 2), (3, 2, 0), (2, 0, 1))
 ]
+
+# six packets queue on link 0 -> 1 of any Q_n, n >= 2, which
+# ``arming_faults`` kills at step 3: two cross first, and only a sweep of
+# the queue at the arming step drops the four still waiting.  Two later
+# packets join the dead link as arrivals, one released onto it (dropped
+# at step 4), one over 2 -> 0 (dropped at 5, the lane's last step).
+ARMING_QUEUE: Schedule = [((0, 1, 3), 1)] * 6 + [((0, 1), 4), ((2, 0, 1), 4)]
+
+
+def arming_faults(host: Any) -> FaultModel:
+    """The fault model of :data:`ARMING_QUEUE`: link 0 -> 1 dies at step 3."""
+    return FaultModel(host, {host.edge_id(0, 1)}, active_from=3)
 
 
 def all_host_paths(emb: Any) -> List[Tuple[int, ...]]:

@@ -11,32 +11,27 @@ advance every lane per tick in a few numpy ops, so the Python overhead of
 a step is amortized over the whole fleet.
 
 The trick is a **lane offset**: packet/worm rows carry a lane id, and every
-requested link id is shifted by ``lane * num_links`` before arbitration.
-Lanes can never collide on a shifted link, so one winner kernel (an
-``np.minimum.at`` scatter of dense arbitration ranks for packets, an
-``np.unique`` lowest-ident pick for worm heads) arbitrates all lanes at
-once and per-lane semantics are untouched.  Global injection order is
-lane-major, so a global priority array preserves each lane's local
-injection order; the global idle-jump only fires when *no* lane has a
-ready packet, and an idle step is a per-lane no-op, so every lane sees
-exactly the step numbers the reference engine would have simulated.
+requested link id is shifted by ``lane * num_links``.  Lanes can never
+collide on a shifted link, so one arbitration serves all lanes at once and
+per-lane semantics are untouched.  Global injection order is lane-major,
+so a global priority array preserves each lane's local injection order;
+the global idle-jump only fires when *no* lane has a waiting packet, and
+an idle step is a per-lane no-op, so every lane sees exactly the step
+numbers the reference engine would have simulated.
 
 Per-lane semantics are bit-identical to the reference engines:
 
 * store-and-forward: priority tie-break, fail-stop ``FaultModel`` drops
   (``done_steps`` of ``-1``) including ``active_from`` mid-run activation,
-  with an independent fault model per lane;
+  with an independent fault model per lane.  The waiting packets are one
+  sorted array of ``lane_shifted_link << b | rank`` keys, so each link's
+  winner is its group's first key and a tick costs O(waiting packets);
 * wormhole: event-driven — only head acquisitions are simulated, one
   visited step per acquisition step, over the waiting heads alone; every
   flit crossing, link release and arrival follows in closed form from the
   steps each head acquired its links, and so does a deadlocked lane's
   stop, with the reference engine's message and partial state, while the
   other lanes run on.
-
-The store-and-forward engine compacts: once fewer than half the working
-rows are live, the per-row arrays shrink to the live rows (above a floor
-of ``_COMPACT_FLOOR`` rows), so late ticks of a run whose packets mostly
-arrived stop paying for the finished ones and a tick costs O(live rows).
 
 ``repro.qa`` referees the identity on fuzzed batches
 (:func:`repro.qa.differential.batched_differential_check`) with shrinking
@@ -52,7 +47,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Union
 import numpy as np
 
 from repro.hypercube.graph import Hypercube
-from repro.hypercube.pathcode import flatten_paths, path_edge_matrix
+from repro.hypercube.pathcode import flatten_paths, hop_edge_ids, path_edge_matrix
 from repro.obs.profile import profile_span
 from repro.routing.api import (
     ScheduleColumns,
@@ -69,11 +64,6 @@ _NEVER = np.iinfo(np.int64).max
 # a wormhole link whose holder's release step is not fixed yet: far above
 # any step, with headroom for the ``free_at + 1`` the event loop computes
 _HELD = 1 << 62
-
-# the store-and-forward engine compacts its working rows to the live ones
-# once fewer than half are live, but never below this many rows: under it a
-# compaction costs more than the whole-array passes it would save
-_COMPACT_FLOOR = 256
 
 
 def _per_lane_faults(faults: Any, lanes: int) -> List[Any]:
@@ -160,7 +150,7 @@ class BatchedStoreForward:
 
         Global injection order — lane-major, so within a lane it is exactly
         the reference engine's injection-order priority.  Taken once per
-        run and turned into dense ranks by a stable sort, so equal
+        run, and a stable sort of it puts the rows in rank order, so equal
         priorities resolve by injection order.  This is the
         arbitration-policy seam the QA mutation tests sabotage.
         """
@@ -179,17 +169,14 @@ class BatchedStoreForward:
             [np.zeros(1, dtype=np.int64), np.cumsum(counts)]
         )
         total = int(offsets[-1])
-        n = self.host.n
         links = self.host.num_edges  # directed links per lane
 
-        lane = np.repeat(np.arange(num_lanes, dtype=np.int64), counts)
-
-        lane_steps = np.zeros(num_lanes, dtype=np.int64)
+        # per packet, in injection order: its done step (-1 when dropped)
+        # and the step it was delivered or dropped, which gives ``steps``
+        done = np.zeros(total, dtype=np.int64)
+        last = np.zeros(total, dtype=np.int64)
         link_counts = None
-        if total == 0:
-            done_step = np.zeros(0, dtype=np.int64)
-        else:
-            done_step = np.zeros(total, dtype=np.int64)
+        if total:
             # the lanes' CSR paths as one batch: each lane's offsets shift
             # by the nodes of the lanes before it
             shifts = np.cumsum([0] + [cols.nodes.size for cols in lanes])
@@ -198,135 +185,124 @@ class BatchedStoreForward:
                 + [c.offsets[1:] + k for c, k in zip(lanes, shifts.tolist())]
             )
             nodes = np.concatenate([cols.nodes for cols in lanes])
-            release = np.concatenate([cols.release for cols in lanes])
-            edges, lengths = path_edge_matrix(n, nodes, path_offsets)
-            # lane-shifted link ids, in place: lanes never collide, so one
-            # arbitration pass serves the whole fleet
-            edges += (lane * links)[:, None]
-            # each row's next lane-shifted link; only winners change it, so
-            # the tick loop never gathers from the 2-D matrix for losers
-            # (an all-zero-hop batch has no columns and no live rows)
-            link = (
-                edges[:, 0].copy()
-                if edges.shape[1]
-                else np.zeros(total, dtype=np.int64)
-            )
-            active = lengths > 0
-            hop = np.zeros(total, dtype=np.int64)
-            # dense arbitration ranks, taken once: a stable sort keeps equal
-            # priorities in injection order, so each rank is unique
-            rank = np.empty(total, dtype=np.int64)
-            rank[np.argsort(self._priorities(total), kind="stable")] = (
-                np.arange(total, dtype=np.int64)
-            )
-            # per-link lowest contending rank, reset after every tick
-            best = np.full(num_lanes * links, _NEVER, dtype=np.int64)
-            lane_remaining = np.bincount(lane[active], minlength=num_lanes)
-
-            # per-lane fail-stop faults: one flat (lanes * links) dead mask
-            # plus a per-lane activation step, so a single comparison arms
-            # each lane independently mid-run
-            dead_flat = None
-            fault_from = None
-            if any(
-                f is not None and (f.failed or f.failed_nodes)
-                for f in fault_models
-            ):
-                dead_flat = np.zeros(num_lanes * links, dtype=bool)
-                fault_from = np.full(num_lanes, _NEVER, dtype=np.int64)
-                for b, f in enumerate(fault_models):
-                    if f is not None and (f.failed or f.failed_nodes):
-                        dead_flat[b * links:(b + 1) * links] = (
-                            f.dead_link_mask()
-                        )
-                        fault_from[b] = f.active_from
-
-            record_any = any(bool(r) for r in recorders)
-            link_counts = (
-                np.zeros(num_lanes * links, dtype=np.int64)
-                if record_any
-                else None
+            hops = np.diff(path_offsets) - 1
+            # every hop's lane-shifted link id, path after path: lanes never
+            # collide, so one queue serves the whole fleet
+            eids, _, _ = hop_edge_ids(self.host.n, nodes, path_offsets)
+            eids += np.repeat(
+                np.arange(num_lanes, dtype=np.int64) * links,
+                [cols.nodes.size - len(cols) for cols in lanes],
             )
 
-            # the tick loop works on a compacted set of rows: ``rows`` holds
-            # their global ids, every other per-row array is indexed by
-            # working row, and ``done_step`` stays global
-            rows = np.arange(total, dtype=np.int64)
-            step = 0
-            remaining = int(active.sum())
-            while remaining > 0:
-                if (
-                    active.size > _COMPACT_FLOOR
-                    and 2 * remaining < active.size
-                ):
-                    # most rows are delivered or dropped: shrink every
-                    # working array to the live rows, so a tick costs
-                    # O(live rows) however large the batch started
-                    with profile_span(
-                        "sim.batched_store_forward.compact",
-                        step=step, rows=active.size, kept=remaining,
-                    ):
-                        rows, lane = rows[active], lane[active]
-                        release, lengths = release[active], lengths[active]
-                        edges, hop = edges[active], hop[active]
-                        rank, link = rank[active], link[active]
-                        active = np.ones(remaining, dtype=bool)
+            # rows in rank order, taken once: a stable sort keeps equal
+            # priorities in injection order, and row ``r`` is packet
+            # ``order[r]``; ``at[r]`` indexes ``eids`` at the row's link
+            order = np.argsort(self._priorities(total), kind="stable")
+            at = (path_offsets[:-1] - np.arange(total, dtype=np.int64))[order]
+            stop = at + hops[order]
+            release = np.concatenate([cols.release for cols in lanes])[order]
+
+            # a waiting packet is the key ``link << shift | row``: sorted
+            # keys group each link's waiting packets in rank order, so the
+            # first key of a group is that link's winner this tick
+            shift = (total - 1).bit_length()
+            if (num_lanes * links - 1).bit_length() + shift > 62:
+                raise ValueError(
+                    f"queue keys for {num_lanes} lane(s) of {total} packets exceed 62 bits"
+                )
+            low = (1 << shift) - 1
+            eids <<= shift  # each hop's key, less its row
+            # the keys of the packets that move at all, grouped by release
+            # step; a group joins the queue at its step
+            moving = np.flatnonzero(stop > at)
+            moving = moving[np.argsort(release[moving], kind="stable")]
+            pending = eids[at[moving]] | moving
+            # releases are >= 1, so the first of them starts a group too
+            starts = np.flatnonzero(np.diff(release[moving], prepend=0))
+            joins = release[moving[starts]].tolist()
+            bounds = starts.tolist() + [moving.size]
+
+            # per-lane fail-stop faults: the step from which each
+            # lane-shifted link is dead; a packet waiting on one is dropped
+            faulty = [
+                (b, f) for b, f in enumerate(fault_models)
+                if f is not None and (f.failed or f.failed_nodes)
+            ]
+            die_at = np.full(num_lanes * links, _NEVER) if faulty else None
+            for b, f in faulty:
+                lane_links = die_at[b * links:(b + 1) * links]
+                lane_links[f.dead_link_mask()] = f.active_from
+            arming = {f.active_from for _, f in faulty}
+            dropped = np.zeros(total, dtype=bool)
+            end = np.zeros(total, dtype=np.int64)  # by row
+
+            def drop(keys: np.ndarray, step: int) -> np.ndarray:
+                doomed = die_at[keys >> shift] <= step
+                rows = keys[doomed] & low
+                end[rows] = step
+                dropped[rows] = True
+                return keys[~doomed]
+
+            rest = movers = np.zeros(0, dtype=np.int64)
+            group, step = 0, 0
+            while rest.size or movers.size or group < len(joins):
+                if not (rest.size or movers.size):
+                    # no lane has a waiting packet: jump to the next release
+                    # (idle steps are per-lane no-ops, so lane-local step
+                    # numbers stay identical to the reference engine)
+                    step = joins[group] - 1
                 step += 1
                 if step > max_steps:
                     raise RuntimeError(
                         f"simulation exceeded {max_steps} steps"
                     )
-                ready = active & (release <= step)
-                idx = ready.nonzero()[0]
-                if idx.size == 0:
-                    # no lane has a ready packet: jump to the next release
-                    # (idle steps are per-lane no-ops, so lane-local step
-                    # numbers stay identical to the reference engine)
-                    step = int(release[active].min()) - 1
+                # last tick's movers and this step's releases join the queue
+                arrivals = [movers]
+                if group < len(joins) and joins[group] == step:
+                    lo, hi = bounds[group], bounds[group + 1]
+                    arrivals.append(np.sort(pending[lo:hi]))
+                    group += 1
+                if die_at is not None:
+                    if step in arming:
+                        # a lane arms: drop what already waits on its
+                        # dead links, not only what joins now
+                        rest = drop(rest, step)
+                    arrivals = [drop(keys, step) for keys in arrivals]
+                # sorted runs: timsort merges them in linear time
+                queue = np.concatenate([rest] + arrivals)
+                queue.sort(kind="stable")
+                if not queue.size:
+                    rest = movers = queue
                     continue
-                want = link[idx]
-                if dead_flat is not None:
-                    armed = step >= fault_from[lane[idx]]
-                    doomed = armed & dead_flat[want]
-                    if doomed.any():
-                        kill = idx[doomed]
-                        active[kill] = False
-                        done_step[rows[kill]] = -1
-                        remaining -= int(kill.size)
-                        dec = np.bincount(lane[kill], minlength=num_lanes)
-                        lane_remaining -= dec
-                        lane_steps[(dec > 0) & (lane_remaining == 0)] = step
-                        idx = idx[~doomed]
-                        want = want[~doomed]
-                        if idx.size == 0:
-                            continue
-                # one winner per (lane, link): the lowest rank contending
-                # for it — the reference winner rule per lane
-                ranks = rank[idx]
-                np.minimum.at(best, want, ranks)
-                won = best[want] == ranks
-                best[want] = _NEVER
-                winners = idx[won]
-                if link_counts is not None:
-                    link_counts[want[won]] += 1
-                hops = hop[winners] + 1
-                hop[winners] = hops
-                left = hops < lengths[winners]
-                moving = winners[left]
-                link[moving] = edges[moving, hops[left]]
-                finished = winners[~left]
-                if finished.size:
-                    active[finished] = False
-                    done_step[rows[finished]] = step
-                    remaining -= int(finished.size)
-                    dec = np.bincount(lane[finished], minlength=num_lanes)
-                    lane_remaining -= dec
-                    lane_steps[(dec > 0) & (lane_remaining == 0)] = step
+                link = queue >> shift
+                head = np.empty(queue.size, dtype=bool)
+                head[0] = True
+                np.not_equal(link[1:], link[:-1], out=head[1:])
+                rest = queue[~head]
+                # each link's head crosses it: a delivery, or a move on
+                rows = queue[head] & low
+                end[rows] = step
+                hop = at[rows] + 1
+                at[rows] = hop
+                on = hop < stop[rows]
+                movers = eids[hop[on]] | rows[on]
+                movers.sort()
+
+            done[order] = np.where(dropped, -1, end)
+            last[order] = end
+            if any(bool(r) for r in recorders):
+                # each packet crossed every hop before the one it stopped at
+                reached = np.empty(total, dtype=np.int64)
+                reached[order] = at
+                crossed = np.arange(eids.size) < np.repeat(reached, hops)
+                link_counts = np.bincount(
+                    eids[crossed] >> shift, minlength=num_lanes * links
+                )
 
         results: List[SimResult] = []
         for b in range(num_lanes):
             lo, hi = int(offsets[b]), int(offsets[b + 1])
-            lane_done = done_step[lo:hi]
+            lane_done = done[lo:hi]
             rec = recorders[b]
             if rec:
                 if link_counts is not None:
@@ -341,7 +317,7 @@ class BatchedStoreForward:
                     ),
                     delivered=int((lane_done >= 0).sum()),
                     injected=hi - lo,
-                    steps=int(lane_steps[b]),
+                    steps=int(last[lo:hi].max()) if hi > lo else 0,
                     done_steps=tuple(lane_done.tolist()),
                     engine=self.engine,
                     recorder=rec,

@@ -4,11 +4,13 @@ Three layers:
 
 * engine semantics — protocol conformance, empty/degenerate lanes,
   per-lane fault drops, wormhole deadlock freezing, runs that end on a
-  boundary the engines compare against, store-and-forward row
-  compaction above the floor, and a wormhole batch of that size;
+  boundary the engines compare against, large store-and-forward and
+  wormhole batches whose lanes end at different times, and the
+  fault-arming lane, whose queue is dropped when its link dies;
 * metamorphic properties — permuting a batch permutes results, a batch
   of one equals the reference engine, splitting a batch and concatenating
-  the results is the identity;
+  the results is the identity, and removing a lane's lowest-priority
+  packet changes no other packet's done step;
 * the QA harness — seeded ``batched_differential`` fuzz smoke, the
   fault-activation edge matrix across the reference engine and both
   batched entry points (``run`` and ``run_many``), and a mutation test
@@ -25,7 +27,6 @@ import repro.routing.batched as batched_module
 from repro._compat import resolve_rng
 from repro.fault.faults import FaultModel
 from repro.hypercube.graph import Hypercube
-from repro.obs import MetricsRegistry, Tracer, disable_profiling, enable_profiling
 from repro.obs.recorder import LinkRecorder
 from repro.qa.differential import (
     _worm_outcomes,
@@ -35,7 +36,9 @@ from repro.qa.differential import (
 from repro.qa.corpus import CorpusEntry
 from repro.qa.fuzzer import STAGES, Fuzzer
 from repro.qa.schedules import (
+    ARMING_QUEUE,
     DEADLOCK_CYCLE,
+    arming_faults,
     random_schedule_batch,
     random_worm_schedule_batch,
 )
@@ -152,10 +155,9 @@ def _rotated_route(n, u, v, rot):
 
 
 class TestCompaction:
-    """A wormhole batch above the store-and-forward compaction floor, with
-    a deadlocked lane beside lanes whose late releases keep the run going:
-    every lane matches the reference engine and a batch of one
-    field-for-field."""
+    """A wormhole batch of over 256 worms, with a deadlocked lane beside
+    lanes whose late releases keep the run going: every lane matches the
+    reference engine and a batch of one field-for-field."""
 
     N = 5
     CAP = 2
@@ -205,16 +207,13 @@ class TestCompaction:
             assert out == ref == single
 
 
-class TestStoreForwardCompaction:
-    """Packet batches above the compaction floor: delivered and dropped
-    rows leave the working arrays mid-run, and every lane still matches
-    the reference engine and an uncompacted batch of one field-for-field,
-    recorder snapshot included."""
+class TestStoreForwardLargeBatch:
+    """A packet batch of over 256 rows whose lanes end at different times,
+    two of them with faults that arm mid-run: every lane matches the
+    reference engine and a batch of one field-for-field, recorder
+    snapshot included."""
 
     N = 5
-
-    def teardown_method(self):
-        disable_profiling()
 
     def _batch(self):
         rng = resolve_rng("sf-compaction")
@@ -232,7 +231,7 @@ class TestStoreForwardCompaction:
             return out
 
         # an early lane, and lanes whose late releases keep the run going
-        # after it: the rows shrink at least twice
+        # long after it
         return [
             packets(200, 3, zero_hop=6),
             packets(180, 40, zero_hop=4),
@@ -244,37 +243,27 @@ class TestStoreForwardCompaction:
         rng = resolve_rng("sf-compaction-faults")
         return [
             FaultModel.random_links(host, k=3, rng=rng),
-            # armed mid-run, after the early lane's rows have left
+            # armed mid-run, after the early lane's packets have arrived
             FaultModel.random_links(host, k=4, rng=rng, active_from=25),
             None,
             FaultModel.random_links(host, k=2, rng=rng, active_from=60),
         ]
 
-    def _compactions(self, registry):
-        timers = registry.snapshot()["timers"]
-        return timers.get("sim.batched_store_forward.compact", {}).get(
-            "count", 0
-        )
-
     def _observable(self, result, recorder):
         return result.measured(), recorder.snapshot()
 
-    def test_compacted_lanes_match_reference(self):
+    def test_lanes_match_reference_and_batch_of_one(self):
         host = Hypercube(self.N)
         batch, faults = self._batch(), self._faults(host)
-        registry = MetricsRegistry()
-        enable_profiling(registry, Tracer())
         recs = [LinkRecorder(host=host) for _ in batch]
         results = BatchedStoreForward(host).run_many(
             batch, recorders=recs, faults=faults
         )
-        disable_profiling()
         assert sum(len(lane) for lane in batch) > 256
-        assert self._compactions(registry) >= 2
         assert any(-1 in r.done_steps for r in results[:2])
         for lane, fault, res, rec in zip(batch, faults, results, recs):
-            # every lane alone stays below the floor: the reference and the
-            # uncompacted batch of one must both match the compacted lane
+            # the reference and a batch of one (each lane alone is small)
+            # must both match the lane of the large batch
             assert len(lane) <= 256
             single_rec = LinkRecorder(host=host)
             [single] = BatchedStoreForward(host).run_many(
@@ -284,27 +273,16 @@ class TestStoreForwardCompaction:
             assert got == _scalar(host, lane, faults=fault)
             assert got == self._observable(single, single_rec)
 
-    def test_batches_below_the_floor_never_compact(self):
-        host = Hypercube(self.N)
-        registry = MetricsRegistry()
-        enable_profiling(registry, Tracer())
-        lanes = self._batch()[1:2]
-        assert sum(len(lane) for lane in lanes) <= 256
-        BatchedStoreForward(host).run_many(lanes)
-        assert self._compactions(registry) == 0
 
-
-class TestCompactionNeverChangesAResult:
-    """Compaction is pure bookkeeping: with the floor at 0 (compact at
-    every chance) and at 10**9 (never) the store-and-forward engine gives
-    every lane the same measured fields and recorder snapshot.  The
-    wormhole engine never compacts; its batches, every other one with a
-    deadlocked lane, are checked lane for lane against the reference."""
+class TestBatchingNeverChangesALane:
+    """Running a lane inside a batch is pure bookkeeping: on random
+    batches, half their lanes with faults, every store-and-forward lane
+    gives the same measured fields and recorder snapshot as the same lane
+    run alone, a batch of one.  The wormhole batches, every other one
+    with a deadlocked lane, are checked lane for lane against the
+    reference."""
 
     SEEDS = 120
-
-    def teardown_method(self):
-        disable_profiling()
 
     def _batch(self, seed):
         rng = resolve_rng(f"compaction-floor:{seed}")
@@ -325,30 +303,22 @@ class TestCompactionNeverChangesAResult:
             worm_batch.append(DEADLOCK_CYCLE + worm_batch.pop())
         return host, batch, faults, worm_batch
 
-    def test_floor_zero_and_infinite_agree(self, monkeypatch):
-        results, compactions = {}, {}
-        for floor in (0, 10 ** 9):
-            monkeypatch.setattr(batched_module, "_COMPACT_FLOOR", floor)
-            registry = MetricsRegistry()
-            enable_profiling(registry, Tracer())
-            runs = []
-            for seed in range(self.SEEDS):
-                host, batch, faults, _ = self._batch(seed)
-                recs = [LinkRecorder(host=host) for _ in batch]
-                got = BatchedStoreForward(host).run_many(
-                    batch, recorders=recs, faults=faults
-                )
-                runs.append(
-                    [(r.measured(), rec.snapshot()) for r, rec in zip(got, recs)]
-                )
-            disable_profiling()
-            timers = registry.snapshot()["timers"]
-            results[floor] = runs
-            compactions[floor] = timers.get(
-                "sim.batched_store_forward.compact", {}
-            ).get("count", 0)
-        assert results[0] == results[10 ** 9]
-        assert compactions[0] > 0 and compactions[10 ** 9] == 0
+    @staticmethod
+    def _observed(host, batch, faults):
+        recs = [LinkRecorder(host=host) for _ in batch]
+        got = BatchedStoreForward(host).run_many(
+            batch, recorders=recs, faults=faults
+        )
+        return [(r.measured(), rec.snapshot()) for r, rec in zip(got, recs)]
+
+    def test_lanes_match_batches_of_one(self):
+        for seed in range(self.SEEDS):
+            host, batch, faults, _ = self._batch(seed)
+            alone = [
+                self._observed(host, [lane], [fault])[0]
+                for lane, fault in zip(batch, faults)
+            ]
+            assert self._observed(host, batch, faults) == alone
         deadlocked = 0
         for seed in range(self.SEEDS):
             host, _, _, worm_batch = self._batch(seed)
@@ -465,6 +435,58 @@ class TestMetamorphic:
         assert _worm_outcomes(engine, batch[::-1]) == whole[::-1]
 
 
+class TestLowestPriorityPacket:
+    """The premise of the store-and-forward queue: priorities are fixed for
+    a run, so a packet only ever waits behind higher-priority ones, and a
+    lane's lowest-priority packet (its last) delays no other.  Removing it
+    leaves every other packet's done step unchanged, with and without
+    faults, in the reference engine and in the batched one."""
+
+    SEEDS = 60
+
+    @pytest.mark.parametrize("faulty", [False, True])
+    def test_removing_it_changes_no_other_done_step(self, faulty):
+        waits = {"reference": 0, "batched": 0}
+        for seed in range(self.SEEDS):
+            rng = resolve_rng(f"lowest-priority:{seed}")
+            host = Hypercube(3 + seed % 2)
+            batch = [
+                lane
+                for lane in random_schedule_batch(host, rng, max_packets=30)
+                if lane
+            ]
+            faults = [
+                FaultModel.random_links(
+                    host, k=rng.randint(1, 3), rng=rng,
+                    active_from=rng.choice([0, 2, 4]),
+                )
+                if faulty
+                else None
+                for _ in batch
+            ]
+            cut = [lane[:-1] for lane in batch]
+            reference = StoreForwardSimulator(host, tie_break="priority")
+            fast = BatchedStoreForward(host)
+            runs = {
+                "reference": [
+                    (reference.run(lane, faults=f), reference.run(less, faults=f))
+                    for lane, less, f in zip(batch, cut, faults)
+                ],
+                "batched": zip(
+                    fast.run_many(batch, faults=faults),
+                    fast.run_many(cut, faults=faults),
+                ),
+            }
+            for engine, pairs in runs.items():
+                for lane, (whole, less) in zip(batch, pairs):
+                    assert whole.done_steps[:-1] == less.done_steps
+                    # count removed packets that waited, so the property
+                    # is not vacuous
+                    path, release = lane[-1]
+                    waits[engine] += whole.done_steps[-1] > release + len(path) - 2
+        assert all(waits.values())
+
+
 class TestFaultActivationEdges:
     """``active_from`` at step 0, the final step, and past ``max_steps``
     must drop the same packets in the reference engine and in both batched
@@ -519,6 +541,40 @@ class TestFaultActivationEdges:
         assert ref.measured() == fast.measured() == batched.measured()
         assert batched.measured() == clean.measured()
         assert -1 not in batched.done_steps
+
+
+class TestArmingSweep:
+    """The fault-arming lane (``ARMING_QUEUE``): four packets wait on a
+    link when it dies, and the sweep of the queue at the lane's arming
+    step must drop them, alone and in a batch whose other lanes arm at
+    other steps.  A sweep a step late, or none, lets them cross."""
+
+    def test_arming_lane_matches_reference(self):
+        for n in (2, 4):
+            host = Hypercube(n)
+            fault = arming_faults(host)
+            reference = _scalar(host, ARMING_QUEUE, faults=fault)
+            assert reference[0]["done_steps"] == (2, 3) + (-1,) * 6
+            assert reference[0]["steps"] == 5
+            rec = LinkRecorder(host=host)
+            [res] = BatchedStoreForward(host).run_many(
+                [ARMING_QUEUE], recorders=[rec], faults=[fault]
+            )
+            assert (res.measured(), rec.snapshot()) == reference
+
+    def test_arming_lane_in_a_batch(self):
+        host = Hypercube(4)
+        rng = resolve_rng("arming-batch")
+        batch = random_schedule_batch(host, rng, max_lanes=4, max_packets=30)
+        faults = [
+            FaultModel.random_links(
+                host, k=2, rng=rng, active_from=rng.choice([1, 2, 4, 6])
+            )
+            for _ in batch
+        ]
+        batch.append(ARMING_QUEUE)
+        faults.append(arming_faults(host))
+        assert batched_differential_check(host, batch, faults=faults) is None
 
 
 class TestBatchedDifferential:
