@@ -14,14 +14,20 @@ Three embedding styles, matching the paper's definitions:
 All verification is against the *directed* hypercube host: a host path is a
 sequence of directed host edges, and "edge-disjoint" means no two paths of
 the same guest edge share a directed host edge.
+
+A builder that computes its paths as arrays returns a
+:class:`MultiPathEmbedding` carrying them (:meth:`MultiPathEmbedding.from_arrays`):
+export and verification read the arrays, and ``vertex_map``, ``edge_paths``
+and ``step_of`` are built from them on first read.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,9 +36,9 @@ from repro.hypercube.graph import Hypercube
 from repro.networks.base import GuestGraph
 
 if TYPE_CHECKING:
-    from repro.core.fast_verify import PathCSR
+    from repro.core.fast_verify import PathCSR, PathLayout
 
-__all__ = ["Embedding", "MultiPathEmbedding", "MultiCopyEmbedding"]
+__all__ = ["Embedding", "MultiPathEmbedding", "MultiCopyEmbedding", "PathArrays"]
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
@@ -134,6 +140,73 @@ class Embedding:
         )
 
 
+@dataclass(frozen=True)
+class PathArrays:
+    """A multipath embedding as flat arrays, in place of its three dicts.
+
+    Guest vertex ``g`` is the ``g``-th of ``guest.vertices()``, the id the
+    guest's ``packed_edges()`` uses, and ``images[g]`` is its host node.
+    ``layout`` holds the paths bundle by bundle in ``guest.edges()``
+    order, its ``edges`` the guest's packed edges.  Path ``p`` runs at the
+    steps ``step_patterns[path_pattern[p]]``, each plus ``step_base[p]``
+    when ``step_base`` is given.
+    """
+
+    images: np.ndarray
+    layout: "PathLayout"
+    step_patterns: Tuple[Tuple[int, ...], ...]
+    path_pattern: np.ndarray
+    step_base: Optional[np.ndarray] = None
+
+    def dicts(self, guest: GuestGraph) -> Tuple[Dict, Dict, Dict]:
+        """``(vertex_map, edge_paths, step_of)``, in a dict builder's order."""
+        verts = list(guest.vertices())
+        vertex_map = dict(zip(verts, self.images.tolist()))
+        keys = [(verts[u], verts[v]) for u, v in self.layout.edges.uv.tolist()]
+        flat = self.layout.nodes.tolist()
+        offsets = self.layout.path_offsets.tolist()
+        paths = [tuple(flat[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
+        del flat
+        patterns = self.step_patterns
+        if self.step_base is None:
+            steps = [patterns[i] for i in self.path_pattern.tolist()]
+        else:
+            steps = [
+                tuple(s + base for s in patterns[i]) if base else patterns[i]
+                for i, base in zip(self.path_pattern.tolist(), self.step_base.tolist())
+            ]
+        bounds = self.layout.bundle_offsets.tolist()
+        spans = list(zip(bounds, bounds[1:]))
+        edge_paths = dict(zip(keys, (tuple(paths[lo:hi]) for lo, hi in spans)))
+        step_of = dict(zip(keys, (tuple(steps[lo:hi]) for lo, hi in spans)))
+        return vertex_map, edge_paths, step_of
+
+
+_UNSET = object()
+
+
+class _BuiltOnRead:
+    """A dict field of :class:`MultiPathEmbedding` that an array-built
+    embedding builds from its :class:`PathArrays` on first read."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, emb: Any, owner: Any = None) -> Any:
+        if emb is None:
+            return self
+        value = emb.__dict__.get(self.name, _UNSET)
+        if value is _UNSET:
+            emb._materialize()
+            value = emb.__dict__[self.name]
+        return value
+
+    def __set__(self, emb: Any, value: Any) -> None:
+        if "_carried" in emb.__dict__:
+            emb._materialize()
+        emb.__dict__[self.name] = value
+
+
 @dataclass
 class MultiPathEmbedding:
     """A width-w embedding: w edge-disjoint host paths per guest edge.
@@ -154,6 +227,60 @@ class MultiPathEmbedding:
     step_of: Optional[Dict[Edge, Tuple[Tuple[int, ...], ...]]] = field(
         default=None, repr=False
     )
+
+    # -- array-built form --------------------------------------------------------
+
+    @classmethod
+    def from_arrays(
+        cls,
+        host: Hypercube,
+        guest: GuestGraph,
+        arrays: PathArrays,
+        name: str = "",
+        load_allowed: int = 1,
+    ) -> "MultiPathEmbedding":
+        """An embedding that carries ``arrays`` instead of dicts.
+
+        ``vertex_map``, ``edge_paths`` and ``step_of`` are built from the
+        arrays on the first read of any of them, once, under a lock; from
+        then on the embedding is dict-backed like any other.
+        """
+        emb = cls.__new__(cls)
+        emb.__dict__.update(
+            host=host,
+            guest=guest,
+            name=name,
+            load_allowed=load_allowed,
+            _carried=arrays,
+            _lock=threading.Lock(),
+        )
+        return emb
+
+    @property
+    def carried(self) -> Optional[PathArrays]:
+        """The arrays of an array-built embedding whose dicts are unread."""
+        return self.__dict__.get("_carried")
+
+    def _materialize(self) -> None:
+        with self._lock:
+            arrays = self.__dict__.get("_carried")
+            if arrays is None:
+                return
+            vertex_map, edge_paths, step_of = arrays.dicts(self.guest)
+            self.__dict__.update(
+                vertex_map=vertex_map, edge_paths=edge_paths, step_of=step_of
+            )
+            del self.__dict__["_carried"]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_lock", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if "_carried" in state:
+            self._lock = threading.Lock()
 
     # -- metrics ---------------------------------------------------------------
 
@@ -236,6 +363,10 @@ class MultiPathEmbedding:
             f"<MultiPathEmbedding{tag} {self.guest!r} -> Q_{self.host.n}: "
             f"width={self.width} load={self.load} dilation={self.dilation}>"
         )
+
+
+for _name in ("vertex_map", "edge_paths", "step_of"):
+    setattr(MultiPathEmbedding, _name, _BuiltOnRead(_name))
 
 
 @dataclass

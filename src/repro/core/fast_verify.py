@@ -32,11 +32,16 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import Any, Dict, Iterator, List, NoReturn, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, List, NoReturn, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
-from repro.core.embedding import MultiCopyEmbedding, MultiPathEmbedding, _path_edge_ids
+from repro.core.embedding import (
+    MultiCopyEmbedding,
+    MultiPathEmbedding,
+    PathArrays,
+    _path_edge_ids,
+)
 from repro.core.verification import InvariantCheck, VerificationReport
 from repro.hypercube.pathcode import (
     CSR_FLAG_DTYPE,
@@ -46,6 +51,7 @@ from repro.hypercube.pathcode import (
     gather_paths,
     hop_endpoints,
 )
+from repro.networks.base import PackedEdges
 from repro.obs.profile import profile_span
 
 __all__ = [
@@ -273,6 +279,30 @@ def _verify_embedding(
         return report, eids
 
 
+def _carried_layout(
+    emb: Any, csr: Optional[PathCSR]
+) -> Optional[Tuple[PathArrays, Union[PathLayout, PathCSR]]]:
+    """``(arrays, layout)`` when ``emb`` verifies from its carried arrays.
+
+    That needs an unread array-built embedding with one image per guest
+    vertex, and a layout (``csr``, else the carried one) whose edges are
+    exactly the guest's packed edges; None sends verification to the
+    dicts.
+    """
+    arrays = emb.carried if isinstance(emb, MultiPathEmbedding) else None
+    packed = getattr(emb.guest, "packed_edges", None)
+    if arrays is None or packed is None or arrays.images.size != emb.guest.num_vertices:
+        return None
+    layout = arrays.layout if csr is None else csr
+    expected = packed()
+    edges = layout.edges
+    if not isinstance(edges, PackedEdges) or edges.radix != expected.radix:
+        return None
+    if not np.array_equal(edges.uv, expected.uv):
+        return None
+    return arrays, layout
+
+
 def verify_multipath(
     emb: Any, strict: bool = True, csr: Optional[PathCSR] = None
 ) -> VerificationReport:
@@ -286,6 +316,11 @@ def verify_multipath(
     legality from one XOR-popcount pass, edge-disjointness from
     sorted-duplicate detection on ``guest_edge * num_edges + edge_id``
     keys, and congestion from one ``bincount`` of the same edge-id vector.
+
+    An unread array-built embedding is checked on its carried arrays
+    without building its dicts: the load is a counted ``np.unique`` of
+    the vertex images, and the guest edges are the guest's packed ones.
+    The report is the one its dicts would give.
     """
     name = emb.name or "multipath-embedding"
     checks: List[InvariantCheck] = []
@@ -299,12 +334,18 @@ def verify_multipath(
         return VerificationReport(name, tuple(checks), metrics)
 
     with profile_span("verify.multipath", subject=name):
-        images = Counter(emb.vertex_map.values())
-        for v in emb.guest.vertices():
-            if v not in emb.vertex_map:
-                return fail("vertex-map", f"guest vertex {v} is unmapped")
+        carried = _carried_layout(emb, csr)
+        if carried is None:
+            images = Counter(emb.vertex_map.values())
+            for v in emb.guest.vertices():
+                if v not in emb.vertex_map:
+                    return fail("vertex-map", f"guest vertex {v} is unmapped")
+            measured_load = max(images.values()) if images else 0
+        else:
+            arrays, layout = carried
+            _, counts = np.unique(arrays.images, return_counts=True)
+            measured_load = int(counts.max()) if counts.size else 0
         checks.append(InvariantCheck("vertex-map", True))
-        measured_load = max(images.values()) if images else 0
         if measured_load > emb.load_allowed:
             return fail(
                 "load", f"load {measured_load} exceeds allowed {emb.load_allowed}"
@@ -315,7 +356,16 @@ def verify_multipath(
             )
         )
 
-        edges, widths, nodes, offsets = _guest_layout(emb, csr)
+        edges: Sequence[Any]
+        if carried is None:
+            edges, widths, nodes, offsets = _guest_layout(emb, csr)
+            src, dst = _endpoint_images(emb, edges)
+        else:
+            edges = layout.edges
+            widths = np.diff(layout.bundle_offsets)
+            nodes, offsets = layout.nodes, layout.path_offsets
+            src = arrays.images[layout.edges.uv[:, 0]]
+            dst = arrays.images[layout.edges.uv[:, 1]]
         if np.any(widths <= 0):
             u, v = edges[int(np.argmax(widths <= 0))]
             return fail("edge-paths", f"guest edge ({u}, {v}) has no paths")
@@ -324,7 +374,6 @@ def verify_multipath(
             # an empty path tuple: the scalar referee's p[0] raises this
             raise IndexError("tuple index out of range")
         path_group = np.repeat(np.arange(len(edges), dtype=np.int64), widths)
-        src, dst = _endpoint_images(emb, edges)
         bad_end = (nodes[offsets[:-1]] != src[path_group]) | (
             nodes[offsets[1:] - 1] != dst[path_group]
         )
@@ -332,7 +381,10 @@ def verify_multipath(
             j = int(np.argmax(bad_end))
             i = int(path_group[j])
             u, v = edges[i]
-            path = emb.edge_paths[(u, v)][j - int(widths[:i].sum())]
+            if carried is None:
+                path = emb.edge_paths[(u, v)][j - int(widths[:i].sum())]
+            else:
+                path = tuple(nodes[offsets[j] : offsets[j + 1]].tolist())
             return fail(
                 "edge-paths", f"path for ({u}, {v}) has wrong endpoints: {path}"
             )
@@ -349,7 +401,10 @@ def verify_multipath(
             checks.append(InvariantCheck("hops-are-edges", True))
             checks.append(InvariantCheck("edge-disjoint", True))
             return done({**base_metrics, "dilation": 0, "congestion": 0})
-        if int(heads.min()) < 0 or max(int(heads.max()), int(tails.max())) >= emb.host.num_nodes:
+        if (
+            min(int(heads.min()), int(tails.min())) < 0
+            or max(int(heads.max()), int(tails.max())) >= emb.host.num_nodes
+        ):
             return fail("hops-are-edges", "path node out of host range")
         x = heads ^ tails
         bad_hop = (x == 0) | ((x & (x - 1)) != 0)
@@ -367,9 +422,10 @@ def verify_multipath(
         hops_per_path = node_counts - 1
         hop_group = np.repeat(path_group, hops_per_path)
         keys = hop_group * np.int64(emb.host.num_edges) + eids
-        uniq, counts = np.unique(keys, return_counts=True)
-        if uniq.size != keys.size:
-            key = int(uniq[np.argmax(counts > 1)])
+        keys.sort()
+        repeated = keys[1:] == keys[:-1]
+        if np.any(repeated):
+            key = int(keys[1:][np.argmax(repeated)])  # the smallest repeated key
             return fail(
                 "edge-disjoint",
                 f"guest edge #{key // emb.host.num_edges} reuses directed "
@@ -579,51 +635,16 @@ def _pack_vertices(coords: np.ndarray, radix: Tuple[int, ...]) -> np.ndarray:
     return np.where(inside, ids, -1)
 
 
-class PackedEdges:
-    """The canonical guest edges of a :class:`PathCSR` as packed vertex ids.
-
-    ``uv[g]`` holds bundle ``g``'s two endpoints.  ``radix`` is empty when
-    vertices are integers, which are their own ids; tuple vertices number
-    by mixed radix (:func:`_pack_vertices`).  Indexing and iteration unpack
-    rows back to the guest's own edges, building tuples only for the rows
-    touched: ``((u, v), ...)`` for 2^20 bundles would cost ~0.5s of pure
-    Python.
-    """
-
-    __slots__ = ("uv", "radix")
-
-    def __init__(self, uv: np.ndarray, radix: Tuple[int, ...] = ()) -> None:
-        self.uv = uv
-        self.radix = radix
-
-    def _unpack(self, uv: np.ndarray) -> List[Tuple[Any, Any]]:
-        if not self.radix:
-            return [(u, v) for u, v in uv.tolist()]
-        coords = np.stack(np.unravel_index(uv, self.radix), axis=-1).tolist()
-        return [(tuple(u), tuple(v)) for u, v in coords]
-
-    def __len__(self) -> int:
-        return int(self.uv.shape[0])
-
-    def __getitem__(
-        self, i: Union[int, slice]
-    ) -> Union[Tuple[Any, Any], List[Tuple[Any, Any]]]:
-        if isinstance(i, slice):
-            return self._unpack(self.uv[i])
-        return self._unpack(self.uv[[i]])[0]
-
-    def __iter__(self) -> Iterator[Tuple[Any, Any]]:
-        for lo in range(0, len(self), 4096):
-            yield from self._unpack(self.uv[lo : lo + 4096])
-
-
 def _pack_edges(edges: Sequence[Any]) -> PackedEdges:
     """Guest edges as a :class:`PackedEdges` table.
 
-    An integer vertex is its own id.  Tuples of one arity with
-    non-negative integer coordinates number by mixed radix, ``max + 1``
-    per coordinate.  Any other vertex raises ``ValueError``.
+    A :class:`PackedEdges` passes through unchanged.  An integer vertex
+    is its own id.  Tuples of one arity with non-negative integer
+    coordinates number by mixed radix, ``max + 1`` per coordinate.  Any
+    other vertex raises ``ValueError``.
     """
+    if isinstance(edges, PackedEdges):
+        return edges
     if not len(edges):
         return PackedEdges(np.zeros((0, 2), dtype=CSR_NODE_DTYPE))
     try:
@@ -879,13 +900,14 @@ class PathCSR:
 class PathLayout:
     """An embedding's paths flattened once, bundle by bundle.
 
-    ``edges[g]`` is bundle ``g``'s guest edge as the embedding stores it;
+    ``edges[g]`` is bundle ``g``'s guest edge as the embedding stores it,
+    or, in an array builder's layout, the guest's :class:`PackedEdges`;
     the arrays are the :class:`PathCSR` fields of the same names.
     :func:`embedding_csr` packs ``edges`` and adds the lookup, and the
     verifiers read the arrays, so one flatten serves both.
     """
 
-    edges: List[Any]
+    edges: Union[List[Any], PackedEdges]
     nodes: np.ndarray  # CSR_NODE_DTYPE
     path_offsets: np.ndarray  # CSR_OFFSET_DTYPE, num_paths + 1
     bundle_offsets: np.ndarray  # CSR_OFFSET_DTYPE, num_bundles + 1
@@ -969,9 +991,13 @@ def flatten_embedding(emb: Any) -> PathLayout:
     its bundles are ``edge_paths`` in dict order, all stored forward, and
     its paths flatten straight from the dict with no per-path copy.  A
     multi-copy embedding merges its copies' orientations first
-    (:func:`_merged_bundles`).  Host nodes must be integers; guest
-    vertices may be anything hashable.
+    (:func:`_merged_bundles`).  An unread array-built embedding returns
+    the layout it carries.  Host nodes must be integers; guest vertices
+    may be anything hashable.
     """
+    arrays = emb.carried if isinstance(emb, MultiPathEmbedding) else None
+    if arrays is not None:
+        return arrays.layout
     if isinstance(emb, MultiCopyEmbedding):
         edges, paths, flags, sizes = _merged_bundles(emb)
         path_reversed = np.asarray(flags, dtype=CSR_FLAG_DTYPE)

@@ -16,17 +16,30 @@ Unequal side lengths (Corollary 2) are first *squared* by
 :func:`repro.networks.grid.square_grid_map` (contraction: dilation 1, load
 ``prod(ceil(L_i / L))``; see the substitution note there), then embedded as
 an equal-sided grid.
+
+:func:`embed_grid_multipath` computes the embedding as arrays and returns
+a :class:`MultiPathEmbedding` carrying them, whose dicts are built on
+first read; ``reference_embed_grid_multipath`` builds the same embedding
+as dicts of tuples, edge by edge, and referees it in QA.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
-from repro.core.cycle_multipath import embed_cycle_load1
-from repro.core.embedding import MultiPathEmbedding
+import numpy as np
+
+from repro.core.cycle_multipath import (
+    _bundle_layout,
+    _theorem1_arrays,
+    _use_ranks,
+    reference_embed_cycle_load1,
+)
+from repro.core.embedding import MultiPathEmbedding, PathArrays
 from repro.hypercube.graph import Hypercube
-from repro.networks.grid import Grid, Torus, square_grid_map
+from repro.hypercube.graycode import gray_node_sequence
+from repro.networks.grid import Grid, Torus, square_grid_factors, square_grid_map
 
 __all__ = ["embed_grid_multipath", "corollary1_claim"]
 
@@ -41,13 +54,141 @@ def corollary1_claim(k: int, side: int) -> Dict[str, object]:
     }
 
 
+def _axis_bundles(
+    a: int,
+) -> Tuple[np.ndarray, np.ndarray, Tuple[int, ...], Tuple[Tuple[int, ...], ...]]:
+    """One axis's cycle on ``2**a`` nodes: ``(images, rows, lengths, steps)``.
+
+    ``rows[i]`` holds axis edge ``i``'s paths back to back, path ``j``
+    with ``lengths[j]`` nodes run at ``steps[j]``: Theorem 1's bundles,
+    or for axes too small for it (a < 4) gray order with the direct edge
+    only (width 1), keeping the API total.
+    """
+    if a >= 4:
+        images, rows, params = _theorem1_arrays(a, "moment")
+        width = params["a"]
+        return images, rows, (4,) * width + (2,), ((1, 2, 3),) * width + ((1,),)
+    seq = np.asarray(gray_node_sequence(a), dtype=np.int64)
+    return seq, np.stack([seq, np.roll(seq, -1)], axis=1), (2,), ((1,),)
+
+
+def _reversal(lengths: Sequence[int]) -> np.ndarray:
+    """Column order that reverses each back-to-back path of a bundle row."""
+    ends = np.cumsum(lengths)
+    return np.concatenate(
+        [np.arange(end - 1, end - 1 - size, -1) for size, end in zip(lengths, ends)]
+    )
+
+
 def embed_grid_multipath(dims, torus: bool = False) -> MultiPathEmbedding:
     """Embed a k-axis grid (or torus) with multiple paths per edge.
 
     Equal power-of-two sides reproduce Corollary 1 exactly; unequal sides go
     through the Corollary 2 squaring step first (the returned embedding then
     has the squaring load).  Tori require power-of-two sides (the wrap edge
-    must be a guest cycle edge).
+    must be a guest cycle edge).  The embedding carries its arrays; its
+    dicts are built on first read.
+    """
+    dims = tuple(int(d) for d in dims)
+    k = len(dims)
+    if k < 1:
+        raise ValueError("need at least one axis")
+    guest = (Torus if torus else Grid)(dims)
+
+    logs = {max(2, math.ceil(math.log2(max(2, d)))) for d in dims}
+    factors = None
+    if len(logs) == 1:
+        a = logs.pop()
+    else:
+        # Corollary 2: square first (square_grid_map's cells), then embed
+        # the equal-sided grid
+        side, factors = square_grid_factors(dims)
+        a = max(2, math.ceil(math.log2(max(2, side))))
+    if torus and any(d != (1 << a) for d in dims):
+        raise ValueError("tori need power-of-two sides (wrap must be a cycle edge)")
+    axis_images, axis_rows, lengths, axis_steps = _axis_bundles(a)
+    width = len(lengths)
+    host = Hypercube(a * k)
+
+    # guest vertex g (row-major) sits in cell ``cells[g]``; axis i of a
+    # cell lands in host bits [i*a, (i+1)*a)
+    cells = np.stack(np.unravel_index(np.arange(guest.num_vertices), dims), axis=1)
+    if factors is not None:
+        cells //= np.asarray(factors)
+    images = np.bitwise_or.reduce(
+        axis_images[cells] << (np.arange(k, dtype=np.int64) * a), axis=1
+    )
+
+    packed = guest.packed_edges()
+    u, v = packed.uv[:, 0], packed.uv[:, 1]
+    moved = cells[u] != cells[v]
+    apart = np.flatnonzero(moved.any(axis=1))  # the rest are co-located
+    axis = np.argmax(moved[apart], axis=1)
+    lo, hi = cells[u[apart], axis], cells[v[apart], axis]
+    forward = (hi - lo) % (1 << a) == 1
+    shift = axis * a
+    rest = images[u[apart]] & ~(((1 << a) - 1) << shift)
+    body = rest[:, None] | (axis_rows[np.where(forward, lo, hi)] << shift[:, None])
+    # Reverse traffic mirrors the forward schedule into steps 4..6: hop j
+    # of the reversed path is the reversal of forward hop (len - j), so
+    # step 7 - s keeps the mirror conflict-free.  (The directions cannot
+    # share steps: both would claim the same detour links at step 1.)
+    body[~forward] = body[~forward][:, _reversal(lengths)]
+    patterns = axis_steps + tuple(tuple(7 - s for s in reversed(st)) for st in axis_steps)
+
+    # a co-located edge gets the one-node path (vertex_map[u],), no steps
+    sizes = np.ones(u.size, dtype=np.int64)
+    sizes[apart] = width
+    slots = (np.cumsum(sizes) - sizes)[apart, None] + np.arange(width)
+    path_lengths = np.ones(int(sizes.sum()), dtype=np.int64)
+    path_lengths[slots] = lengths
+    counts = np.ones(u.size, dtype=np.int64)
+    counts[apart] = body.shape[1]
+    nodes = np.repeat(images[u], counts)
+    nodes[(np.cumsum(counts) - counts)[apart, None] + np.arange(body.shape[1])] = body
+    path_pattern = np.full(path_lengths.size, 2 * width, dtype=np.int8)
+    path_pattern[slots] = np.where(forward[:, None], 0, width) + np.arange(width)
+
+    step_base = None
+    load = 1
+    if factors is not None:
+        # several guest edges ride one squared edge; they serialize in
+        # 6-step phases, in guest edge order
+        cell_ids = np.ravel_multi_index(tuple(cells.T), (side,) * k)
+        phase = _use_ranks(cell_ids[u[apart]] * np.int64(side**k) + cell_ids[v[apart]])
+        step_base = np.zeros(path_lengths.size, dtype=np.int64)
+        step_base[slots] = 6 * phase[:, None]
+        load = int(np.unique(images, return_counts=True)[1].max())
+    arrays = PathArrays(
+        images,
+        _bundle_layout(packed, sizes, path_lengths, nodes),
+        patterns + ((),),
+        path_pattern,
+        step_base,
+    )
+    emb = MultiPathEmbedding.from_arrays(
+        host,
+        guest,
+        arrays,
+        name=f"grid-multipath-{'x'.join(map(str, dims))}",
+        load_allowed=load,
+    )
+    emb.info = {
+        "k": k,
+        "axis_bits": a,
+        "width": width,
+        "cost": 3,
+        "load": load,
+        "claim": corollary1_claim(k, max(dims)),
+        "expansion": host.num_nodes
+        / (1 << max(0, math.ceil(math.log2(max(1, guest.num_vertices))))),
+    }
+    return emb
+
+
+def reference_embed_grid_multipath(dims, torus: bool = False) -> MultiPathEmbedding:
+    """Dict-of-tuples Corollaries 1-2 (the QA referee of
+    :func:`embed_grid_multipath`), edge by edge, on Theorem 1 referee axes.
     """
     dims = tuple(int(d) for d in dims)
     k = len(dims)
@@ -68,12 +209,10 @@ def embed_grid_multipath(dims, torus: bool = False) -> MultiPathEmbedding:
     if torus and any(d != (1 << a) for d in dims):
         raise ValueError("tori need power-of-two sides (wrap must be a cycle edge)")
 
-    axis_emb = embed_cycle_load1(a) if a >= 4 else None
+    axis_emb = reference_embed_cycle_load1(a) if a >= 4 else None
     if axis_emb is None:
         # axes too small for Theorem 1 (a < 4): fall back to gray order with
         # the direct edge only (width 1), keeping the API total
-        from repro.hypercube.graycode import gray_node_sequence
-
         seq = gray_node_sequence(a)
         axis_vmap = {i: seq[i] for i in range(1 << a)}
         axis_paths = {

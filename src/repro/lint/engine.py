@@ -94,14 +94,15 @@ class LintConfig:
     contract_oracles: str = "qa/oracles.py"
     # R3: the scenario registry; every @register_scenario kind needs an oracle
     contract_scenarios: str = "scenarios/generators.py"
-    # R9: the QA modules that prove kernel parity, and the serving, IDA
-    # and schedule-normalization kernels (beyond engine classes) that must
-    # appear in the differential module
+    # R9: the QA modules that prove kernel parity, and the serving, IDA,
+    # schedule-normalization and array-builder kernels (beyond engine
+    # classes) that must appear in the differential module
     parity_differential: str = "qa/differential.py"
     parity_fuzzer: str = "qa/fuzzer.py"
     parity_kernels: Tuple[str, ...] = (
         "embedding_csr", "flatten_embedding", "open_store", "disperse",
-        "reconstruct", "normalize_schedule",
+        "reconstruct", "normalize_schedule", "embed_cycle_load1",
+        "embed_cycle_load2", "embed_grid_multipath",
     )
 
 

@@ -13,9 +13,10 @@ same cross-file way R3 ties builders to oracles:
 * every kernel function named in ``parity_kernels`` (the CSR resolver
   ``embedding_csr`` and the path flatten ``flatten_embedding`` it shares
   with verification, the mapped-store opener ``open_store``, the IDA
-  kernels ``disperse``/``reconstruct`` and the schedule normalizer
-  ``normalize_schedule`` both packet engines share) must be referenced
-  there too;
+  kernels ``disperse``/``reconstruct``, the schedule normalizer
+  ``normalize_schedule`` both packet engines share, and the array
+  builders ``embed_cycle_load1``/``embed_cycle_load2``/
+  ``embed_grid_multipath``) must be referenced there too;
 * every public differential check *defined* in the differential module
   must be referenced by the fuzzer (``qa/fuzzer.py``) — a check that is
   never registered as a stage runs only when a human remembers to.

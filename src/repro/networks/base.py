@@ -9,12 +9,53 @@ with hashable vertex ids can be embedded.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Any, Dict, Hashable, Iterable, Iterator, List, Tuple, Union
 
-__all__ = ["GuestGraph", "ExplicitGraph"]
+import numpy as np
+
+__all__ = ["GuestGraph", "ExplicitGraph", "PackedEdges"]
 
 Vertex = Hashable
 Edge = Tuple[Vertex, Vertex]
+
+
+class PackedEdges:
+    """Guest edges as packed vertex ids: a path CSR's canonical edges.
+
+    ``uv[g]`` holds edge ``g``'s two endpoints.  ``radix`` is empty when
+    vertices are integers, which are their own ids; tuple vertices number
+    by mixed radix, row-major, so a vertex's id is its index in
+    ``itertools.product`` order.  Indexing and iteration unpack
+    rows back to the guest's own edges, building tuples only for the rows
+    touched: ``((u, v), ...)`` for 2^20 bundles would cost ~0.5s of pure
+    Python.
+    """
+
+    __slots__ = ("uv", "radix")
+
+    def __init__(self, uv: np.ndarray, radix: Tuple[int, ...] = ()) -> None:
+        self.uv = uv
+        self.radix = radix
+
+    def _unpack(self, uv: np.ndarray) -> List[Tuple[Any, Any]]:
+        if not self.radix:
+            return [(u, v) for u, v in uv.tolist()]
+        coords = np.stack(np.unravel_index(uv, self.radix), axis=-1).tolist()
+        return [(tuple(u), tuple(v)) for u, v in coords]
+
+    def __len__(self) -> int:
+        return int(self.uv.shape[0])
+
+    def __getitem__(
+        self, i: Union[int, slice]
+    ) -> Union[Tuple[Any, Any], List[Tuple[Any, Any]]]:
+        if isinstance(i, slice):
+            return self._unpack(self.uv[i])
+        return self._unpack(self.uv[[i]])[0]
+
+    def __iter__(self) -> Iterator[Tuple[Any, Any]]:
+        for lo in range(0, len(self), 4096):
+            yield from self._unpack(self.uv[lo : lo + 4096])
 
 
 class GuestGraph(ABC):

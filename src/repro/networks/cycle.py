@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Tuple
 
-from repro.networks.base import GuestGraph
+import numpy as np
+
+from repro.networks.base import GuestGraph, PackedEdges
 
 __all__ = ["DirectedCycle", "DirectedPath"]
 
@@ -23,6 +25,11 @@ class DirectedCycle(GuestGraph):
     def edges(self) -> Iterator[Tuple[int, int]]:
         for i in range(self.length):
             yield i, (i + 1) % self.length
+
+    def packed_edges(self) -> PackedEdges:
+        """:meth:`edges`, in the same order, as one integer array."""
+        ids = np.arange(self.length, dtype=np.int64)
+        return PackedEdges(np.stack([ids, np.roll(ids, -1)], axis=1))
 
     @property
     def num_vertices(self) -> int:

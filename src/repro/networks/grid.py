@@ -17,11 +17,19 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Dict, Iterable, Iterator, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
-from repro.networks.base import GuestGraph
+import numpy as np
 
-__all__ = ["Grid", "Torus", "DirectedTorus", "square_grid_map"]
+from repro.networks.base import GuestGraph, PackedEdges
+
+__all__ = [
+    "Grid",
+    "Torus",
+    "DirectedTorus",
+    "square_grid_factors",
+    "square_grid_map",
+]
 
 Coord = Tuple[int, ...]
 
@@ -60,6 +68,53 @@ class Grid(GuestGraph):
                 for w in self._axis_neighbors(v, axis):
                     yield v, w
 
+    def _neighbor_table(self, d: int) -> np.ndarray:
+        """``(d, 2)``: the neighbours ``_axis_neighbors`` yields for each
+        coordinate of a side-``d`` axis, in its order, ``-1`` where none.
+
+        The neighbours come out of a two-int set, which iterates by hash
+        slot: ascending ``value & 7`` unless both share a slot.  Only a
+        wrap end can collide (d = 2 mod 8), so those two rows take their
+        order from the very set the generator builds.
+        """
+        x = np.arange(d, dtype=np.int64)
+        if d == 1:
+            return np.full((1, 2), -1, dtype=np.int64)
+        if self.wrap:
+            up, down = (x + 1) % d, (x - 1) % d
+            down = np.where(down == up, -1, down)  # d = 2: one neighbour
+        else:
+            up = np.where(x + 1 < d, x + 1, -1)
+            down = np.where(x >= 1, x - 1, -1)
+        swap = (up >= 0) & (down >= 0) & ((down & 7) < (up & 7))
+        table = np.stack([np.where(swap, down, up), np.where(swap, up, down)], axis=1)
+        if self.wrap and d > 2:
+            for end in (0, d - 1):
+                table[end] = list({(end + 1) % d, (end - 1) % d})
+        return table
+
+    def packed_edges(self) -> PackedEdges:
+        """:meth:`edges`, in the same order, as one packed id array.
+
+        Vertex ids are row-major (a vertex's index in :meth:`vertices`),
+        with ``radix = dims``; a grid without edges has an empty radix,
+        as packing an empty edge list gives.
+        """
+        count = math.prod(self.dims)
+        ids = np.arange(count, dtype=np.int64)
+        columns: List[np.ndarray] = []
+        stride = count
+        for d in self.dims:
+            stride //= d
+            x = (ids // stride) % d
+            nbr = self._neighbor_table(d)[x]
+            columns.append(np.where(nbr >= 0, ids[:, None] + (nbr - x[:, None]) * stride, -1))
+        # vertex by vertex, axis by axis, neighbours in generator order
+        cand = np.concatenate(columns, axis=1)
+        keep = cand >= 0
+        uv = np.stack([np.broadcast_to(ids[:, None], cand.shape)[keep], cand[keep]], axis=1)
+        return PackedEdges(uv, self.dims if uv.size else ())
+
     def axis_edges(self, axis: int) -> Iterator[Tuple[Coord, Coord]]:
         """Directed edges along one axis only (used for per-axis phases)."""
         for v in self.vertices():
@@ -96,6 +151,24 @@ class DirectedTorus(Grid):
         nx = (v[axis] + 1) % d
         yield v[:axis] + (nx,) + v[axis + 1 :]
 
+    def _neighbor_table(self, d: int) -> np.ndarray:
+        x = np.arange(d, dtype=np.int64)
+        up = (x + 1) % d if d > 1 else np.full(1, -1, dtype=np.int64)
+        return np.stack([up, np.full(d, -1, dtype=np.int64)], axis=1)
+
+
+def square_grid_factors(
+    dims: Sequence[int], side: int | None = None
+) -> Tuple[int, List[int]]:
+    """``(side, factors)`` of :func:`square_grid_map`: the squared side and
+    each axis's contraction factor ``ceil(L_i / side)``."""
+    dims = tuple(int(d) for d in dims)
+    if side is None:
+        side = math.ceil(math.prod(dims) ** (1.0 / len(dims)))
+    if side < 1:
+        raise ValueError(f"side must be positive, got {side}")
+    return side, [math.ceil(d / side) for d in dims]
+
 
 def square_grid_map(
     dims: Sequence[int], side: int | None = None
@@ -115,11 +188,7 @@ def square_grid_map(
     """
     dims = tuple(int(d) for d in dims)
     k = len(dims)
-    if side is None:
-        side = math.ceil(math.prod(dims) ** (1.0 / k))
-    if side < 1:
-        raise ValueError(f"side must be positive, got {side}")
-    factors = [math.ceil(d / side) for d in dims]
+    side, factors = square_grid_factors(dims, side)
     mapping: Dict[Coord, Coord] = {}
     counts: Dict[Coord, int] = {}
     for v in itertools.product(*(range(d) for d in dims)):

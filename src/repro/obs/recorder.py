@@ -127,7 +127,16 @@ class LinkRecorder:
             self.link_busy_steps[eid] += c
 
     def add_deliveries(self, steps: Iterable[int]) -> None:
-        """Merge one arrival step per delivered packet."""
+        """Merge one arrival step per delivered packet.
+
+        An integer ndarray is counted in one ``np.unique`` pass and merged
+        as one ``{step: count}`` dict of Python ints; anything else goes
+        item by item.
+        """
+        if isinstance(steps, np.ndarray) and steps.dtype.kind in "iu":
+            values, counts = np.unique(steps, return_counts=True)
+            self.deliveries.update(dict(zip(values.tolist(), counts.tolist())))
+            return
         self.deliveries.update(_as_ints(steps))
 
     # -- derived measurements ------------------------------------------------

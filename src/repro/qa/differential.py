@@ -42,6 +42,12 @@ computed from the field's definition (shift-and-xor products reduced by
 ``0x11B``, no tables), and :func:`~repro.fault.ida.reconstruct` against
 the message itself, from every m-subset of the pieces.
 
+:func:`builder_differential` referees the array builders of Theorems 1-2
+and Corollaries 1-2 against the dict-of-tuples builders they replaced:
+the two CSR exports must be identical array for array (digest included)
+while the array embedding's dicts are still unbuilt, then the two
+verification reports, then the dicts themselves, key order included.
+
 :func:`schedule_differential` referees what both packet engines share,
 so no engine pair can: the single-pass columnar
 :func:`~repro.routing.api.normalize_schedule` against the per-item
@@ -95,6 +101,7 @@ from repro.routing.wormhole import WormholeSimulator
 
 __all__ = [
     "BatchDivergence",
+    "builder_differential",
     "batched_differential_check",
     "batched_wormhole_differential_check",
     "verification_differential",
@@ -559,6 +566,112 @@ def cold_start_differential(
             )
         finally:
             view.close()
+    return checks
+
+
+# -- array builders ------------------------------------------------------------
+
+
+def _builder_pair(
+    kind: str, params: Dict[str, Any]
+) -> Optional[Tuple[Callable[..., Any], Callable[..., Any], Tuple[Any, ...], Dict[str, Any]]]:
+    """``(array builder, dict-of-tuples builder, args, kwargs)`` of a point."""
+    from repro.core.cycle_multipath import (
+        embed_cycle_load1,
+        embed_cycle_load2,
+        reference_embed_cycle_load1,
+        reference_embed_cycle_load2,
+    )
+    from repro.core.grid_multipath import (
+        embed_grid_multipath,
+        reference_embed_grid_multipath,
+    )
+
+    if kind == "cycle":
+        return embed_cycle_load1, reference_embed_cycle_load1, (params["n"],), {}
+    if kind == "cycle2":
+        return (
+            embed_cycle_load2,
+            reference_embed_cycle_load2,
+            (params["n"],),
+            {"prefer_width": params.get("wide", False)},
+        )
+    if kind == "grid":
+        return (
+            embed_grid_multipath,
+            reference_embed_grid_multipath,
+            (tuple(params["dims"]),),
+            {"torus": params.get("torus", False)},
+        )
+    return None
+
+
+def builder_differential(kind: str, params: Dict[str, Any]) -> List[InvariantCheck]:
+    """Referee an array builder against its dict-of-tuples referee.
+
+    For a ``cycle``, ``cycle2`` or ``grid`` point, both builders run
+    fresh.  First, before the array embedding's dicts exist, the two
+    :func:`~repro.core.fast_verify.embedding_csr` exports must match in
+    every array, the edge table, the lookup and the store payload
+    digest; then the two non-strict ``verify()`` reports must match,
+    with the array embedding still unread; only then are its dicts
+    built and compared with the referee's (key order included), with
+    ``info``, ``name`` and ``load_allowed``.  Draws nothing from any
+    rng; other kinds contribute no checks.
+    """
+    from repro.core.fast_verify import embedding_csr
+    from repro.service.store import payload_digest
+
+    pair = _builder_pair(kind, params)
+    if pair is None:
+        return []
+    build, build_reference, args, kwargs = pair
+    fast, reference = build(*args, **kwargs), build_reference(*args, **kwargs)
+    checks: List[InvariantCheck] = []
+
+    def check(name: str, passed: bool, ok: str, bad: str) -> None:
+        checks.append(InvariantCheck(f"diff:builder:{name}", passed, ok if passed else bad))
+
+    got, want = embedding_csr(fast), embedding_csr(reference)
+    fields = ("nodes", "path_offsets", "bundle_offsets", "path_reversed")
+    differ = [
+        f
+        for f in fields
+        if getattr(got, f).dtype != getattr(want, f).dtype
+        or not np.array_equal(getattr(got, f), getattr(want, f))
+    ]
+    if got.edges.radix != want.edges.radix or not np.array_equal(got.edges.uv, want.edges.uv):
+        differ.append("edges")
+    if got.lookup.base != want.lookup.base or not all(
+        np.array_equal(getattr(got.lookup, f), getattr(want.lookup, f))
+        for f in ("keys", "gids", "flips")
+    ):
+        differ.append("lookup")
+    if payload_digest(got) != payload_digest(want):
+        differ.append("payload_digest")
+    check("csr", not differ, f"{got.num_paths} path(s) export identically",
+          f"array export differs from the referee's in {differ}")
+
+    fast_report, ref_report = fast.verify(strict=False), reference.verify(strict=False)
+    check("unread", fast.carried is not None,
+          "export and verify left the dicts unbuilt",
+          "export or verify built the array embedding's dicts")
+    check("verify",
+          fast_report.checks == ref_report.checks and fast_report.metrics == ref_report.metrics,
+          "verification reports agree",
+          f"array report {fast_report.checks} {fast_report.metrics} != "
+          f"referee's {ref_report.checks} {ref_report.metrics}")
+
+    for field in ("vertex_map", "edge_paths", "step_of"):
+        same = list(getattr(fast, field).items()) == list(getattr(reference, field).items())
+        check(field, same, f"{field} agrees in order and content",
+              f"{field} differs from the referee's")
+    attrs = [
+        a for a in ("info", "name", "load_allowed")
+        if getattr(fast, a) != getattr(reference, a)
+    ]
+    check("attributes", not attrs, "info, name and load_allowed agree",
+          f"{attrs} differ from the referee's")
     return checks
 
 

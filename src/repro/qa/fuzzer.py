@@ -40,7 +40,11 @@ For each point the fuzzer runs, in order:
 10. **schedule_differential** — the columnar schedule normalizer both
     packet engines share must match the per-item algorithm field by
     field on every accepted item shape, and raise its exceptions on
-    malformed items (:func:`repro.qa.differential.schedule_differential`).
+    malformed items (:func:`repro.qa.differential.schedule_differential`);
+11. **builder_differential** — the array builders of Theorems 1-2 and
+    Corollaries 1-2 must export, verify and (once read) hold exactly
+    what their dict-of-tuples referees build
+    (:func:`repro.qa.differential.builder_differential`; draws nothing).
 
 Stages added later run after the earlier ones, so the earlier stages'
 draws from the point seed, which saved reproducers replay, do not depend
@@ -67,6 +71,7 @@ from repro.qa.corpus import Corpus, CorpusEntry
 from repro.fault.faults import FaultModel
 from repro.qa.differential import (
     batched_differential_check,
+    builder_differential,
     batched_wormhole_differential_check,
     cold_start_differential,
     ida_differential,
@@ -97,6 +102,7 @@ STAGES = (
     "flow",
     "ida_differential",
     "schedule_differential",
+    "builder_differential",
 )
 
 
@@ -351,6 +357,14 @@ class Fuzzer:
                 if not check.passed:
                     return FuzzFailure(
                         kind, params, "schedule_differential",
+                        f"{check.name}: {check.detail}",
+                    )
+
+        if "builder_differential" in self.checks:
+            for check in builder_differential(kind, params):
+                if not check.passed:
+                    return FuzzFailure(
+                        kind, params, "builder_differential",
                         f"{check.name}: {check.detail}",
                     )
         return None

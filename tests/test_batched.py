@@ -764,6 +764,8 @@ class TestMutation:
                 is None
             )
 
-    def test_arbitration_is_sort_free(self):
+    def test_no_lexsort_arbitration(self):
+        """Guards only against ``lexsort`` returning to the engine; the
+        store-and-forward tick does sort (a stable merge of sorted runs)."""
         source = Path(batched_module.__file__).read_text()
         assert "lexsort" not in source

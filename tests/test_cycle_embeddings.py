@@ -196,3 +196,106 @@ class TestMultiPathVerifier:
         emb.edge_paths[edge] = ((p[0], 1 << 10, hv),) + emb.edge_paths[edge][1:]
         with pytest.raises(AssertionError):
             emb.verify()
+
+
+def _assert_same_embedding(fast, reference):
+    """Array-built ``fast`` exports, verifies and reads as ``reference``."""
+    from repro.core.fast_verify import embedding_csr
+    from repro.service.store import payload_digest
+
+    assert fast.carried is not None
+    assert payload_digest(embedding_csr(fast)) == payload_digest(embedding_csr(reference))
+    got, want = fast.verify(strict=False), reference.verify(strict=False)
+    assert (got.checks, got.metrics) == (want.checks, want.metrics)
+    assert fast.carried is not None  # export and verify built no dicts
+    for field in ("vertex_map", "edge_paths", "step_of"):
+        assert list(getattr(fast, field).items()) == list(getattr(reference, field).items())
+    assert fast.carried is None
+    assert (fast.info, fast.name, fast.load_allowed) == (
+        reference.info, reference.name, reference.load_allowed)
+
+
+class TestArrayBuilders:
+    """The array builders build exactly what the dict builders build."""
+
+    @pytest.mark.parametrize("labeling", ["moment", "constant"])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_theorem1_matches_reference(self, n, labeling):
+        from repro.core.cycle_multipath import reference_embed_cycle_load1
+
+        _assert_same_embedding(
+            embed_cycle_load1(n, labeling), reference_embed_cycle_load1(n, labeling)
+        )
+
+    @pytest.mark.parametrize("shift", [0, 1, 2])
+    @pytest.mark.parametrize("prefer_width", [False, True])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8, 9])
+    def test_theorem2_matches_reference(self, n, prefer_width, shift):
+        from repro.core.cycle_multipath import reference_embed_cycle_load2
+
+        _assert_same_embedding(
+            embed_cycle_load2(n, prefer_width, shift),
+            reference_embed_cycle_load2(n, prefer_width, shift),
+        )
+
+    def test_errors_match_reference(self):
+        with pytest.raises(ValueError, match="unknown labeling"):
+            embed_cycle_load1(6, labeling="bogus")
+        with pytest.raises(ValueError, match="needs n >= 4"):
+            embed_cycle_load2(3)
+
+    def test_flatten_returns_the_carried_layout(self):
+        from repro.core.fast_verify import _pack_edges, embedding_csr, flatten_embedding
+
+        emb = embed_cycle_load1(6)
+        layout = flatten_embedding(emb)
+        assert layout is emb.carried.layout
+        assert _pack_edges(layout.edges) is layout.edges
+        assert embedding_csr(emb).edges is layout.edges
+        assert emb.carried is not None
+
+    def test_pickle_round_trip_unread_and_read(self):
+        import pickle
+
+        from repro.core.cycle_multipath import reference_embed_cycle_load2
+
+        reference = reference_embed_cycle_load2(6)
+        emb = embed_cycle_load2(6)
+        unread = pickle.loads(pickle.dumps(emb))
+        assert unread.carried is not None
+        assert unread.verify(strict=False).ok
+        assert unread.edge_paths == reference.edge_paths
+        assert unread.step_of == reference.step_of
+        emb.vertex_map[0] = emb.vertex_map[0]  # read: the dicts are built
+        read = pickle.loads(pickle.dumps(emb))
+        assert read.carried is None
+        assert read.vertex_map == reference.vertex_map
+        assert list(read.edge_paths) == list(reference.edge_paths)
+        assert read.verify(strict=False).ok
+
+    def test_concurrent_first_read_builds_one_dict(self):
+        import sys
+        import threading
+
+        emb = embed_cycle_load1(8)
+        results = [None] * 8
+        gate = threading.Barrier(len(results))
+
+        def read(i):
+            gate.wait(timeout=30)
+            results[i] = emb.edge_paths
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is results[0] for r in results)
+        assert results[0] is emb.edge_paths
+        assert emb.carried is None

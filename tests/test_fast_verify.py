@@ -101,6 +101,17 @@ class TestFailureParity:
         assert "hypercube edge" in fast.failures[0].detail
         assert fast.failures[0].detail == reference.failures[0].detail
 
+    def test_multipath_negative_last_node(self):
+        # a sink's negative image reaches the hops as a tail only
+        from repro.networks.cycle import DirectedPath
+
+        emb = MultiPathEmbedding(
+            Hypercube(2), DirectedPath(2), {0: 0, 1: -1}, {(0, 1): ((0, -1),)}
+        )
+        fast, reference = self._pair(emb)
+        assert fast.failures[0].detail == reference.failures[0].detail
+        assert fast.failures[0].detail == "path node out of host range"
+
     def test_multipath_duplicate_edge_in_bundle(self):
         emb = embed_cycle_load1(4)
         edge, paths = next(iter(emb.edge_paths.items()))
@@ -257,3 +268,148 @@ class TestCsrParity:
         )
         with pytest.raises(ValueError):
             embedding_csr(emb)  # serving needs packable vertices; verify does not
+
+
+def _carried_bundles(emb):
+    """An array-built embedding's paths as node lists, bundle by bundle
+    (read from its carried arrays, not its dicts)."""
+    layout = emb.carried.layout
+    flat = layout.nodes.tolist()
+    offsets, bounds = layout.path_offsets.tolist(), layout.bundle_offsets.tolist()
+    paths = [flat[lo:hi] for lo, hi in zip(offsets, offsets[1:])]
+    return [paths[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def _carrying(emb, bundles, images, edge_uv=None):
+    """A fresh unread embedding like ``emb`` carrying the given arrays."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.core.embedding import PathArrays
+    from repro.hypercube.pathcode import flatten_paths
+    from repro.networks.base import PackedEdges
+
+    arrays = emb.carried
+    paths = [p for bundle in bundles for p in bundle]
+    nodes, path_offsets = flatten_paths(paths)
+    edges = arrays.layout.edges
+    if edge_uv is not None:
+        edges = PackedEdges(edge_uv, edges.radix)
+    layout = dataclasses.replace(
+        arrays.layout,
+        edges=edges,
+        nodes=nodes,
+        path_offsets=path_offsets,
+        bundle_offsets=np.cumsum([0] + [len(b) for b in bundles]),
+        path_reversed=np.zeros(len(paths), dtype=np.uint8),
+    )
+    carried = PathArrays(
+        np.asarray(images, dtype=np.int64),
+        layout,
+        arrays.step_patterns,
+        np.zeros(len(paths), dtype=np.int8),
+    )
+    return MultiPathEmbedding.from_arrays(
+        emb.host, emb.guest, carried, name=emb.name, load_allowed=emb.load_allowed
+    )
+
+
+def _two_bit_hop(bundles, images):
+    bundles[0][0][1] = bundles[0][0][0] ^ 0b11
+
+
+def _wrong_endpoint(bundles, images):
+    bundles[1][0][-1] ^= 1
+
+
+def _duplicate_path(bundles, images):
+    bundles[2].append(list(bundles[2][0]))
+
+
+def _shared_image(bundles, images):
+    images[-1] = images[0]
+
+
+def _negative_image(bundles, images):
+    images[0] = -1
+
+
+def _out_of_range_node(bundles, images):
+    bundles[0][-1][-1:] = [1 << 30, bundles[0][-1][-1]]
+
+
+def _empty_path(bundles, images):
+    bundles[3][0] = []
+
+
+CORRUPTIONS = [
+    _two_bit_hop, _wrong_endpoint, _duplicate_path, _shared_image,
+    _negative_image, _out_of_range_node,
+]
+ARRAY_BUILT = [
+    ("cycle", {"n": 4}),
+    ("cycle2", {"n": 5, "wide": False}),
+    ("grid", {"dims": [4, 4], "torus": True}),
+    ("grid", {"dims": [5, 9], "torus": False}),
+]
+
+
+class TestCarriedArrays:
+    """Corrupted carried arrays verify exactly as their materialized dicts."""
+
+    @pytest.mark.parametrize("corrupt", CORRUPTIONS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("kind,params", ARRAY_BUILT)
+    def test_report_matches_reference_on_materialized_copy(self, kind, params, corrupt):
+        import copy
+
+        base = default_space().get(kind).build(dict(params))
+        bundles, images = _carried_bundles(base), base.carried.images.tolist()
+        corrupt(bundles, images)
+        emb = _carrying(base, bundles, images)
+        twin = copy.deepcopy(emb)
+        fast = emb.verify(strict=False)
+        assert emb.carried is not None  # checked on the arrays
+        reference = emb.verify_reference(strict=False)  # builds the dicts
+        assert emb.carried is None
+        assert not fast.ok
+        assert fast.checks == reference.checks
+        assert fast.metrics == reference.metrics
+        with pytest.raises(AssertionError) as fast_err:
+            twin.verify()
+        assert twin.carried is not None
+        with pytest.raises(AssertionError) as ref_err:
+            twin.verify_reference()
+        assert str(fast_err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("kind,params", ARRAY_BUILT)
+    def test_empty_path_raises_like_reference(self, kind, params):
+        base = default_space().get(kind).build(dict(params))
+        bundles, images = _carried_bundles(base), base.carried.images.tolist()
+        _empty_path(bundles, images)
+        emb = _carrying(base, bundles, images)
+        with pytest.raises(IndexError) as fast_err:
+            emb.verify(strict=False)
+        with pytest.raises(IndexError) as ref_err:
+            emb.verify_reference(strict=False)
+        assert str(fast_err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("kind,params", ARRAY_BUILT)
+    def test_foreign_edge_table_falls_back_to_dicts(self, kind, params):
+        base = default_space().get(kind).build(dict(params))
+        uv = base.carried.layout.edges.uv[::-1].copy()  # bundles out of guest order
+        emb = _carrying(base, _carried_bundles(base), base.carried.images, uv)
+        fast = emb.verify(strict=False)
+        assert emb.carried is None  # read the dicts
+        reference = emb.verify_reference(strict=False)
+        assert (fast.checks, fast.metrics) == (reference.checks, reference.metrics)
+
+    @pytest.mark.parametrize("kind,params", ARRAY_BUILT)
+    def test_passing_report_matches_and_reads_no_dict(self, kind, params):
+        emb = default_space().get(kind).build(dict(params))
+        csr = embedding_csr(emb)
+        fast, with_csr = emb.verify(strict=False), emb.verify(strict=False, csr=csr)
+        assert emb.carried is not None
+        reference = emb.verify_reference(strict=False)
+        assert fast.ok and fast.checks == reference.checks == with_csr.checks
+        assert fast.metrics == reference.metrics == with_csr.metrics

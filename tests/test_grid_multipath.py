@@ -66,3 +66,21 @@ class TestErrors:
     def test_empty_dims(self):
         with pytest.raises(ValueError):
             embed_grid_multipath(())
+
+
+class TestArrayBuilder:
+    """The array builder builds exactly what the dict builder builds."""
+
+    @pytest.mark.parametrize("dims,torus", [
+        ((16, 16), True), ((16, 16), False), ((4, 4, 4), True), ((32,), True),
+        ((5, 9), False), ((3, 20), False), ((7, 3, 5), False), ((10, 40), False),
+        ((2, 8), False), ((4, 4), True), ((8, 8), False), ((1,), False),
+        ((1, 1), False), ((2,), False), ((1, 16), False), ((100, 3), False),
+    ])
+    def test_matches_reference(self, dims, torus):
+        # export, report (dicts unbuilt), then dicts, info, name and load
+        from repro.qa.differential import builder_differential
+
+        checks = builder_differential("grid", {"dims": list(dims), "torus": torus})
+        assert len(checks) == 7
+        assert all(c.passed for c in checks), [c.detail for c in checks if not c.passed]

@@ -12,6 +12,7 @@ from repro.networks import (
     CubeConnectedCycles,
     DirectedCycle,
     DirectedPath,
+    DirectedTorus,
     FFTGraph,
     Grid,
     Torus,
@@ -80,6 +81,55 @@ class TestGrid:
         g = Grid((4, 5)).to_networkx().to_undirected()
         ref = nx.grid_graph(dim=[5, 4])  # networkx reverses dims
         assert nx.is_isomorphic(g, ref)
+
+
+def _packed_from_generator(graph):
+    from repro.core.fast_verify import _pack_edges
+
+    return _pack_edges(list(graph.edges()))
+
+
+_SIDES = (1, 2, 3, 5, 8, 16)
+_GRID_DIMS = (
+    [(d,) for d in _SIDES]
+    + [(d, e) for d in _SIDES for e in _SIDES]
+    + [(d, d, d) for d in _SIDES]
+    + [(1, 5, 16), (16, 3, 2), (8, 1, 5), (2, 16, 8)]
+)
+
+
+class TestPackedEdges:
+    """``packed_edges()`` is ``edges()`` packed, in the generator's order."""
+
+    @staticmethod
+    def _assert_same(graph):
+        got, want = graph.packed_edges(), _packed_from_generator(graph)
+        assert got.radix == want.radix
+        assert got.uv.dtype == want.uv.dtype
+        assert got.uv.tolist() == want.uv.tolist()
+        assert list(got) == list(graph.edges())
+
+    @pytest.mark.parametrize("dims", _GRID_DIMS)
+    @pytest.mark.parametrize("cls", [Grid, Torus, DirectedTorus])
+    def test_grids(self, cls, dims):
+        self._assert_same(cls(dims))
+
+    @pytest.mark.parametrize(
+        "dims", [(4,), (8,), (10,), (66,), (4, 4), (8, 8), (10, 10), (66, 3), (2, 66)]
+    )
+    def test_tori_with_colliding_wrap_ends(self, dims):
+        # sides = 2 (mod 8) put both wrap-end neighbours in one hash slot:
+        # {1, 65} iterates 65 first at x = 0 of a 66-side, {1, 9} 1 first
+        self._assert_same(Torus(dims))
+
+    def test_slot_order_example(self):
+        # x = 7 on a 16-wide axis yields 8 before 6
+        edges = list(Grid((16,)).packed_edges())
+        assert edges[13:15] == [((7,), (8,)), ((7,), (6,))]
+
+    @pytest.mark.parametrize("length", [2, 3, 8, 100])
+    def test_cycles(self, length):
+        self._assert_same(DirectedCycle(length))
 
 
 class TestSquareGridMap:

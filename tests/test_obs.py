@@ -119,6 +119,19 @@ class TestLinkRecorder:
         assert bulk.link_congestion_counts() == scalar.link_congestion_counts()
         assert bulk.step_histogram() == scalar.step_histogram()
 
+    def test_deliveries_from_int_array_match_list(self):
+        steps = [4, 1, 1, 7, 4, 4, 0]
+        listed, arrayed = LinkRecorder(), LinkRecorder()
+        for rec, first, second in (
+            (listed, steps[:3], steps[3:]),
+            (arrayed, np.array(steps[:3], dtype=np.int64), np.array(steps[3:], dtype=np.int64)),
+        ):
+            rec.add_deliveries(first)  # into an empty counter, then merged
+            rec.add_deliveries(second)
+        assert arrayed.deliveries == listed.deliveries == {0: 1, 1: 2, 4: 3, 7: 1}
+        assert all(type(k) is int and type(c) is int for k, c in arrayed.deliveries.items())
+        assert arrayed.snapshot() == listed.snapshot()
+
     @pytest.mark.parametrize(
         "eids, counts",
         [

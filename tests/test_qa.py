@@ -309,7 +309,7 @@ class TestScheduleDifferential:
         import repro.qa.differential as differential
         from repro.qa.fuzzer import STAGES
 
-        assert STAGES[-1] == "schedule_differential"
+        assert STAGES[-2:] == ("schedule_differential", "builder_differential")
         corpus = Corpus(str(tmp_path))
         report = Fuzzer(
             corpus=corpus, seed=5, checks=("build", "schedule_differential"),
@@ -325,6 +325,109 @@ class TestScheduleDifferential:
         replayed = Fuzzer(corpus=corpus).replay(entry)
         assert replayed is not None
         assert replayed.stage == "schedule_differential"
+
+
+BUILDER_CHECKS = [
+    "diff:builder:csr", "diff:builder:unread", "diff:builder:verify",
+    "diff:builder:vertex_map", "diff:builder:edge_paths",
+    "diff:builder:step_of", "diff:builder:attributes",
+]
+
+
+def _rebuilt(emb, **changes):
+    """``emb``'s array build with some carried fields replaced."""
+    from dataclasses import replace
+
+    from repro.core.embedding import MultiPathEmbedding
+
+    out = MultiPathEmbedding.from_arrays(
+        emb.host, emb.guest, replace(emb.carried, **changes),
+        name=emb.name, load_allowed=emb.load_allowed,
+    )
+    out.info = emb.info
+    return out
+
+
+class TestBuilderDifferential:
+    @pytest.mark.parametrize("kind,params", [
+        ("cycle", {"n": 5}),
+        ("cycle2", {"n": 6, "wide": True}),
+        ("grid", {"dims": [2, 8], "torus": False}),
+        ("grid", {"dims": [4, 4], "torus": True}),
+    ])
+    def test_array_builders_agree(self, kind, params):
+        from repro.qa.differential import builder_differential
+
+        checks = builder_differential(kind, params)
+        assert [c.name for c in checks] == BUILDER_CHECKS
+        assert all(c.passed for c in checks), [c.detail for c in checks]
+
+    def test_other_kinds_contribute_nothing(self):
+        from repro.qa.differential import builder_differential
+
+        assert builder_differential("ccc", {"n": 4}) == []
+
+    def test_wrong_steps_are_caught(self, monkeypatch):
+        import repro.core.cycle_multipath as cycle_multipath
+        from repro.qa.differential import builder_differential
+
+        real = cycle_multipath.embed_cycle_load1
+
+        def late_detours(n, labeling="moment"):
+            return _rebuilt(real(n, labeling), step_patterns=((1, 2, 4), (1,)))
+
+        monkeypatch.setattr(cycle_multipath, "embed_cycle_load1", late_detours)
+        failed = [c.name for c in builder_differential("cycle", {"n": 4}) if not c.passed]
+        assert failed == ["diff:builder:step_of"]
+
+    def test_early_dict_read_and_bad_layout_are_caught(self, monkeypatch):
+        import repro.core.cycle_multipath as cycle_multipath
+        from repro.qa.differential import builder_differential
+
+        real = cycle_multipath.embed_cycle_load2
+
+        def eager(n, prefer_width=False, cycle_shift=0):
+            emb = real(n, prefer_width, cycle_shift)
+            assert emb.step_of  # builds the dicts before the export
+            return emb
+
+        monkeypatch.setattr(cycle_multipath, "embed_cycle_load2", eager)
+        failed = [c.name for c in builder_differential("cycle2", {"n": 4}) if not c.passed]
+        assert failed == ["diff:builder:unread"]
+
+        def reversed_images(n, prefer_width=False, cycle_shift=0):
+            emb = real(n, prefer_width, cycle_shift)
+            return _rebuilt(emb, images=emb.carried.images[::-1].copy())
+
+        monkeypatch.setattr(cycle_multipath, "embed_cycle_load2", reversed_images)
+        failed = [c.name for c in builder_differential("cycle2", {"n": 4}) if not c.passed]
+        assert failed == ["diff:builder:verify", "diff:builder:vertex_map"]
+
+    def test_stage_runs_last_and_replays(self, tmp_path, monkeypatch):
+        import repro.core.cycle_multipath as cycle_multipath
+        from repro.qa.fuzzer import STAGES
+
+        assert STAGES[-1] == "builder_differential"
+        corpus = Corpus(str(tmp_path))
+        report = Fuzzer(
+            corpus=corpus, seed=5, checks=("build", "builder_differential"),
+        ).run(seeds=6, kinds=["cycle", "cycle2", "grid"])
+        assert report.ok, report.failures
+        assert report.points == 6
+
+        real = cycle_multipath.embed_cycle_load1
+        monkeypatch.setattr(
+            cycle_multipath, "embed_cycle_load1",
+            lambda n, labeling="moment": _rebuilt(
+                real(n, labeling), step_patterns=((1, 2, 4), (1,))),
+        )
+        entry = CorpusEntry(
+            kind="cycle", params={"n": 4}, stage="builder_differential",
+            detail="late detour step", point_seed="5:point:0",
+        )
+        replayed = Fuzzer(corpus=corpus).replay(entry)
+        assert replayed is not None
+        assert replayed.stage == "builder_differential"
 
 
 class TestWormholeDifferential:

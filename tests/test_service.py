@@ -225,20 +225,37 @@ class TestFlattenOnce:
         return calls
 
     def test_admit_flattens_once(self, tmp_path, flattens):
+        # the cycle is array-built and flattens nothing; the dict-built
+        # large cycle flattens once
         reg = EmbeddingRegistry(cache_dir=tmp_path)
         reg.get_or_build(cycle_spec(6))
-        assert reg.metrics.count("builds") == 1
+        reg.get_or_build(EmbeddingSpec.make("large-cycle", n=6))
+        assert reg.metrics.count("builds") == 2
         assert len(flattens) == 1
 
     def test_store_hit_flattens_once(self, tmp_path, flattens):
-        spec = cycle_spec(6)
-        EmbeddingRegistry(cache_dir=tmp_path).get_or_build(spec)
+        specs = [cycle_spec(6), EmbeddingSpec.make("large-cycle", n=6)]
+        for spec in specs:
+            EmbeddingRegistry(cache_dir=tmp_path).get_or_build(spec)
         flattens.clear()
         fresh = EmbeddingRegistry(cache_dir=tmp_path)
-        assert fresh.get(spec) is not None
-        assert fresh.metrics.count("rebuilds") == 1
+        assert all(fresh.get(spec) is not None for spec in specs)
+        assert fresh.metrics.count("rebuilds") == 2
         assert fresh.metrics.count("disk_corrupt") == 0
         assert len(flattens) == 1
+
+    def test_array_built_kinds_leave_dicts_unbuilt(self, tmp_path):
+        specs = [
+            cycle_spec(6),
+            EmbeddingSpec.make("cycle2", n=6),
+            EmbeddingSpec.make("grid", dims=(16, 16), torus=True),
+        ]
+        reg = EmbeddingRegistry(cache_dir=tmp_path)
+        assert all(reg.get_or_build(spec).carried is not None for spec in specs)
+        fresh = EmbeddingRegistry(cache_dir=tmp_path)
+        assert all(fresh.get(spec).carried is not None for spec in specs)
+        assert fresh.metrics.count("rebuilds") == len(specs)
+        assert fresh.metrics.count("disk_corrupt") == 0
 
     @pytest.mark.parametrize("builder", ["embed_cycle_load1", "embed_cycle_load2"])
     def test_cycle_builders_do_not_verify(self, monkeypatch, builder):
