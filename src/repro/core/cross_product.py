@@ -19,11 +19,16 @@ and the middle congestion equals the multicopy congestion.  For other ``n``
 list modulo its length; distinct labels may then share a copy, which at most
 doubles the middle congestion — still O(1), which is all Theorems 4/5 need.
 The achieved numbers are measured and recorded in ``info``.
+
+:class:`CrossProductBundles` holds that rule, written once: it computes an
+X edge's bundle on first request, so a caller that rides a few X edges
+(Theorem 5's tree) never builds the rest, and
+:func:`induced_cross_product_embedding` asks it for every edge.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, Hashable, List, Tuple
 
 from repro.core.embedding import MultiCopyEmbedding, MultiPathEmbedding
 from repro.hypercube.graph import Hypercube
@@ -31,6 +36,7 @@ from repro.hypercube.moments import moment
 from repro.networks.base import ExplicitGraph
 
 __all__ = [
+    "CrossProductBundles",
     "induced_cross_product_embedding",
     "theorem4_claim",
     "automorph_graph",
@@ -48,6 +54,88 @@ def theorem4_claim(multicopy: MultiCopyEmbedding) -> Dict[str, int]:
     return {"width": n, "cost_upper": c + 2 * delta, "delta": delta, "c": c}
 
 
+XEdge = Tuple[int, int]
+Bundle = Tuple[Tuple[int, ...], ...]
+
+
+class CrossProductBundles:
+    """The width-n bundles of ``X(G)``'s edges, each computed on first request.
+
+    ``bundles[(a, b)]`` is exactly the bundle
+    :func:`induced_cross_product_embedding` stores for X edge ``(a, b)``
+    of ``Q_{2n}``, and raises ``KeyError`` for a pair that is no X edge.
+    An edge with ``a >> n == b >> n`` is a row edge of row ``a >> n``, any
+    other a column edge of column ``a & (2**n - 1)``.  Its guest edge is
+    the inverse images, under that line's copy, of the row (or column)
+    halves of ``a`` and ``b``; :meth:`line_bundle` widens that guest
+    edge's image path.  Requires what the eager transform requires.
+    """
+
+    def __init__(self, multicopy: MultiCopyEmbedding) -> None:
+        n = multicopy.host.n
+        size = 1 << n
+        if multicopy.k < 1:
+            raise ValueError("multicopy embedding has no copies")
+        if multicopy.guest.num_vertices != size:
+            raise ValueError("each copy must be a bijection onto Q_n's nodes")
+        self.n = n
+        self.copies = multicopy.copies
+        self._inverse = [{h: v for v, h in c.vertex_map.items()} for c in self.copies]
+        if any(len(inverse) != size for inverse in self._inverse):
+            raise ValueError("copy vertex map is not a bijection")
+        # row and column i both carry the automorph of copy M(i) mod k
+        self._line_copy = [moment(i) % len(self.copies) for i in range(size)]
+        self._bundles: Dict[XEdge, Bundle] = {}
+
+    def phi(self, line: int) -> Dict[Hashable, int]:
+        """The vertex map of row (and column) ``line``'s copy."""
+        return self.copies[self._line_copy[line]].vertex_map
+
+    def phi_inv(self, line: int) -> Dict[int, Hashable]:
+        """The inverse of :meth:`phi`, built once per copy."""
+        return self._inverse[self._line_copy[line]]
+
+    def line_bundle(
+        self, line: int, row: bool, edge: Tuple[Hashable, Hashable]
+    ) -> Tuple[XEdge, Bundle]:
+        """The X edge guest edge ``edge`` induces on row (or column)
+        ``line``, with its ``n`` paths.
+
+        The line's copy routes ``edge`` along an image path of ``Q_n``,
+        which lives in the low bits on a row and in the high bits on a
+        column.  Path ``k`` crosses dimension ``k`` of the other half,
+        follows the projection of the whole image path, and crosses back.
+        """
+        n = self.n
+        base = self.copies[self._line_copy[line]].edge_paths[edge]
+        if row:
+            path = [(line << n) | x for x in base]
+            bits = [1 << (n + k) for k in range(n)]
+        else:
+            path = [(x << n) | line for x in base]
+            bits = [1 << k for k in range(n)]
+        hu, hv = path[0], path[-1]
+        return (hu, hv), tuple((hu, *[x ^ bit for x in path], hv) for bit in bits)
+
+    def __getitem__(self, edge: XEdge) -> Bundle:
+        bundle = self._bundles.get(edge)
+        if bundle is None:
+            a, b = edge
+            n, mask = self.n, (1 << self.n) - 1
+            row = a >> n == b >> n
+            line = a >> n if row else a & mask
+            inverse = self.phi_inv(line)
+            if row:
+                guest_edge = (inverse[a & mask], inverse[b & mask])
+            else:
+                guest_edge = (inverse[a >> n], inverse[b >> n])
+            x_edge, bundle = self.line_bundle(line, row, guest_edge)
+            if x_edge != edge:
+                raise KeyError(edge)
+            self._bundles[edge] = bundle
+        return bundle
+
+
 def induced_cross_product_embedding(
     multicopy: MultiCopyEmbedding,
 ) -> MultiPathEmbedding:
@@ -57,43 +145,26 @@ def induced_cross_product_embedding(
     onto the nodes of ``Q_n``, exactly ``n`` copies (repeat copies to pad if
     needed, as Theorem 5 does), and ``n`` a power of two.
     """
-    n = multicopy.host.n
-    size = 1 << n
-    if multicopy.k < 1:
-        raise ValueError("multicopy embedding has no copies")
+    bundles = CrossProductBundles(multicopy)
+    n = bundles.n
     guest_g = multicopy.guest
-    if guest_g.num_vertices != size:
-        raise ValueError("each copy must be a bijection onto Q_n's nodes")
-
-    host = Hypercube(2 * n)
-    copies = multicopy.copies
-    for c in copies:
-        if len(set(c.vertex_map.values())) != size:
-            raise ValueError("copy vertex map is not a bijection")
-
     g_edges = list(guest_g.edges())
 
     # X(G) vertices are host nodes (i << n) | j directly.
     vertices = range(1 << (2 * n))
-    edges: List[Tuple[int, int]] = []
-    edge_paths: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]] = {}
-
-    num_copies = len(copies)
-    for i in range(size):  # rows and columns share the index range
-        row_copy = copies[moment(i) % num_copies]
-        for (gu, gv) in g_edges:
-            base_path = row_copy.edge_paths[(gu, gv)]
-            # row i: the path lives in the low bits
-            row_path = tuple((i << n) | x for x in base_path)
-            _add_widened(host, edges, edge_paths, row_path, detour_base=n, n=n)
-            # column i: the path lives in the high bits
-            col_path = tuple((x << n) | i for x in base_path)
-            _add_widened(host, edges, edge_paths, col_path, detour_base=0, n=n)
+    edges: List[XEdge] = []
+    edge_paths: Dict[XEdge, Bundle] = {}
+    for i in range(1 << n):  # rows and columns share the index range
+        for g_edge in g_edges:
+            for row in (True, False):
+                x_edge, bundle = bundles.line_bundle(i, row, g_edge)
+                edges.append(x_edge)
+                edge_paths[x_edge] = bundle
 
     guest = ExplicitGraph(vertices, edges, name=f"X({guest_g!r})")
     vertex_map = {v: v for v in vertices}
     emb = MultiPathEmbedding(
-        host,
+        Hypercube(2 * n),
         guest,
         vertex_map,
         edge_paths,
@@ -107,28 +178,6 @@ def induced_cross_product_embedding(
         "copy_congestion": multicopy.edge_congestion,
     }
     return emb
-
-
-def _add_widened(
-    host: Hypercube,
-    edges: List[Tuple[int, int]],
-    edge_paths: Dict[Tuple[int, int], Tuple[Tuple[int, ...], ...]],
-    path: Tuple[int, ...],
-    detour_base: int,
-    n: int,
-) -> None:
-    """Widen one X(G) edge whose image is ``path`` with n parallel detours.
-
-    Path ``k`` crosses dimension ``detour_base + k``, follows the projection
-    of the whole image path, and crosses back.
-    """
-    hu, hv = path[0], path[-1]
-    paths = []
-    for k in range(n):
-        d = 1 << (detour_base + k)
-        paths.append((hu,) + tuple(x ^ d for x in path) + (hv,))
-    edges.append((hu, hv))
-    edge_paths[(hu, hv)] = tuple(paths)
 
 
 def automorph_graph(guest, phi) -> "ExplicitGraph":

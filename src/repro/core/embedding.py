@@ -15,10 +15,11 @@ All verification is against the *directed* hypercube host: a host path is a
 sequence of directed host edges, and "edge-disjoint" means no two paths of
 the same guest edge share a directed host edge.
 
-A builder that computes its paths as arrays returns a
-:class:`MultiPathEmbedding` carrying them (:meth:`MultiPathEmbedding.from_arrays`):
-export and verification read the arrays, and ``vertex_map``, ``edge_paths``
-and ``step_of`` are built from them on first read.
+A builder that computes its paths as arrays returns an :class:`Embedding`
+or :class:`MultiPathEmbedding` carrying them (``from_arrays``): export,
+verification, the metric properties and ``repr`` read the arrays, and the
+dict fields (``vertex_map``, ``edge_paths`` and a multipath's ``step_of``)
+are built from them on first read.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -50,8 +51,70 @@ def _path_edge_ids(host: Hypercube, path: Sequence[int]) -> List[int]:
     return [host.edge_id(a, b) for a, b in zip(path, path[1:])]
 
 
+class _ArrayBacked:
+    """The array-built form :class:`Embedding` and
+    :class:`MultiPathEmbedding` share.
+
+    An embedding made by :meth:`from_arrays` carries a :class:`PathArrays`
+    in place of its dict fields.  The first read of any dict field builds
+    them all, once, under a per-object lock; from then on the embedding
+    is dict-backed like any other.  Either form pickles.
+    """
+
+    _BUNDLED: bool  # whether edge_paths maps an edge to a bundle of paths
+
+    @classmethod
+    def from_arrays(
+        cls, host: Hypercube, guest: GuestGraph, arrays: PathArrays, **attrs: Any
+    ) -> Any:
+        """An embedding of ``guest`` in ``host`` that carries ``arrays``.
+
+        ``attrs`` sets the other fields (``name``, and a multipath
+        embedding's ``load_allowed``), which otherwise take their
+        defaults.  An :class:`Embedding` carries one path per guest edge.
+        """
+        values = {
+            f.name: f.default
+            for f in fields(cls)
+            if f.default is not MISSING
+            and not isinstance(getattr(cls, f.name), _BuiltOnRead)
+        }
+        unknown = set(attrs) - set(values)
+        if unknown:
+            raise TypeError(f"{cls.__name__} has no field(s) {sorted(unknown)}")
+        if not cls._BUNDLED and not np.all(np.diff(arrays.layout.bundle_offsets) == 1):
+            raise ValueError(f"{cls.__name__} carries one path per guest edge")
+        values.update(attrs, host=host, guest=guest)
+        emb = cls.__new__(cls)
+        emb.__dict__.update(values, _carried=arrays, _lock=threading.Lock())
+        return emb
+
+    @property
+    def carried(self) -> Optional[PathArrays]:
+        """The arrays of an array-built embedding whose dicts are unread."""
+        return self.__dict__.get("_carried")
+
+    def _materialize(self) -> None:
+        with self._lock:
+            arrays = self.__dict__.get("_carried")
+            if arrays is None:
+                return
+            self.__dict__.update(arrays.dicts(self.guest, bundled=self._BUNDLED))
+            del self.__dict__["_carried"]
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_lock", None)
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        if "_carried" in state:
+            self._lock = threading.Lock()
+
+
 @dataclass
-class Embedding:
+class Embedding(_ArrayBacked):
     """A classical embedding: vertex map + one host path per guest edge."""
 
     host: Hypercube
@@ -60,21 +123,32 @@ class Embedding:
     edge_paths: Dict[Edge, HostPath]
     name: str = ""
 
+    _BUNDLED = False
+
     # -- metrics (paper Section 3) ------------------------------------------
 
     @property
     def load(self) -> int:
         """Maximum number of guest vertices per host node."""
+        arrays = self.carried
+        if arrays is not None:
+            return arrays.load()
         return max(Counter(self.vertex_map.values()).values())
 
     @property
     def dilation(self) -> int:
         """Maximum path length over all guest edges."""
+        arrays = self.carried
+        if arrays is not None:
+            return arrays.dilation()
         return max((len(p) - 1 for p in self.edge_paths.values()), default=0)
 
     @property
     def congestion(self) -> int:
         """Maximum number of guest edges routed through one directed host edge."""
+        arrays = self.carried
+        if arrays is not None:
+            return arrays.congestion(self.host, per_bundle=False)
         counts = self.edge_congestion_counts()
         return max(counts.values()) if counts else 0
 
@@ -142,24 +216,32 @@ class Embedding:
 
 @dataclass(frozen=True)
 class PathArrays:
-    """A multipath embedding as flat arrays, in place of its three dicts.
+    """An embedding as flat arrays, in place of its dicts.
 
     Guest vertex ``g`` is the ``g``-th of ``guest.vertices()``, the id the
     guest's ``packed_edges()`` uses, and ``images[g]`` is its host node.
     ``layout`` holds the paths bundle by bundle in ``guest.edges()``
-    order, its ``edges`` the guest's packed edges.  Path ``p`` runs at the
-    steps ``step_patterns[path_pattern[p]]``, each plus ``step_base[p]``
-    when ``step_base`` is given.
+    order, its ``edges`` the guest's packed edges; an :class:`Embedding`'s
+    bundles hold one path each.  A multipath embedding's path ``p`` runs
+    at the steps ``step_patterns[path_pattern[p]]``, each plus
+    ``step_base[p]`` when ``step_base`` is given; without
+    ``step_patterns`` there is no step schedule.
     """
 
     images: np.ndarray
     layout: "PathLayout"
-    step_patterns: Tuple[Tuple[int, ...], ...]
-    path_pattern: np.ndarray
+    step_patterns: Optional[Tuple[Tuple[int, ...], ...]] = None
+    path_pattern: Optional[np.ndarray] = None
     step_base: Optional[np.ndarray] = None
 
-    def dicts(self, guest: GuestGraph) -> Tuple[Dict, Dict, Dict]:
-        """``(vertex_map, edge_paths, step_of)``, in a dict builder's order."""
+    def dicts(self, guest: GuestGraph, bundled: bool = True) -> Dict[str, Any]:
+        """The dict fields, in a dict builder's order.
+
+        ``vertex_map`` and ``edge_paths``, which maps each guest edge to
+        its bundle of paths, plus ``step_of`` (``None`` without steps).
+        ``bundled=False`` gives an :class:`Embedding`'s two: each guest
+        edge maps to its one path.
+        """
         verts = list(guest.vertices())
         vertex_map = dict(zip(verts, self.images.tolist()))
         keys = [(verts[u], verts[v]) for u, v in self.layout.edges.uv.tolist()]
@@ -167,27 +249,54 @@ class PathArrays:
         offsets = self.layout.path_offsets.tolist()
         paths = [tuple(flat[lo:hi]) for lo, hi in zip(offsets, offsets[1:])]
         del flat
-        patterns = self.step_patterns
-        if self.step_base is None:
-            steps = [patterns[i] for i in self.path_pattern.tolist()]
-        else:
-            steps = [
-                tuple(s + base for s in patterns[i]) if base else patterns[i]
-                for i, base in zip(self.path_pattern.tolist(), self.step_base.tolist())
-            ]
+        if not bundled:
+            return {"vertex_map": vertex_map, "edge_paths": dict(zip(keys, paths))}
         bounds = self.layout.bundle_offsets.tolist()
         spans = list(zip(bounds, bounds[1:]))
         edge_paths = dict(zip(keys, (tuple(paths[lo:hi]) for lo, hi in spans)))
-        step_of = dict(zip(keys, (tuple(steps[lo:hi]) for lo, hi in spans)))
-        return vertex_map, edge_paths, step_of
+        step_of = None
+        if self.step_patterns is not None:
+            patterns = self.step_patterns
+            if self.step_base is None:
+                steps = [patterns[i] for i in self.path_pattern.tolist()]
+            else:
+                steps = [
+                    tuple(s + base for s in patterns[i]) if base else patterns[i]
+                    for i, base in zip(self.path_pattern.tolist(), self.step_base.tolist())
+                ]
+            step_of = dict(zip(keys, (tuple(steps[lo:hi]) for lo, hi in spans)))
+        return {"vertex_map": vertex_map, "edge_paths": edge_paths, "step_of": step_of}
+
+    # -- the metric properties, read from the arrays ------------------------------
+
+    def load(self) -> int:
+        """Most guest vertices on one host node (0 without vertices)."""
+        counts = np.unique(self.images, return_counts=True)[1]
+        return int(counts.max()) if counts.size else 0
+
+    def width(self) -> int:
+        """Fewest paths in one bundle (0 without bundles)."""
+        sizes = np.diff(self.layout.bundle_offsets)
+        return int(sizes.min()) if sizes.size else 0
+
+    def dilation(self) -> int:
+        """Most hops on one path (0 without paths)."""
+        lengths = np.diff(self.layout.path_offsets)
+        return int(lengths.max()) - 1 if lengths.size else 0
+
+    def congestion(self, host: Hypercube, per_bundle: bool) -> int:
+        """Most paths (``per_bundle``: bundles) using one directed host edge."""
+        from repro.core.fast_verify import layout_congestion
+
+        return layout_congestion(host, self.layout, per_bundle)
 
 
 _UNSET = object()
 
 
 class _BuiltOnRead:
-    """A dict field of :class:`MultiPathEmbedding` that an array-built
-    embedding builds from its :class:`PathArrays` on first read."""
+    """A dict field that an array-built embedding builds from its
+    :class:`PathArrays` on first read."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -208,7 +317,7 @@ class _BuiltOnRead:
 
 
 @dataclass
-class MultiPathEmbedding:
+class MultiPathEmbedding(_ArrayBacked):
     """A width-w embedding: w edge-disjoint host paths per guest edge.
 
     ``step_of`` optionally assigns a *time step* to every hop: the schedule
@@ -228,73 +337,30 @@ class MultiPathEmbedding:
         default=None, repr=False
     )
 
-    # -- array-built form --------------------------------------------------------
-
-    @classmethod
-    def from_arrays(
-        cls,
-        host: Hypercube,
-        guest: GuestGraph,
-        arrays: PathArrays,
-        name: str = "",
-        load_allowed: int = 1,
-    ) -> "MultiPathEmbedding":
-        """An embedding that carries ``arrays`` instead of dicts.
-
-        ``vertex_map``, ``edge_paths`` and ``step_of`` are built from the
-        arrays on the first read of any of them, once, under a lock; from
-        then on the embedding is dict-backed like any other.
-        """
-        emb = cls.__new__(cls)
-        emb.__dict__.update(
-            host=host,
-            guest=guest,
-            name=name,
-            load_allowed=load_allowed,
-            _carried=arrays,
-            _lock=threading.Lock(),
-        )
-        return emb
-
-    @property
-    def carried(self) -> Optional[PathArrays]:
-        """The arrays of an array-built embedding whose dicts are unread."""
-        return self.__dict__.get("_carried")
-
-    def _materialize(self) -> None:
-        with self._lock:
-            arrays = self.__dict__.get("_carried")
-            if arrays is None:
-                return
-            vertex_map, edge_paths, step_of = arrays.dicts(self.guest)
-            self.__dict__.update(
-                vertex_map=vertex_map, edge_paths=edge_paths, step_of=step_of
-            )
-            del self.__dict__["_carried"]
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        self.__dict__.update(state)
-        if "_carried" in state:
-            self._lock = threading.Lock()
+    _BUNDLED = True
 
     # -- metrics ---------------------------------------------------------------
 
     @property
     def width(self) -> int:
         """Minimum number of edge-disjoint paths over all guest edges."""
+        arrays = self.carried
+        if arrays is not None:
+            return arrays.width()
         return min((len(ps) for ps in self.edge_paths.values()), default=0)
 
     @property
     def load(self) -> int:
+        arrays = self.carried
+        if arrays is not None:
+            return arrays.load()
         return max(Counter(self.vertex_map.values()).values())
 
     @property
     def dilation(self) -> int:
+        arrays = self.carried
+        if arrays is not None:
+            return arrays.dilation()
         return max(
             (len(p) - 1 for ps in self.edge_paths.values() for p in ps), default=0
         )
@@ -302,6 +368,9 @@ class MultiPathEmbedding:
     @property
     def congestion(self) -> int:
         """Max over host edges of the number of guest edges using it."""
+        arrays = self.carried
+        if arrays is not None:
+            return arrays.congestion(self.host, per_bundle=True)
         counts = self.edge_congestion_counts()
         return max(counts.values()) if counts else 0
 
@@ -365,8 +434,12 @@ class MultiPathEmbedding:
         )
 
 
-for _name in ("vertex_map", "edge_paths", "step_of"):
-    setattr(MultiPathEmbedding, _name, _BuiltOnRead(_name))
+for _cls, _names in (
+    (Embedding, ("vertex_map", "edge_paths")),
+    (MultiPathEmbedding, ("vertex_map", "edge_paths", "step_of")),
+):
+    for _name in _names:
+        setattr(_cls, _name, _BuiltOnRead(_name))
 
 
 @dataclass

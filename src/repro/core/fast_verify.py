@@ -31,12 +31,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from typing import Any, Dict, List, NoReturn, Optional, Sequence, Set, Tuple, Union
 
 import numpy as np
 
 from repro.core.embedding import (
+    Embedding,
     MultiCopyEmbedding,
     MultiPathEmbedding,
     PathArrays,
@@ -62,6 +63,7 @@ __all__ = [
     "build_edge_lookup",
     "embedding_csr",
     "flatten_embedding",
+    "layout_congestion",
     "verify_embedding",
     "verify_multipath",
     "reference_verify_embedding",
@@ -103,6 +105,30 @@ def _edge_ids(host: Any, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
     """Packed edge ids of pre-validated hops (log2 is exact and warning-free)."""
     x = (heads ^ tails).astype(np.float64)
     return heads * np.int64(host.n) + np.log2(x).astype(np.int64)
+
+
+def layout_congestion(host: Any, layout: Union[PathLayout, PathCSR], per_bundle: bool) -> int:
+    """The congestion property of the paths ``layout`` holds.
+
+    Counts the paths through each directed host edge, or with
+    ``per_bundle`` the bundles (a bundle whose paths share an edge counts
+    once there).  A hop that is no host edge raises the ``ValueError``
+    :meth:`Hypercube.edge_id` raises for the first one.
+    """
+    heads, tails = hop_endpoints(layout.nodes, layout.path_offsets)
+    invalid = _first_invalid_hop(host, heads, tails)
+    if invalid is not None:
+        raise ValueError(invalid[1])
+    eids = _edge_ids(host, heads, tails)
+    if per_bundle:
+        sizes = np.diff(layout.bundle_offsets)
+        hops = np.maximum(np.diff(layout.path_offsets) - 1, 0)
+        bundle = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+        keys = np.sort(np.repeat(bundle, hops) * np.int64(host.num_edges) + eids)
+        first = np.ones(keys.size, dtype=bool)
+        first[1:] = keys[1:] != keys[:-1]
+        eids = keys[first] % host.num_edges
+    return int(np.bincount(eids).max()) if eids.size else 0
 
 
 def _guest_layout(
@@ -156,6 +182,54 @@ def _endpoint_images(
     )
 
 
+def _carried_layout(
+    emb: Any, csr: Optional[PathCSR]
+) -> Optional[Tuple[PathArrays, Union[PathLayout, PathCSR]]]:
+    """``(arrays, layout)`` when ``emb`` verifies from its carried arrays.
+
+    That needs an unread array-built embedding with one image per guest
+    vertex, and a layout (``csr``, else the carried one) whose edges are
+    exactly the guest's packed edges; None sends verification to the
+    dicts.
+    """
+    arrays = emb.carried if isinstance(emb, (Embedding, MultiPathEmbedding)) else None
+    packed = getattr(emb.guest, "packed_edges", None)
+    if arrays is None or packed is None or arrays.images.size != emb.guest.num_vertices:
+        return None
+    layout = arrays.layout if csr is None else csr
+    expected = packed()
+    edges = layout.edges
+    if not isinstance(edges, PackedEdges) or edges.radix != expected.radix:
+        return None
+    if not np.array_equal(edges.uv, expected.uv):
+        return None
+    return arrays, layout
+
+
+def _checked_layout(
+    emb: Any,
+    csr: Optional[PathCSR],
+    carried: Optional[Tuple[PathArrays, Union[PathLayout, PathCSR]]],
+) -> Tuple[Sequence[Any], np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The paths verification checks: ``(edges, widths, nodes, offsets,
+    src, dst)``, guest edge by guest edge as :func:`_guest_layout` lays
+    them out, with each edge's tail and head images.  A carried layout's
+    bundles are the guest's packed edges already."""
+    if carried is None:
+        edges, widths, nodes, offsets = _guest_layout(emb, csr)
+        return (edges, widths, nodes, offsets) + _endpoint_images(emb, edges)
+    arrays, layout = carried
+    uv = layout.edges.uv
+    return (
+        layout.edges,
+        np.diff(layout.bundle_offsets),
+        layout.nodes,
+        layout.path_offsets,
+        arrays.images[uv[:, 0]],
+        arrays.images[uv[:, 1]],
+    )
+
+
 def verify_embedding(
     emb: Any,
     max_load: Optional[int] = None,
@@ -169,7 +243,9 @@ def verify_embedding(
     hops-are-edges, stopping at the first failure; a passing report carries
     load/dilation/congestion/expansion.  The paths are read from ``csr``
     when given (the embedding's own :func:`embedding_csr`), else from one
-    :func:`flatten_embedding`.
+    :func:`flatten_embedding`.  An unread array-built embedding is checked
+    on its carried arrays without building its dicts; the report is the
+    one its dicts would give.
     """
     return _verify_embedding(emb, max_load, strict, csr)[0]
 
@@ -197,29 +273,39 @@ def _verify_embedding(
         return (report.raise_if_failed() if strict else report), None
 
     with profile_span("verify.embedding", subject=name):
-        images: Counter = Counter()
-        for v in emb.guest.vertices():
-            if v not in emb.vertex_map:
-                return fail("vertex-map", f"guest vertex {v} is unmapped")
-            node = emb.vertex_map[v]
-            if not 0 <= node < emb.host.num_nodes:
+        carried = _carried_layout(emb, csr)
+        if carried is None:
+            images: Counter = Counter()
+            for v in emb.guest.vertices():
+                if v not in emb.vertex_map:
+                    return fail("vertex-map", f"guest vertex {v} is unmapped")
+                node = emb.vertex_map[v]
+                if not 0 <= node < emb.host.num_nodes:
+                    return fail("vertex-map", f"image {node} of {v} out of host range")
+                images[node] += 1
+            measured_load = max(images.values()) if images else 0
+        else:
+            vertex_images = carried[0].images
+            outside = (vertex_images < 0) | (vertex_images >= emb.host.num_nodes)
+            if np.any(outside):
+                g = int(np.argmax(outside))
+                v = next(islice(emb.guest.vertices(), g, None))
+                node = int(vertex_images[g])
                 return fail("vertex-map", f"image {node} of {v} out of host range")
-            images[node] += 1
+            measured_load = carried[0].load()
         checks.append(InvariantCheck("vertex-map", True))
-        measured_load = max(images.values()) if images else 0
         if measured_load > max_load:
             return fail("load", f"load {measured_load} exceeds allowed {max_load}")
         checks.append(
             InvariantCheck("load", True, f"load {measured_load} <= {max_load}")
         )
 
-        edges, widths, nodes, offsets = _guest_layout(emb, csr)
+        edges, widths, nodes, offsets, src, dst = _checked_layout(emb, csr, carried)
         # first failing guest edge in guest order: 1 no path, 2 an empty
         # path (the scalar referee's path[0] raises), 3 wrong endpoints
         stored = np.flatnonzero(widths > 0)
         lengths = np.diff(offsets)
         padded = np.append(nodes, -1)
-        src, dst = _endpoint_images(emb, edges)
         verdict = np.ones(len(edges), dtype=np.int8)
         verdict[stored] = np.where(
             lengths == 0,
@@ -256,8 +342,9 @@ def _verify_embedding(
         # they measure every path in ``edge_paths``, which can be a superset
         # of the guest edges just verified.  Reuse the verified batch when
         # the dict holds exactly the guest edges (the invariable case for
-        # the package's builders); otherwise fall back to the properties.
-        if len(emb.edge_paths) == len(edges):
+        # the package's builders, and always for carried arrays); otherwise
+        # fall back to the properties.
+        if carried is not None or len(emb.edge_paths) == len(edges):
             eids = _edge_ids(emb.host, heads, tails)
             dilation = int(lengths.max()) - 1 if lengths.size else 0
         else:
@@ -277,30 +364,6 @@ def _verify_embedding(
             },
         )
         return report, eids
-
-
-def _carried_layout(
-    emb: Any, csr: Optional[PathCSR]
-) -> Optional[Tuple[PathArrays, Union[PathLayout, PathCSR]]]:
-    """``(arrays, layout)`` when ``emb`` verifies from its carried arrays.
-
-    That needs an unread array-built embedding with one image per guest
-    vertex, and a layout (``csr``, else the carried one) whose edges are
-    exactly the guest's packed edges; None sends verification to the
-    dicts.
-    """
-    arrays = emb.carried if isinstance(emb, MultiPathEmbedding) else None
-    packed = getattr(emb.guest, "packed_edges", None)
-    if arrays is None or packed is None or arrays.images.size != emb.guest.num_vertices:
-        return None
-    layout = arrays.layout if csr is None else csr
-    expected = packed()
-    edges = layout.edges
-    if not isinstance(edges, PackedEdges) or edges.radix != expected.radix:
-        return None
-    if not np.array_equal(edges.uv, expected.uv):
-        return None
-    return arrays, layout
 
 
 def verify_multipath(
@@ -342,9 +405,7 @@ def verify_multipath(
                     return fail("vertex-map", f"guest vertex {v} is unmapped")
             measured_load = max(images.values()) if images else 0
         else:
-            arrays, layout = carried
-            _, counts = np.unique(arrays.images, return_counts=True)
-            measured_load = int(counts.max()) if counts.size else 0
+            measured_load = carried[0].load()
         checks.append(InvariantCheck("vertex-map", True))
         if measured_load > emb.load_allowed:
             return fail(
@@ -356,16 +417,7 @@ def verify_multipath(
             )
         )
 
-        edges: Sequence[Any]
-        if carried is None:
-            edges, widths, nodes, offsets = _guest_layout(emb, csr)
-            src, dst = _endpoint_images(emb, edges)
-        else:
-            edges = layout.edges
-            widths = np.diff(layout.bundle_offsets)
-            nodes, offsets = layout.nodes, layout.path_offsets
-            src = arrays.images[layout.edges.uv[:, 0]]
-            dst = arrays.images[layout.edges.uv[:, 1]]
+        edges, widths, nodes, offsets, src, dst = _checked_layout(emb, csr, carried)
         if np.any(widths <= 0):
             u, v = edges[int(np.argmax(widths <= 0))]
             return fail("edge-paths", f"guest edge ({u}, {v}) has no paths")
@@ -995,7 +1047,7 @@ def flatten_embedding(emb: Any) -> PathLayout:
     the layout it carries.  Host nodes must be integers; guest vertices
     may be anything hashable.
     """
-    arrays = emb.carried if isinstance(emb, MultiPathEmbedding) else None
+    arrays = emb.carried if isinstance(emb, (Embedding, MultiPathEmbedding)) else None
     if arrays is not None:
         return arrays.layout
     if isinstance(emb, MultiCopyEmbedding):

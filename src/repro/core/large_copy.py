@@ -8,6 +8,12 @@ edges spread so evenly that dilation and congestion are 1 (2 for FFTs).
   circuit of Lemma 1's ``n`` edge-disjoint directed Hamiltonian cycles uses
   every directed hypercube edge exactly once; the undirected variant strings
   the ``n/2`` undirected cycles into one ``n * 2**{n-1}``-node cycle.
+  The directed builder walks the circuit over an integer successor table
+  and returns an :class:`Embedding` that carries the circuit as its vertex
+  images and each cycle edge's one hop as its path layout
+  (:meth:`Embedding.from_arrays`), so exporting and verifying build no
+  path tuples; ``reference_large_cycle_embedding`` builds the same
+  embedding as dicts, and the QA builder differential referees the two.
 * **Lemma 9** — CCC/FFT/butterfly: reverse the standard node-expansion that
   builds these graphs from the hypercube: the cycle/path that replaced
   hypercube node ``c`` maps back onto ``c``; straight edges become local
@@ -18,7 +24,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.core.embedding import Embedding
+import numpy as np
+
+from repro.core.cycle_multipath import _uniform_layout
+from repro.core.embedding import Embedding, PathArrays
 from repro.hypercube.graph import Hypercube
 from repro.hypercube.hamiltonian import directed_hamiltonian_decomposition
 from repro.networks.butterfly import Butterfly, FFTGraph
@@ -39,7 +48,41 @@ def large_cycle_embedding(n: int) -> Embedding:
 
     Load ``n``, dilation 1, congestion 1 — every directed hypercube link
     carries exactly one cycle edge (an Eulerian circuit of the Lemma 1
-    cycles).  Requires even ``n`` (Lemma 1's directed form).
+    cycles).  Requires even ``n`` (Lemma 1's directed form).  The
+    embedding carries its arrays: guest vertex ``i`` sits on the circuit's
+    ``i``-th node, and cycle edge ``i`` rides the hop from it to the next.
+    """
+    if n < 2 or n % 2:
+        raise ValueError(f"need even n >= 2, got {n}")
+    host = Hypercube(n)
+    cycles = np.asarray(directed_hamiltonian_decomposition(n), dtype=np.int64)
+    # row v: v's successor in each Lemma 1 cycle, in cycle order
+    successors = np.empty((host.num_nodes, len(cycles)), dtype=np.int64)
+    successors[cycles, np.arange(len(cycles))[:, None]] = np.roll(cycles, -1, axis=1)
+    remaining = successors.tolist()
+    # Hierholzer over the union, each row popped from its end
+    stack, circuit = [0], []
+    while stack:
+        row = remaining[stack[-1]]
+        if row:
+            stack.append(row.pop())
+        else:
+            circuit.append(stack.pop())
+    circuit.reverse()
+    total = n * host.num_nodes
+    if len(circuit) - 1 != total:
+        raise AssertionError("Eulerian circuit did not cover all edges")
+    images = np.asarray(circuit[:-1], dtype=np.int64)
+    guest = DirectedCycle(total)
+    hops = np.stack([images, np.roll(images, -1)], axis=1)
+    arrays = PathArrays(images, _uniform_layout(guest.packed_edges(), hops, (2,)))
+    return Embedding.from_arrays(host, guest, arrays, name=f"large-cycle-Q{n}")
+
+
+def reference_large_cycle_embedding(n: int) -> Embedding:
+    """:func:`large_cycle_embedding` built as dicts, one edge at a time.
+
+    The QA builder differential's referee for the array builder.
     """
     if n < 2 or n % 2:
         raise ValueError(f"need even n >= 2, got {n}")

@@ -14,7 +14,9 @@ load.  The pipeline, following the paper:
    row butterfly's out-neighbors;
 4. every CBT edge inherits the width-n host paths of the X edges it rides
    (concatenating the k-th path of each X edge keeps the n composites
-   edge-disjoint).
+   edge-disjoint).  Only those X edges' bundles are computed
+   (:class:`~repro.core.cross_product.CrossProductBundles`), about a
+   quarter of X's at ``m = 4``.
 
 **Substitution note** (see DESIGN.md): the paper invokes BCHLR'88 [4] for a
 load/congestion/dilation-O(1) CBT-to-butterfly embedding.  We use our own
@@ -36,8 +38,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.butterfly_multicopy import butterfly_multicopy_embedding
-from repro.core.cross_product import induced_cross_product_embedding
+from repro.core.cross_product import CrossProductBundles
 from repro.core.embedding import MultiPathEmbedding
+from repro.hypercube.graph import Hypercube
 from repro.networks.butterfly import Butterfly
 from repro.networks.tree import ArbitraryTree, CompleteBinaryTree
 
@@ -183,20 +186,10 @@ def theorem5_embedding(m: int) -> MultiPathEmbedding:
     ``m`` must be a power of two; ``n = m + log m``.  Practical sizes:
     ``m = 2`` (CBT with 63 nodes in Q_6) and ``m = 4`` (4095 nodes in Q_12).
     """
-    mc = butterfly_multicopy_embedding(m, undirected=True)
-    x = induced_cross_product_embedding(mc)
-    n = x.info["n"]
-    host = x.host
-    copies = mc.copies
-    from repro.hypercube.moments import moment
-
-    num_copies = len(copies)
-
-    def phi(index: int) -> Dict[BFVertex, int]:
-        return copies[moment(index) % num_copies].vertex_map
-
-    def phi_inv(index: int) -> Dict[int, BFVertex]:
-        return {h: v for v, h in phi(index).items()}
+    x = CrossProductBundles(butterfly_multicopy_embedding(m, undirected=True))
+    n = m + (m.bit_length() - 1)  # the butterfly copies live in Q_n
+    host = Hypercube(2 * n)
+    phi, phi_inv = x.phi, x.phi_inv
 
     bf_vmap, bf_routes = cbt_to_butterfly_map(m)
     big = CompleteBinaryTree(2 * n)
@@ -238,13 +231,14 @@ def theorem5_embedding(m: int) -> MultiPathEmbedding:
             ]
 
     # 3. last level: children from the row butterflies
+    last = Butterfly(m)
     for w in range(1 << (2 * n - 2), 1 << (2 * n - 1)):
         hw = vertex_map[w]
         i_w, j_w = hw >> n, hw & ((1 << n) - 1)
         phir = phi(i_w)
         phir_inv = phi_inv(i_w)
         bw = phir_inv[j_w]
-        straight, cross = Butterfly(m).out_neighbors(bw)
+        straight, cross = last.out_neighbors(bw)
         for child, nb in ((2 * w, straight), (2 * w + 1, cross)):
             vertex_map[child] = (i_w << n) | phir[nb]
             routes[(w, child)] = [hw, vertex_map[child]]
@@ -304,20 +298,24 @@ from repro.routing.pathutils import erase_loops as _erase_loops
 
 
 def _compose_x_paths(
-    x: MultiPathEmbedding, route: Sequence[int], n: int
+    x: CrossProductBundles, route: Sequence[int], n: int
 ) -> Tuple[Tuple[int, ...], ...]:
     """Concatenate the k-th host paths of each X edge along ``route``.
 
     The k-th composites are pairwise edge-disjoint (each X edge's path sets
     are); loop-erasure then shortens each walk into a simple path without
     breaking that disjointness.  A length-0 route (co-located endpoints)
-    yields a single trivial path.
+    yields a single trivial path.  A one-edge route yields that X edge's
+    bundle as it is: a detour of a simple image path is simple, so
+    loop-erasure would not change it.
     """
     if len(route) == 1:
         return ((route[0],),)
+    if len(route) == 2:
+        return x[(route[0], route[1])]
     composites: List[List[int]] = [[route[0]] for _ in range(n)]
     for a, b in zip(route, route[1:]):
-        paths = x.edge_paths[(a, b)]
+        paths = x[(a, b)]
         for k in range(n):
             composites[k].extend(paths[k][1:])
     return tuple(_erase_loops(p) for p in composites)

@@ -102,7 +102,7 @@ class LintConfig:
     parity_kernels: Tuple[str, ...] = (
         "embedding_csr", "flatten_embedding", "open_store", "disperse",
         "reconstruct", "normalize_schedule", "embed_cycle_load1",
-        "embed_cycle_load2", "embed_grid_multipath",
+        "embed_cycle_load2", "embed_grid_multipath", "large_cycle_embedding",
     )
 
 

@@ -16,7 +16,8 @@ same cross-file way R3 ties builders to oracles:
   kernels ``disperse``/``reconstruct``, the schedule normalizer
   ``normalize_schedule`` both packet engines share, and the array
   builders ``embed_cycle_load1``/``embed_cycle_load2``/
-  ``embed_grid_multipath``) must be referenced there too;
+  ``embed_grid_multipath``/``large_cycle_embedding``) must be referenced
+  there too;
 * every public differential check *defined* in the differential module
   must be referenced by the fuzzer (``qa/fuzzer.py``) — a check that is
   never registered as a stage runs only when a human remembers to.

@@ -43,7 +43,7 @@ computed from the field's definition (shift-and-xor products reduced by
 the message itself, from every m-subset of the pieces.
 
 :func:`builder_differential` referees the array builders of Theorems 1-2
-and Corollaries 1-2 against the dict-of-tuples builders they replaced:
+and Corollaries 1-3 against the dict-of-tuples builders they replaced:
 the two CSR exports must be identical array for array (digest included)
 while the array embedding's dicts are still unbuilt, then the two
 verification reports, then the dicts themselves, key order included.
@@ -586,6 +586,10 @@ def _builder_pair(
         embed_grid_multipath,
         reference_embed_grid_multipath,
     )
+    from repro.core.large_copy import (
+        large_cycle_embedding,
+        reference_large_cycle_embedding,
+    )
 
     if kind == "cycle":
         return embed_cycle_load1, reference_embed_cycle_load1, (params["n"],), {}
@@ -603,22 +607,27 @@ def _builder_pair(
             (tuple(params["dims"]),),
             {"torus": params.get("torus", False)},
         )
+    if kind == "large-cycle":
+        return large_cycle_embedding, reference_large_cycle_embedding, (params["n"],), {}
     return None
 
 
 def builder_differential(kind: str, params: Dict[str, Any]) -> List[InvariantCheck]:
     """Referee an array builder against its dict-of-tuples referee.
 
-    For a ``cycle``, ``cycle2`` or ``grid`` point, both builders run
-    fresh.  First, before the array embedding's dicts exist, the two
-    :func:`~repro.core.fast_verify.embedding_csr` exports must match in
-    every array, the edge table, the lookup and the store payload
-    digest; then the two non-strict ``verify()`` reports must match,
-    with the array embedding still unread; only then are its dicts
-    built and compared with the referee's (key order included), with
-    ``info``, ``name`` and ``load_allowed``.  Draws nothing from any
-    rng; other kinds contribute no checks.
+    For a ``cycle``, ``cycle2``, ``grid`` or ``large-cycle`` point, both
+    builders run fresh.  First, before the array embedding's dicts
+    exist, the two :func:`~repro.core.fast_verify.embedding_csr` exports
+    must match in every array, the edge table, the lookup and the store
+    payload digest; then the two non-strict ``verify()`` reports must
+    match, with the array embedding still unread; only then are its
+    dicts built and compared with the referee's (key order included),
+    with the other fields: ``step_of``, ``info``, ``name`` and
+    ``load_allowed`` for a multipath embedding, ``name`` for a
+    large cycle's :class:`~repro.core.embedding.Embedding`.  Draws
+    nothing from any rng; other kinds contribute no checks.
     """
+    from repro.core.embedding import MultiPathEmbedding
     from repro.core.fast_verify import embedding_csr
     from repro.service.store import payload_digest
 
@@ -662,15 +671,15 @@ def builder_differential(kind: str, params: Dict[str, Any]) -> List[InvariantChe
           f"array report {fast_report.checks} {fast_report.metrics} != "
           f"referee's {ref_report.checks} {ref_report.metrics}")
 
-    for field in ("vertex_map", "edge_paths", "step_of"):
+    multipath = isinstance(reference, MultiPathEmbedding)
+    dicts = ("vertex_map", "edge_paths", "step_of") if multipath else ("vertex_map", "edge_paths")
+    for field in dicts:
         same = list(getattr(fast, field).items()) == list(getattr(reference, field).items())
         check(field, same, f"{field} agrees in order and content",
               f"{field} differs from the referee's")
-    attrs = [
-        a for a in ("info", "name", "load_allowed")
-        if getattr(fast, a) != getattr(reference, a)
-    ]
-    check("attributes", not attrs, "info, name and load_allowed agree",
+    names = ("info", "name", "load_allowed") if multipath else ("name",)
+    attrs = [a for a in names if getattr(fast, a) != getattr(reference, a)]
+    check("attributes", not attrs, f"{', '.join(names)} agree",
           f"{attrs} differ from the referee's")
     return checks
 

@@ -42,7 +42,7 @@ For each point the fuzzer runs, in order:
     field on every accepted item shape, and raise its exceptions on
     malformed items (:func:`repro.qa.differential.schedule_differential`);
 11. **builder_differential** — the array builders of Theorems 1-2 and
-    Corollaries 1-2 must export, verify and (once read) hold exactly
+    Corollaries 1-3 must export, verify and (once read) hold exactly
     what their dict-of-tuples referees build
     (:func:`repro.qa.differential.builder_differential`; draws nothing).
 

@@ -299,3 +299,57 @@ class TestArrayBuilders:
         assert all(r is results[0] for r in results)
         assert results[0] is emb.edge_paths
         assert emb.carried is None
+
+
+class TestCarriedLargeCycle:
+    """Corollary 3's large cycle is an :class:`Embedding` carrying arrays."""
+
+    def test_pickle_round_trip_unread_and_read(self):
+        import pickle
+
+        from repro.core.large_copy import (
+            large_cycle_embedding,
+            reference_large_cycle_embedding,
+        )
+
+        reference = reference_large_cycle_embedding(6)
+        emb = large_cycle_embedding(6)
+        unread = pickle.loads(pickle.dumps(emb))
+        assert unread.carried is not None
+        assert unread.verify(strict=False).ok
+        assert list(unread.edge_paths.items()) == list(reference.edge_paths.items())
+        emb.vertex_map[0] = emb.vertex_map[0]  # read: the dicts are built
+        read = pickle.loads(pickle.dumps(emb))
+        assert read.carried is None
+        assert read.vertex_map == reference.vertex_map
+        assert list(read.edge_paths) == list(reference.edge_paths)
+        assert read.verify(strict=False).ok
+
+    def test_concurrent_first_read_builds_one_dict(self):
+        import sys
+        import threading
+
+        from repro.core.large_copy import large_cycle_embedding
+
+        emb = large_cycle_embedding(8)
+        results = [None] * 8
+        gate = threading.Barrier(len(results))
+
+        def read(i):
+            gate.wait(timeout=30)
+            results[i] = emb.edge_paths
+
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(len(results))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert all(r is results[0] for r in results)
+        assert results[0] is emb.edge_paths
+        assert emb.carried is None

@@ -413,3 +413,182 @@ class TestCarriedArrays:
         reference = emb.verify_reference(strict=False)
         assert fast.ok and fast.checks == reference.checks == with_csr.checks
         assert fast.metrics == reference.metrics == with_csr.metrics
+
+
+def _carrying_embedding(emb, paths, images):
+    """A fresh unread large cycle like ``emb`` carrying the given paths
+    (one per guest edge) and vertex images."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.core.embedding import PathArrays
+    from repro.hypercube.pathcode import flatten_paths
+
+    nodes, path_offsets = flatten_paths(paths)
+    layout = dataclasses.replace(emb.carried.layout, nodes=nodes, path_offsets=path_offsets)
+    carried = PathArrays(np.asarray(images, dtype=np.int64), layout)
+    return Embedding.from_arrays(emb.host, emb.guest, carried, name=emb.name)
+
+
+def _off_edge_hop(paths, images):
+    paths[1][1:1] = [paths[1][0] ^ 0b11]  # endpoints kept, first hop no edge
+
+
+def _wrong_end(paths, images):
+    paths[2][-1] ^= 1
+
+
+def _image_out_of_range(paths, images):
+    images[5] = 1 << 30
+
+
+def _overloaded_node(paths, images):
+    images[1] = images[0]  # one node holds n + 1 guest vertices
+
+
+EMBEDDING_CORRUPTIONS = {
+    _off_edge_hop: "hops-are-edges",
+    _wrong_end: "edge-paths",
+    _image_out_of_range: "vertex-map",
+    _overloaded_node: "load",
+}
+
+
+class TestCarriedEmbedding:
+    """An array-built :class:`Embedding` (Corollary 3's large cycle)
+    verifies on its arrays exactly as its materialized dicts do."""
+
+    @pytest.mark.parametrize(
+        "corrupt", list(EMBEDDING_CORRUPTIONS), ids=lambda f: f.__name__
+    )
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_report_matches_reference_on_materialized_copy(self, n, corrupt):
+        import copy
+
+        from repro.core.large_copy import large_cycle_embedding
+
+        base = large_cycle_embedding(n)
+        paths = [bundle[0] for bundle in _carried_bundles(base)]
+        images = base.carried.images.tolist()
+        corrupt(paths, images)
+        emb = _carrying_embedding(base, paths, images)
+        twin = copy.deepcopy(emb)
+        fast = emb.verify(strict=False)
+        assert emb.carried is not None  # checked on the arrays
+        reference = emb.verify_reference(strict=False)  # builds the dicts
+        assert emb.carried is None
+        assert [c.name for c in fast.failures] == [EMBEDDING_CORRUPTIONS[corrupt]]
+        assert fast.checks == reference.checks
+        assert fast.metrics == reference.metrics
+        with pytest.raises(AssertionError) as fast_err:
+            twin.verify()
+        assert twin.carried is not None
+        with pytest.raises(AssertionError) as ref_err:
+            twin.verify_reference()
+        assert str(fast_err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_passing_report_matches_and_reads_no_dict(self, n):
+        from repro.core.large_copy import large_cycle_embedding
+
+        emb = large_cycle_embedding(n)
+        csr = embedding_csr(emb)
+        fast, with_csr = emb.verify(strict=False), emb.verify(strict=False, csr=csr)
+        assert emb.carried is not None
+        reference = emb.verify_reference(strict=False)
+        assert fast.ok and fast.checks == reference.checks == with_csr.checks
+        assert fast.metrics == reference.metrics == with_csr.metrics
+
+    def test_foreign_edge_table_falls_back_to_dicts(self):
+        import dataclasses
+
+        from repro.core.embedding import PathArrays
+        from repro.core.large_copy import large_cycle_embedding
+        from repro.networks.base import PackedEdges
+
+        base = large_cycle_embedding(4)
+        layout = base.carried.layout
+        foreign = dataclasses.replace(
+            layout, edges=PackedEdges(layout.edges.uv[::-1].copy())
+        )
+        emb = Embedding.from_arrays(
+            base.host, base.guest, PathArrays(base.carried.images, foreign),
+            name=base.name,
+        )
+        fast = emb.verify(strict=False)
+        assert emb.carried is None  # read the dicts
+        reference = emb.verify_reference(strict=False)
+        assert (fast.checks, fast.metrics) == (reference.checks, reference.metrics)
+
+    def test_from_arrays_takes_one_path_per_edge_and_known_fields(self):
+        import dataclasses
+
+        import numpy as np
+
+        from repro.core.large_copy import large_cycle_embedding
+
+        base = large_cycle_embedding(2)
+        arrays = base.carried
+        bounds = arrays.layout.bundle_offsets.copy()
+        bounds[1:-1] = bounds[2:]  # bundle 0 holds two paths, the last none
+        wide = dataclasses.replace(
+            arrays, layout=dataclasses.replace(arrays.layout, bundle_offsets=bounds)
+        )
+        with pytest.raises(ValueError, match="one path per guest edge"):
+            Embedding.from_arrays(base.host, base.guest, wide)
+        with pytest.raises(TypeError, match="load_allowed"):
+            Embedding.from_arrays(base.host, base.guest, arrays, load_allowed=2)
+        emb = Embedding.from_arrays(base.host, base.guest, arrays)
+        assert emb.name == "" and np.array_equal(emb.carried.images, arrays.images)
+
+
+METRIC_BUILDS = [
+    ("cycle", {"n": 6}),
+    ("cycle2", {"n": 6, "wide": False}),
+    ("grid", {"dims": [8, 8], "torus": True}),
+    ("large-cycle", {"n": 6}),
+]
+
+
+class TestCarriedMetrics:
+    """The metric properties and ``repr`` of an unread array-built
+    embedding read its arrays and build no dict."""
+
+    @pytest.mark.parametrize("kind,params", METRIC_BUILDS)
+    def test_metrics_and_repr_match_the_materialized_embedding(self, kind, params):
+        import copy
+
+        emb = default_space().get(kind).build(dict(params))
+        read = copy.deepcopy(emb)
+        assert read.edge_paths  # builds the twin's dicts
+        assert read.carried is None
+        names = ["load", "dilation", "congestion"]
+        if isinstance(emb, MultiPathEmbedding):
+            names.append("width")
+        for name in names:
+            assert getattr(emb, name) == getattr(read, name), name
+        assert repr(emb) == repr(read)
+        assert emb.carried is not None
+
+    @pytest.mark.parametrize("kind,params", METRIC_BUILDS)
+    def test_congestion_of_a_non_edge_raises_as_the_dicts_do(self, kind, params):
+        import dataclasses
+
+        base = default_space().get(kind).build(dict(params))
+        layout = base.carried.layout
+        nodes = layout.nodes.copy()
+        nodes[1] = nodes[0] ^ 0b11  # the first path's first hop is no edge
+        emb = type(base).from_arrays(
+            base.host, base.guest,
+            dataclasses.replace(
+                base.carried, layout=dataclasses.replace(layout, nodes=nodes)
+            ),
+        )
+        with pytest.raises(ValueError) as fast_err:
+            emb.congestion
+        assert emb.carried is not None
+        with pytest.raises(ValueError) as dict_err:
+            emb.edge_congestion_counts()
+        assert emb.carried is None
+        assert str(fast_err.value) == str(dict_err.value)

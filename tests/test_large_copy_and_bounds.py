@@ -16,7 +16,19 @@ from repro.core.large_copy import (
     large_ccc_embedding,
     large_cycle_embedding,
     large_fft_embedding,
+    reference_large_cycle_embedding,
 )
+
+# payload_digest(embedding_csr(large_cycle_embedding(n))): the stored
+# payload of the dict builder the array builder replaced
+LARGE_CYCLE_DIGESTS = {
+    2: "54d45bb8e28ffe5aca8035b3aa9a50ba53196aa40d2324820f85397b830f1f28",
+    4: "603a026f16b733b6dbd66912927bb1ac73bab3435e900fd8af56edf720a1c662",
+    6: "3588b38d9d4785d7079cfee8f4c11e48a7ec80f199a5c88e40914a674fd210f2",
+    8: "ffddc7051af0da3a9395c921775cabfe1fd5e9db8bd3075e1a4b4b5540239900",
+    10: "fe01a036c4b63ff23fe804435829b434511a936d3d913466c17788a00e9c3131",
+    12: "56f463ce0c0308a2e98181a994351860e817cf05d3ea3f06d6d77e980617dad0",
+}
 
 
 class TestLargeCycle:
@@ -45,6 +57,29 @@ class TestLargeCycle:
         emb = large_cycle_embedding(n)
         counts = Counter(emb.vertex_map.values())
         assert set(counts.values()) == {n}
+
+    @pytest.mark.parametrize("n", sorted(LARGE_CYCLE_DIGESTS))
+    def test_stored_payload_is_pinned(self, n):
+        from repro.core.fast_verify import embedding_csr
+        from repro.service.store import payload_digest
+
+        emb = large_cycle_embedding(n)
+        assert payload_digest(embedding_csr(emb)) == LARGE_CYCLE_DIGESTS[n]
+        assert emb.carried is not None
+
+    @pytest.mark.parametrize("n", [2, 4, 6, 8])
+    def test_array_build_matches_dict_build(self, n):
+        emb, reference = large_cycle_embedding(n), reference_large_cycle_embedding(n)
+        assert emb.name == reference.name
+        assert list(emb.vertex_map.items()) == list(reference.vertex_map.items())
+        assert list(emb.edge_paths.items()) == list(reference.edge_paths.items())
+
+    def test_reference_builder_is_not_exported(self):
+        import repro.core
+
+        assert "reference_large_cycle_embedding" not in repro.core.__all__
+        with pytest.raises(ValueError):
+            reference_large_cycle_embedding(3)
 
 
 class TestLemma9:

@@ -362,6 +362,47 @@ class TestBuilderDifferential:
         assert [c.name for c in checks] == BUILDER_CHECKS
         assert all(c.passed for c in checks), [c.detail for c in checks]
 
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_large_cycle_agrees(self, n):
+        from repro.qa.differential import builder_differential
+
+        checks = builder_differential("large-cycle", {"n": n})
+        assert [c.name for c in checks] == [
+            name for name in BUILDER_CHECKS if name != "diff:builder:step_of"
+        ]
+        assert all(c.passed for c in checks), [c.detail for c in checks]
+
+    def test_large_cycle_wrong_images_and_early_read_are_caught(self, monkeypatch):
+        from dataclasses import replace
+
+        import numpy as np
+
+        import repro.core.large_copy as large_copy
+        from repro.core.embedding import Embedding
+        from repro.qa.differential import builder_differential
+
+        real = large_copy.large_cycle_embedding
+
+        def rolled(n):
+            emb = real(n)
+            images = np.roll(emb.carried.images, 1)
+            return Embedding.from_arrays(
+                emb.host, emb.guest, replace(emb.carried, images=images), name=emb.name
+            )
+
+        monkeypatch.setattr(large_copy, "large_cycle_embedding", rolled)
+        failed = [c.name for c in builder_differential("large-cycle", {"n": 4}) if not c.passed]
+        assert failed == ["diff:builder:verify", "diff:builder:vertex_map"]
+
+        def eager(n):
+            emb = real(n)
+            assert emb.edge_paths  # builds the dicts before the export
+            return emb
+
+        monkeypatch.setattr(large_copy, "large_cycle_embedding", eager)
+        failed = [c.name for c in builder_differential("large-cycle", {"n": 4}) if not c.passed]
+        assert failed == ["diff:builder:unread"]
+
     def test_other_kinds_contribute_nothing(self):
         from repro.qa.differential import builder_differential
 

@@ -226,15 +226,15 @@ class TestFlattenOnce:
 
     def test_admit_flattens_once(self, tmp_path, flattens):
         # the cycle is array-built and flattens nothing; the dict-built
-        # large cycle flattens once
+        # Theorem 5 tree flattens once
         reg = EmbeddingRegistry(cache_dir=tmp_path)
         reg.get_or_build(cycle_spec(6))
-        reg.get_or_build(EmbeddingSpec.make("large-cycle", n=6))
+        reg.get_or_build(EmbeddingSpec.make("tree", m=2))
         assert reg.metrics.count("builds") == 2
         assert len(flattens) == 1
 
     def test_store_hit_flattens_once(self, tmp_path, flattens):
-        specs = [cycle_spec(6), EmbeddingSpec.make("large-cycle", n=6)]
+        specs = [cycle_spec(6), EmbeddingSpec.make("tree", m=2)]
         for spec in specs:
             EmbeddingRegistry(cache_dir=tmp_path).get_or_build(spec)
         flattens.clear()
@@ -249,6 +249,7 @@ class TestFlattenOnce:
             cycle_spec(6),
             EmbeddingSpec.make("cycle2", n=6),
             EmbeddingSpec.make("grid", dims=(16, 16), torus=True),
+            EmbeddingSpec.make("large-cycle", n=6),
         ]
         reg = EmbeddingRegistry(cache_dir=tmp_path)
         assert all(reg.get_or_build(spec).carried is not None for spec in specs)

@@ -5,6 +5,10 @@ from collections import Counter
 import pytest
 
 from repro.core.butterfly_multicopy import butterfly_multicopy_embedding
+from repro.core.cross_product import (
+    CrossProductBundles,
+    induced_cross_product_embedding,
+)
 from repro.core.tree_multipath import (
     arbitrary_tree_embedding,
     cbt_to_butterfly_map,
@@ -131,3 +135,63 @@ class TestArbitraryTrees:
         n = emb.info["n"]
         widths = [len(ps) for ps in emb.edge_paths.values() if len(ps[0]) > 1]
         assert min(widths) >= n // 2
+
+
+# payload_digest(embedding_csr(theorem5_embedding(m))) when the tree was
+# composed over the eagerly built cross product
+TREE_DIGESTS = {
+    2: "91c6c0442f067fe22466b4a5973ba2151cecf213886b64fa8fd6629482c3138a",
+    4: "d384876c931513795f0a35e5d26219db5005c467f0c1e755551477f0726029a7",
+}
+
+
+class TestTheorem5OnDemand:
+    """Theorem 5 computes only the X(G) bundles its tree rides, each
+    exactly as the eager cross product stores it."""
+
+    @pytest.mark.parametrize("m,count", [(2, 512), (4, 32768)])
+    def test_lookup_matches_eager_cross_product(self, m, count):
+        mc = butterfly_multicopy_embedding(m, undirected=True)
+        x = induced_cross_product_embedding(mc)
+        bundles = CrossProductBundles(mc)
+        edges = list(x.guest.edges())
+        assert len(edges) == count
+        for edge in edges:
+            assert bundles[edge] == x.edge_paths[edge], edge
+
+    def test_lookup_rejects_pairs_that_are_no_x_edge(self):
+        mc = butterfly_multicopy_embedding(2, undirected=True)
+        x = induced_cross_product_embedding(mc)
+        bundles = CrossProductBundles(mc)
+        n = x.info["n"]
+        for row in (True, False):
+            a, b = next(
+                (a, b) for a, b in x.edge_paths if (a >> n == b >> n) == row
+            )
+            # off X: a row pair leaves its row; a column pair keeps its
+            # column's guest edge, whose X edge is (a, b)
+            wrong = (a, b ^ (1 << n)) if row else (a, b ^ 1)
+            assert wrong not in x.edge_paths
+            with pytest.raises(KeyError):
+                bundles[wrong]
+
+    def test_builds_without_the_eager_cross_product(self, monkeypatch):
+        import repro.core as core
+        import repro.core.cross_product as cross_product
+
+        def eager(multicopy):
+            raise AssertionError("built every X(G) bundle")
+
+        monkeypatch.setattr(cross_product, "induced_cross_product_embedding", eager)
+        monkeypatch.setattr(core, "induced_cross_product_embedding", eager)
+        emb = theorem5_embedding(2)
+        assert emb.verify(strict=False).ok
+
+    @pytest.mark.parametrize("m", sorted(TREE_DIGESTS))
+    def test_stored_payload_is_pinned(self, m):
+        from repro.core.fast_verify import embedding_csr
+        from repro.service.store import payload_digest
+
+        emb = theorem5_embedding(m)
+        assert payload_digest(embedding_csr(emb)) == TREE_DIGESTS[m]
+        assert emb.info["n"] == m + m.bit_length() - 1
